@@ -12,7 +12,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .channels import ChannelSpec, capacity, transmissivity_to_db
+from .channels import (
+    ChannelSpec,
+    _open_unit,
+    _pure_loss,
+    _require_int,
+    _require_positive,
+    capacity,
+    multiband_lossy,
+    transmissivity_to_db,
+)
 from .errors import InvalidParameter
 
 
@@ -34,23 +43,6 @@ def chain_capacity(links: Sequence[ChannelSpec]) -> ChainCapacity:
     return ChainCapacity(value=caps[index], bottleneck_index=index)
 
 
-def _check_eta_total(eta_total) -> float:
-    if isinstance(eta_total, bool) or not isinstance(eta_total, (int, float)):
-        raise InvalidParameter("eta_total", eta_total, "must be a real number")
-    eta_total = float(eta_total)
-    if not math.isfinite(eta_total) or not 0.0 < eta_total < 1.0:
-        raise InvalidParameter("eta_total", eta_total, "must lie strictly inside (0, 1)")
-    return eta_total
-
-
-def _check_repeaters(n_repeaters, minimum=0) -> int:
-    if isinstance(n_repeaters, bool) or not isinstance(n_repeaters, int):
-        raise InvalidParameter("n_repeaters", n_repeaters, "must be an integer")
-    if n_repeaters < minimum:
-        raise InvalidParameter("n_repeaters", n_repeaters, f"must be >= {minimum}")
-    return n_repeaters
-
-
 def equidistant_lossy_capacity(eta_total: float, n_repeaters: int) -> float:
     """Capacity of a lossy line split by N equidistant repeaters.
 
@@ -59,10 +51,10 @@ def equidistant_lossy_capacity(eta_total: float, n_repeaters: int) -> float:
     transmissivity ``eta_total**(1/(N+1))``.  At N = 0 this is the
     point-to-point bound -log2(1 - eta_total).
     """
-    eta_total = _check_eta_total(eta_total)
-    n_repeaters = _check_repeaters(n_repeaters)
+    eta_total = _open_unit("eta_total", eta_total)
+    n_repeaters = _require_int("n_repeaters", n_repeaters, 0)
     if n_repeaters == 0:
-        return -math.log2(1.0 - eta_total)
+        return _pure_loss(eta_total)
     # 1 - eta**(1/(N+1)) via expm1 keeps precision when the root nears 1.
     one_minus_root = -math.expm1(math.log(eta_total) / (n_repeaters + 1))
     return -math.log2(one_minus_root)
@@ -74,11 +66,7 @@ def max_link_loss_for_rate(target_bits: float) -> float:
     Inverts -log2(1 - eta) = target; at 1 bit/use this is the 3 dB rule
     (3.0103 dB per link, about 15 km of standard fiber at 0.2 dB/km).
     """
-    if isinstance(target_bits, bool) or not isinstance(target_bits, (int, float)):
-        raise InvalidParameter("target_bits", target_bits, "must be a real number")
-    target_bits = float(target_bits)
-    if not math.isfinite(target_bits) or target_bits <= 0.0:
-        raise InvalidParameter("target_bits", target_bits, "must be positive")
+    target_bits = _require_positive("target_bits", target_bits)
     eta_needed = 1.0 - 2.0 ** (-target_bits)
     if eta_needed <= 0.0:
         raise InvalidParameter(
@@ -93,12 +81,8 @@ def min_repeaters_for_rate(eta_total: float, target_bits: float) -> int:
     Direct integer ascent; the count stays small for any practical loss
     budget (under 64 even at 120 dB for a 1 bit/use target).
     """
-    eta_total = _check_eta_total(eta_total)
-    if isinstance(target_bits, bool) or not isinstance(target_bits, (int, float)):
-        raise InvalidParameter("target_bits", target_bits, "must be a real number")
-    target_bits = float(target_bits)
-    if not math.isfinite(target_bits) or target_bits <= 0.0:
-        raise InvalidParameter("target_bits", target_bits, "must be positive")
+    eta_total = _open_unit("eta_total", eta_total)
+    target_bits = _require_positive("target_bits", target_bits)
     n = 0
     while equidistant_lossy_capacity(eta_total, n) < target_bits:
         n += 1
@@ -112,8 +96,8 @@ def asymptotic_repeater_dominant(eta_total: float, n_repeaters: int) -> float:
     logarithmically in the repeater count, independently of the loss.
     Requires N >= 1 (the approximation has no meaning at N = 0).
     """
-    eta_total = _check_eta_total(eta_total)
-    n_repeaters = _check_repeaters(n_repeaters, minimum=1)
+    eta_total = _open_unit("eta_total", eta_total)
+    n_repeaters = _require_int("n_repeaters", n_repeaters, 1)
     return math.log2(n_repeaters) - math.log2(math.log(1.0 / eta_total))
 
 
@@ -124,8 +108,8 @@ def asymptotic_loss_dominant(eta_total: float, n_repeaters: int) -> float:
     scaling (one nat per per-link transmissivity).  The 1/ln 2 factor is kept
     in full precision rather than the display rounding 1.44.
     """
-    eta_total = _check_eta_total(eta_total)
-    n_repeaters = _check_repeaters(n_repeaters)
+    eta_total = _open_unit("eta_total", eta_total)
+    n_repeaters = _require_int("n_repeaters", n_repeaters, 0)
     return eta_total ** (1.0 / (n_repeaters + 1)) / math.log(2.0)
 
 
@@ -139,13 +123,4 @@ def multiband_chain_capacity(links: Sequence[tuple[float, int]]) -> float:
     links = tuple(links)
     if not links:
         raise InvalidParameter("links", links, "chain needs at least one link")
-    values = []
-    for eta, bands in links:
-        if isinstance(eta, bool) or not isinstance(eta, (int, float)):
-            raise InvalidParameter("eta", eta, "must be a real number")
-        if not math.isfinite(eta) or not 0.0 < eta < 1.0:
-            raise InvalidParameter("eta", eta, "must lie strictly inside (0, 1)")
-        if isinstance(bands, bool) or not isinstance(bands, int) or bands < 1:
-            raise InvalidParameter("bands", bands, "must be an integer >= 1")
-        values.append(-bands * math.log2(1.0 - eta))
-    return min(values)
+    return min(capacity(multiband_lossy(eta, bands)) for eta, bands in links)

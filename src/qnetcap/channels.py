@@ -5,13 +5,23 @@ qudit dephasing, qudit erasure, multiband pure-loss) the two-way quantum,
 entanglement-distribution and secret-key capacities coincide, so a single
 number in bits per channel use describes all three tasks.  All functions are
 pure and operate on immutable values; they are safe to call concurrently.
+
+Channel kinds: a kind is one :class:`ChannelKind` record in :data:`KINDS`.
+The record lists the kind's parameters, each with the name shared by the
+JSON field, the constructor argument and the CLI flag, the
+:class:`ChannelSpec` attribute holding it, its type, its default and its
+range check, and it gives the kind's capacity formula.  Spec validation,
+:func:`capacity`, the network JSON format and the ``qnetcap channel`` flags
+all read these records.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Any, Callable
 
 from .errors import InvalidParameter, ParameterRegimeWarning
 
@@ -21,7 +31,10 @@ DEPHASING = "dephasing"
 ERASURE = "erasure"
 MULTIBAND_LOSSY = "multiband_lossy"
 
-CHANNEL_KINDS = (LOSSY, AMPLIFIER, DEPHASING, ERASURE, MULTIBAND_LOSSY)
+#: Parameter types: one real number, one integer, a list of real numbers.
+NUMBER = "number"
+INTEGER = "integer"
+NUMBERS = "numbers"
 
 #: Absolute tolerance for capacity comparisons everywhere in the package.
 #: Far above accumulated rounding of the few transcendental calls involved,
@@ -29,6 +42,7 @@ CHANNEL_KINDS = (LOSSY, AMPLIFIER, DEPHASING, ERASURE, MULTIBAND_LOSSY)
 CAPACITY_TOL = 1e-9
 
 _PROB_SUM_TOL = 1e-12
+_LN2 = math.log(2.0)
 
 
 def _require_finite(field, value):
@@ -47,13 +61,65 @@ def _require_int(field, value, minimum):
     return value
 
 
+def _open_unit(field, value):
+    value = _require_finite(field, value)
+    if not 0.0 < value < 1.0:
+        raise InvalidParameter(field, value, "must lie strictly inside (0, 1)")
+    return value
+
+
+def _unit(field, value):
+    value = _require_finite(field, value)
+    if not 0.0 <= value <= 1.0:
+        raise InvalidParameter(field, value, "must lie in [0, 1]")
+    return value
+
+
+def _above_one(field, value):
+    value = _require_finite(field, value)
+    if not value > 1.0:
+        raise InvalidParameter(field, value, "must be strictly greater than 1")
+    return value
+
+
+def _require_positive(field, value):
+    value = _require_finite(field, value)
+    if not value > 0.0:
+        raise InvalidParameter(field, value, "must be positive")
+    return value
+
+
+def _distribution(field, values):
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidParameter(field, values, "must be a list of numbers") from None
+    probs = tuple(_unit(field, p) for p in values)
+    if len(probs) < 2:
+        raise InvalidParameter(field, probs, "needs at least two entries")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > _PROB_SUM_TOL:
+        raise InvalidParameter(field, probs, f"must sum to 1 (got {total!r})")
+    return probs
+
+
+def _pure_loss(eta: float) -> float:
+    """-log2(1 - eta) for eta in [0, 1), accurate to a few ulps at any loss.
+
+    log1p keeps the small-eta digits that 1 - eta rounds away: the naive form
+    returns -0.0 from eta ~ 1e-16 (160 dB) down, where the value is eta/ln 2.
+    """
+    return -math.log1p(-eta) / _LN2
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Tagged description of one distillable channel.
 
-    Exactly the fields belonging to ``kind`` may be set; use the module
-    constructors (:func:`lossy`, :func:`amplifier`, ...) rather than filling
-    fields by hand.  Instances are immutable and validated on construction.
+    Exactly the fields belonging to ``kind`` (its :data:`KINDS` record) may
+    be set; use the module constructors (:func:`lossy`, :func:`amplifier`,
+    ...) rather than filling fields by hand.  Instances are immutable and
+    validated on construction.
     """
 
     kind: str
@@ -65,95 +131,129 @@ class ChannelSpec:
     bands: int | None = None
 
     def __post_init__(self):
-        if self.kind not in CHANNEL_KINDS:
+        try:
+            kind = KINDS[self.kind]
+        except (KeyError, TypeError):
             raise InvalidParameter(
                 "kind", self.kind, f"must be one of {', '.join(CHANNEL_KINDS)}"
-            )
-        validator = _VALIDATORS[self.kind]
-        validator(self)
-
-    def _forbid(self, *fields):
-        for field in fields:
-            if getattr(self, field) is not None:
+            ) from None
+        for attr in kind.forbidden:
+            if getattr(self, attr) is not None:
                 raise InvalidParameter(
-                    field, getattr(self, field),
-                    f"does not apply to a {self.kind} channel",
+                    attr, getattr(self, attr), f"does not apply to a {self.kind} channel"
                 )
+        for param in kind.params:
+            value = getattr(self, param.attr)
+            if value is not None:
+                object.__setattr__(self, param.attr, param.check(param.attr, value))
+            elif param.required:
+                raise InvalidParameter(
+                    param.attr, None, f"is required for a {self.kind} channel"
+                )
+            else:
+                object.__setattr__(self, param.attr, param.default)
+        if kind.check is not None:
+            kind.check(self)
 
 
-def _validate_lossy(spec: ChannelSpec):
-    spec._forbid("gain", "probs", "p_erase", "dim", "bands")
-    eta = _require_finite("eta", spec.eta)
-    if not 0.0 < eta < 1.0:
-        raise InvalidParameter("eta", eta, "must lie strictly inside (0, 1)")
-    object.__setattr__(spec, "eta", eta)
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a channel kind.
+
+    ``name`` is the JSON field, the constructor argument and the CLI flag;
+    ``attr`` is the :class:`ChannelSpec` attribute holding the value.
+    ``check(attr, value)`` returns the value normalised or raises
+    :class:`InvalidParameter`.  An optional parameter left unset takes
+    ``default``; a ``None`` default leaves it to the kind's ``check``.
+    """
+
+    name: str
+    attr: str
+    type: str  # NUMBER, INTEGER or NUMBERS
+    check: Callable[[str, Any], Any]
+    required: bool = True
+    default: Any = None
 
 
-def _validate_amplifier(spec: ChannelSpec):
-    spec._forbid("eta", "probs", "p_erase", "dim", "bands")
-    gain = _require_finite("gain", spec.gain)
-    if not gain > 1.0:
-        raise InvalidParameter("gain", gain, "must be strictly greater than 1")
-    object.__setattr__(spec, "gain", gain)
+@dataclass(frozen=True)
+class ChannelKind:
+    """One channel kind: its parameters and its capacity formula.
+
+    ``check``, when given, enforces rules across parameters once each is
+    valid.  ``forbidden`` lists the :class:`ChannelSpec` attributes that
+    belong to other kinds and must stay unset.
+    """
+
+    name: str
+    params: tuple[Param, ...]
+    capacity: Callable[[ChannelSpec], float]
+    check: Callable[[ChannelSpec], None] | None = None
+    forbidden: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        own = {p.attr for p in self.params}
+        attrs = [f.name for f in fields(ChannelSpec) if f.name != "kind"]
+        object.__setattr__(self, "forbidden", tuple(a for a in attrs if a not in own))
 
 
-def _validate_dephasing(spec: ChannelSpec):
-    spec._forbid("eta", "gain", "p_erase", "bands")
-    if spec.probs is None:
-        raise InvalidParameter("probs", None, "required for a dephasing channel")
-    probs = tuple(_require_finite("probs", p) for p in spec.probs)
-    if len(probs) < 2:
-        raise InvalidParameter("probs", probs, "needs at least two entries")
-    for p in probs:
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameter("probs", p, "entries must lie in [0, 1]")
-    total = math.fsum(probs)
-    if abs(total - 1.0) > _PROB_SUM_TOL:
-        raise InvalidParameter("probs", probs, f"must sum to 1 (got {total!r})")
-    dim = len(probs) if spec.dim is None else _require_int("dim", spec.dim, 2)
-    if dim != len(probs):
+def _check_dephasing(spec: ChannelSpec):
+    if spec.dim is None:
+        object.__setattr__(spec, "dim", len(spec.probs))
+    elif spec.dim != len(spec.probs):
         raise InvalidParameter(
-            "dim", dim, f"must equal the number of probabilities ({len(probs)})"
+            "dim", spec.dim, f"must equal the number of probabilities ({len(spec.probs)})"
         )
-    object.__setattr__(spec, "probs", probs)
-    object.__setattr__(spec, "dim", dim)
-    if max(probs[1:]) > 0.5:
+    if max(spec.probs[1:]) > 0.5:
         # The qubit formula is usually quoted for flip probability <= 1/2;
         # the general entropy form is valid anyway, so accept but flag.
         warnings.warn(
-            f"dephasing distribution {probs} puts more than 1/2 on a phase rotation",
+            f"dephasing distribution {spec.probs} puts more than 1/2 on a phase rotation",
             ParameterRegimeWarning,
             stacklevel=4,
         )
 
 
-def _validate_erasure(spec: ChannelSpec):
-    spec._forbid("eta", "gain", "probs", "bands")
-    p = _require_finite("p_erase", spec.p_erase)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter("p_erase", p, "must lie in [0, 1]")
-    dim = 2 if spec.dim is None else _require_int("dim", spec.dim, 2)
-    object.__setattr__(spec, "p_erase", p)
-    object.__setattr__(spec, "dim", dim)
+_ETA = Param("eta", "eta", NUMBER, _open_unit)
+_DIM_CHECK = partial(_require_int, minimum=2)
 
-
-def _validate_multiband(spec: ChannelSpec):
-    spec._forbid("gain", "probs", "p_erase", "dim")
-    eta = _require_finite("eta", spec.eta)
-    if not 0.0 < eta < 1.0:
-        raise InvalidParameter("eta", eta, "must lie strictly inside (0, 1)")
-    bands = _require_int("bands", spec.bands, 1)
-    object.__setattr__(spec, "eta", eta)
-    object.__setattr__(spec, "bands", bands)
-
-
-_VALIDATORS = {
-    LOSSY: _validate_lossy,
-    AMPLIFIER: _validate_amplifier,
-    DEPHASING: _validate_dephasing,
-    ERASURE: _validate_erasure,
-    MULTIBAND_LOSSY: _validate_multiband,
+#: The channel kinds by name, in canonical order.  Each kind's public
+#: constructor has the kind's name and takes its parameters by ``Param.name``.
+KINDS = {
+    kind.name: kind
+    for kind in (
+        ChannelKind(LOSSY, (_ETA,), lambda s: _pure_loss(s.eta)),
+        ChannelKind(
+            AMPLIFIER,
+            (Param("gain", "gain", NUMBER, _above_one),),
+            lambda s: _pure_loss(1.0 / s.gain),
+        ),
+        ChannelKind(
+            DEPHASING,
+            (
+                Param("probs", "probs", NUMBERS, _distribution),
+                Param("dim", "dim", INTEGER, _DIM_CHECK, required=False),
+            ),
+            # H({p_k}) <= log2 d mathematically; clamp the few-ulp rounding dip.
+            lambda s: max(0.0, math.log2(s.dim) - shannon_entropy(s.probs)),
+            check=_check_dephasing,
+        ),
+        ChannelKind(
+            ERASURE,
+            (
+                Param("p", "p_erase", NUMBER, _unit),
+                Param("dim", "dim", INTEGER, _DIM_CHECK, required=False, default=2),
+            ),
+            lambda s: (1.0 - s.p_erase) * math.log2(s.dim),
+        ),
+        ChannelKind(
+            MULTIBAND_LOSSY,
+            (_ETA, Param("bands", "bands", INTEGER, partial(_require_int, minimum=1))),
+            lambda s: s.bands * _pure_loss(s.eta),
+        ),
+    )
 }
+
+CHANNEL_KINDS = tuple(KINDS)
 
 
 def lossy(eta: float) -> ChannelSpec:
@@ -172,7 +272,7 @@ def dephasing(probs, dim: int | None = None) -> ChannelSpec:
     ``probs[k]`` is the probability of k phase rotations; the dimension is
     the length of the vector (``dim``, when given, must match it).
     """
-    return ChannelSpec(DEPHASING, probs=tuple(probs), dim=dim)
+    return ChannelSpec(DEPHASING, probs=probs, dim=dim)
 
 
 def erasure(p: float, dim: int = 2) -> ChannelSpec:
@@ -196,9 +296,7 @@ def multiband_lossy(eta: float, bands: int) -> ChannelSpec:
 
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy in bits, with H2(0) = H2(1) = 0 exactly."""
-    p = _require_finite("p", p)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter("p", p, "must lie in [0, 1]")
+    p = _unit("p", p)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -223,18 +321,7 @@ def capacity(spec: ChannelSpec) -> float:
     constraints on eta and gain keep the lossy/amplifier formulas away from
     their divergence at zero effective loss.
     """
-    if spec.kind == LOSSY:
-        return -math.log2(1.0 - spec.eta)
-    if spec.kind == AMPLIFIER:
-        return -math.log2(1.0 - 1.0 / spec.gain)
-    if spec.kind == DEPHASING:
-        # H({p_k}) <= log2 d mathematically; clamp the few-ulp rounding dip.
-        return max(0.0, math.log2(spec.dim) - shannon_entropy(spec.probs))
-    if spec.kind == ERASURE:
-        return (1.0 - spec.p_erase) * math.log2(spec.dim)
-    if spec.kind == MULTIBAND_LOSSY:
-        return -spec.bands * math.log2(1.0 - spec.eta)
-    raise InvalidParameter("kind", spec.kind, "unhandled channel kind")
+    return KINDS[spec.kind].capacity(spec)
 
 
 def db_to_transmissivity(loss_db: float) -> float:
@@ -258,7 +345,5 @@ def fiber_transmissivity(length_km: float, rate_db_per_km: float = 0.2) -> float
     length_km = _require_finite("length_km", length_km)
     if length_km < 0.0:
         raise InvalidParameter("length_km", length_km, "must be non-negative")
-    rate_db_per_km = _require_finite("rate_db_per_km", rate_db_per_km)
-    if rate_db_per_km <= 0.0:
-        raise InvalidParameter("rate_db_per_km", rate_db_per_km, "must be positive")
+    rate_db_per_km = _require_positive("rate_db_per_km", rate_db_per_km)
     return db_to_transmissivity(length_km * rate_db_per_km)

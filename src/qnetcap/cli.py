@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 invalid input, 3 no route between the end-points.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -25,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .multi_path import max_flow
-from .network import channel_from_json, parse_network
+from .network import _load_json, channel_from_json, parse_network
 from .single_path import widest_path
 
 EXIT_OK = 0
@@ -45,28 +44,24 @@ def _format_grid_value(value: float) -> str:
     return f"{value:g}"
 
 
+#: argparse type of each channel parameter type; lists arrive as text.
+_FLAG_TYPES = {channels.NUMBER: float, channels.INTEGER: int, channels.NUMBERS: str}
+#: Every channel parameter by name, each flag once (``dim`` serves two kinds).
+_CHANNEL_FLAGS = {
+    param.name: param.type for kind in channels.KINDS.values() for param in kind.params
+}
+
+
 def _channel_from_args(args) -> channels.ChannelSpec:
-    if args.kind == channels.LOSSY:
-        _require_flag(args.eta, "--eta")
-        return channels.lossy(args.eta)
-    if args.kind == channels.AMPLIFIER:
-        _require_flag(args.gain, "--gain")
-        return channels.amplifier(args.gain)
-    if args.kind == channels.DEPHASING:
-        _require_flag(args.probs, "--probs")
-        probs = _parse_float_list(args.probs, "--probs")
-        return channels.dephasing(probs, dim=args.dim)
-    if args.kind == channels.ERASURE:
-        _require_flag(args.p, "--p")
-        return channels.erasure(args.p, dim=args.dim if args.dim is not None else 2)
-    _require_flag(args.eta, "--eta")
-    _require_flag(args.bands, "--bands")
-    return channels.multiband_lossy(args.eta, args.bands)
-
-
-def _require_flag(value, flag: str):
-    if value is None:
-        raise InvalidParameter(flag, None, "is required for this channel kind")
+    """The channel given by the flags, validated like a JSON channel object."""
+    obj = {"kind": args.kind}
+    for name, type_ in _CHANNEL_FLAGS.items():
+        value = getattr(args, name)
+        if value is not None:
+            if type_ == channels.NUMBERS:
+                value = _parse_float_list(value, f"--{name}")
+            obj[name] = value
+    return channel_from_json(obj)
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -93,11 +88,7 @@ def _load_chain_links(args):
     if args.lossy is not None:
         return [channels.lossy(eta) for eta in _parse_float_list(args.lossy, "--lossy")]
     with open(args.file, encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        data = _load_json(handle.read())
     if not isinstance(data, list) or not data:
         raise ValidationError("chain file must be a non-empty JSON array of channels")
     return [
@@ -246,12 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_channel = sub.add_parser("channel", help="capacity of a single channel")
     p_channel.add_argument("--kind", required=True, choices=channels.CHANNEL_KINDS)
-    p_channel.add_argument("--eta", type=float)
-    p_channel.add_argument("--gain", type=float)
-    p_channel.add_argument("--probs", help="comma-separated phase-flip probabilities")
-    p_channel.add_argument("--p", type=float, help="erasure probability")
-    p_channel.add_argument("--dim", type=int)
-    p_channel.add_argument("--bands", type=int)
+    for name, type_ in _CHANNEL_FLAGS.items():
+        list_help = "comma-separated numbers" if type_ == channels.NUMBERS else None
+        p_channel.add_argument(f"--{name}", type=_FLAG_TYPES[type_], help=list_help)
     p_channel.set_defaults(func=cmd_channel)
 
     p_chain = sub.add_parser("chain", help="capacity and bottleneck of a chain")

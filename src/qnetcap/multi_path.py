@@ -25,30 +25,6 @@ RESIDUAL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class Arc:
-    """Directed arc of the flow network, tied back to its undirected edge."""
-
-    source: str
-    target: str
-    capacity: float
-    edge_id: str
-    forward: bool  # True when source is the edge's declared u endpoint
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Directed version of a network: alice a pure source, bob a pure sink."""
-
-    points: tuple[str, ...]
-    alice: str
-    bob: str
-    arcs: tuple[Arc, ...]
-    #: edge id -> indices into ``arcs`` (one arc for end-point edges, two for
-    #: interior edges, one per direction)
-    mapping: dict[str, tuple[int, ...]]
-
-
-@dataclass(frozen=True)
 class FlowReport:
     """Optimal flow value with per-edge effective rates and a certifying cut.
 
@@ -63,36 +39,6 @@ class FlowReport:
     effective_rates: dict[str, float]
     orientation: dict[str, tuple[str, str]]
     min_cut: Cut
-
-
-def build_flow_network(net: QNetwork) -> FlowNetwork:
-    """Split undirected edges into arcs; at most 2|E| arcs result."""
-    arcs: list[Arc] = []
-    mapping: dict[str, tuple[int, ...]] = {}
-    for edge in net.edges:
-        cap = capacity(edge.channel)
-        indices: list[int] = []
-        if net.alice in (edge.u, edge.v):
-            other = edge.other(net.alice)
-            indices.append(len(arcs))
-            arcs.append(Arc(net.alice, other, cap, edge.edge_id, net.alice == edge.u))
-        elif net.bob in (edge.u, edge.v):
-            other = edge.other(net.bob)
-            indices.append(len(arcs))
-            arcs.append(Arc(other, net.bob, cap, edge.edge_id, other == edge.u))
-        else:
-            indices.append(len(arcs))
-            arcs.append(Arc(edge.u, edge.v, cap, edge.edge_id, True))
-            indices.append(len(arcs))
-            arcs.append(Arc(edge.v, edge.u, cap, edge.edge_id, False))
-        mapping[edge.edge_id] = tuple(indices)
-    return FlowNetwork(
-        points=net.points,
-        alice=net.alice,
-        bob=net.bob,
-        arcs=tuple(arcs),
-        mapping=mapping,
-    )
 
 
 class _Residual:
@@ -130,21 +76,35 @@ def _bfs_levels(res: _Residual, source: str, sink: str):
     return level if sink in level else None
 
 
-def _blocking_flow(res: _Residual, level, ptr, point: str, sink: str, limit: float) -> float:
-    if point == sink:
-        return limit
-    while ptr[point] < len(res.adj[point]):
-        idx = res.adj[point][ptr[point]]
-        other = res.to[idx]
-        if res.cap[idx] > RESIDUAL_EPS and level.get(other) == level[point] + 1:
-            pushed = _blocking_flow(
-                res, level, ptr, other, sink, min(limit, res.cap[idx])
-            )
-            if pushed > 0.0:
-                res.push(idx, pushed)
-                return pushed
-        ptr[point] += 1
-    return 0.0
+def _blocking_flow(res: _Residual, level, ptr, source: str, sink: str) -> float:
+    """Push flow along one source-sink path of the level graph; 0.0 if none.
+
+    Depth-first with an explicit stack, so path length is not bounded by the
+    recursion limit.  ``ptr[p]`` is the next arc to try at ``p``; it moves
+    past arcs outside the level graph and arcs leading to dead ends, so later
+    calls resume where this one stopped.
+    """
+    path: list[int] = []  # arcs from source to ``point``
+    point = source
+    while point != sink:
+        adj = res.adj[point]
+        while ptr[point] < len(adj):
+            idx = adj[ptr[point]]
+            other = res.to[idx]
+            if res.cap[idx] > RESIDUAL_EPS and level.get(other) == level[point] + 1:
+                path.append(idx)
+                point = other
+                break
+            ptr[point] += 1
+        else:
+            if not path:
+                return 0.0
+            point = res.to[path.pop() ^ 1]  # back to the arc's tail
+            ptr[point] += 1
+    pushed = min(res.cap[idx] for idx in path)
+    for idx in path:
+        res.push(idx, pushed)
+    return pushed
 
 
 def max_flow(net: QNetwork) -> FlowReport:
@@ -153,41 +113,43 @@ def max_flow(net: QNetwork) -> FlowReport:
     Never raises on disconnected inputs: the value is then 0, every rate is
     zero, and the min cut is the trivial bipartition along alice's component.
     """
-    flow_net = build_flow_network(net)
     res = _Residual(net.points)
-    arc_index = [res.add(a.source, a.target, a.capacity) for a in flow_net.arcs]
+    # Per edge, its arcs as (residual index, capacity, runs u -> v): one arc
+    # leaving alice or entering bob, else one arc each way.
+    arcs = []
+    for edge in net.edges:
+        cap = capacity(edge.channel)
+        if net.alice in (edge.u, edge.v):
+            ends = [(net.alice, edge.other(net.alice))]
+        elif net.bob in (edge.u, edge.v):
+            ends = [(edge.other(net.bob), net.bob)]
+        else:
+            ends = [(edge.u, edge.v), (edge.v, edge.u)]
+        arcs.append([(res.add(s, t, cap), cap, s == edge.u) for s, t in ends])
 
     while True:
         level = _bfs_levels(res, net.alice, net.bob)
         if level is None:
             break
         ptr = {p: 0 for p in net.points}
-        while True:
-            pushed = _blocking_flow(res, level, ptr, net.alice, net.bob, float("inf"))
-            if pushed <= 0.0:
-                break
+        while _blocking_flow(res, level, ptr, net.alice, net.bob) > 0.0:
+            pass
 
-    def arc_flow(i: int) -> float:
-        return flow_net.arcs[i].capacity - res.cap[arc_index[i]]
-
+    value = 0.0
     effective_rates: dict[str, float] = {}
     orientation: dict[str, tuple[str, str]] = {}
-    for edge in net.edges:
+    for edge, edge_arcs in zip(net.edges, arcs):
         rate = 0.0
-        for i in flow_net.mapping[edge.edge_id]:
-            signed = arc_flow(i)
-            rate += signed if flow_net.arcs[i].forward else -signed
+        for idx, cap, forward in edge_arcs:
+            flow = cap - res.cap[idx]
+            rate += flow if forward else -flow
+        if net.alice in (edge.u, edge.v):
+            value += flow  # the edge's only arc, leaving alice
         effective_rates[edge.edge_id] = rate
         if rate > RESIDUAL_EPS:
             orientation[edge.edge_id] = (edge.u, edge.v)
         elif rate < -RESIDUAL_EPS:
             orientation[edge.edge_id] = (edge.v, edge.u)
-
-    value = sum(
-        arc_flow(i)
-        for i, arc in enumerate(flow_net.arcs)
-        if arc.source == net.alice
-    )
 
     # Points still reachable in the residual graph form the alice side of a
     # minimum cut (standard max-flow/min-cut certificate).

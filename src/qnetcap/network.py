@@ -165,77 +165,58 @@ def edge_capacity(net: QNetwork, edge_id: str) -> float:
 
 # --- JSON ingestion / serialization ---------------------------------------
 
-_CHANNEL_SCHEMA = {
-    # kind -> (required fields, optional fields)
-    channels.LOSSY: (("eta",), ()),
-    channels.AMPLIFIER: (("gain",), ()),
-    channels.DEPHASING: (("probs",), ("dim",)),
-    channels.ERASURE: (("p",), ("dim",)),
-    channels.MULTIBAND_LOSSY: (("eta", "bands"), ()),
-}
+def _reject_duplicate_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
-def _check_number(where: str, field: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: field {field!r} must be a number")
-    return float(value)
-
-
-def _check_integer(where: str, field: str, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}: field {field!r} must be an integer")
-    return value
+def _load_json(document: str):
+    """Decode a JSON document; duplicate keys are an error, not last-wins."""
+    try:
+        return json.loads(document, object_pairs_hook=_reject_duplicate_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 def channel_from_json(obj, where: str = "channel") -> ChannelSpec:
     """Validate one channel object of the network JSON format."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: channel must be an object")
-    kind = obj.get("kind")
-    if kind not in _CHANNEL_SCHEMA:
-        raise ValidationError(f"{where}: unknown channel kind {kind!r}")
-    required, optional = _CHANNEL_SCHEMA[kind]
-    allowed = {"kind", *required, *optional}
-    for key in obj:
-        if key not in allowed:
-            raise ValidationError(f"{where}: unknown field {key!r} for kind {kind!r}")
-    for key in required:
-        if key not in obj:
-            raise ValidationError(f"{where}: missing field {key!r} for kind {kind!r}")
+    name = obj.get("kind")
+    kind = channels.KINDS.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise ValidationError(f"{where}: unknown channel kind {name!r}")
+    values = {}
+    for param in kind.params:
+        if param.name in obj:
+            values[param.name] = obj[param.name]
+        elif param.required:
+            raise ValidationError(f"{where}: missing field {param.name!r} for kind {name!r}")
+    if len(values) + 1 != len(obj):
+        extra = next(key for key in obj if key != "kind" and key not in values)
+        raise ValidationError(f"{where}: unknown field {extra!r} for kind {name!r}")
+    if None in values.values():
+        raise ValidationError(f"{where}: fields of kind {name!r} must not be null")
     try:
-        if kind == channels.LOSSY:
-            return channels.lossy(_check_number(where, "eta", obj["eta"]))
-        if kind == channels.AMPLIFIER:
-            return channels.amplifier(_check_number(where, "gain", obj["gain"]))
-        if kind == channels.DEPHASING:
-            probs = obj["probs"]
-            if not isinstance(probs, list):
-                raise ValidationError(f"{where}: field 'probs' must be an array")
-            values = tuple(_check_number(where, "probs", p) for p in probs)
-            dim = _check_integer(where, "dim", obj["dim"]) if "dim" in obj else None
-            return channels.dephasing(values, dim=dim)
-        if kind == channels.ERASURE:
-            p = _check_number(where, "p", obj["p"])
-            dim = _check_integer(where, "dim", obj["dim"]) if "dim" in obj else 2
-            return channels.erasure(p, dim=dim)
-        eta = _check_number(where, "eta", obj["eta"])
-        bands = _check_integer(where, "bands", obj["bands"])
-        return channels.multiband_lossy(eta, bands)
+        # Each kind's public constructor carries the kind's name.
+        return getattr(channels, name)(**values)
     except InvalidParameter as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
 def channel_to_json(spec: ChannelSpec) -> dict:
     """Normalized JSON object for a channel, fields in canonical order."""
-    if spec.kind == channels.LOSSY:
-        return {"kind": spec.kind, "eta": spec.eta}
-    if spec.kind == channels.AMPLIFIER:
-        return {"kind": spec.kind, "gain": spec.gain}
-    if spec.kind == channels.DEPHASING:
-        return {"kind": spec.kind, "probs": list(spec.probs), "dim": spec.dim}
-    if spec.kind == channels.ERASURE:
-        return {"kind": spec.kind, "p": spec.p_erase, "dim": spec.dim}
-    return {"kind": spec.kind, "eta": spec.eta, "bands": spec.bands}
+    obj = {"kind": spec.kind}
+    for param in channels.KINDS[spec.kind].params:
+        value = getattr(spec, param.attr)
+        obj[param.name] = list(value) if param.type == channels.NUMBERS else value
+    return obj
 
 
 def parse_network(document: str) -> QNetwork:
@@ -245,10 +226,7 @@ def parse_network(document: str) -> QNetwork:
     :class:`ValidationError` for any invariant violation, naming the
     offending element.
     """
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    data = _load_json(document)
     if not isinstance(data, dict):
         raise ValidationError("top-level document must be an object")
     expected = {"points", "alice", "bob", "edges"}

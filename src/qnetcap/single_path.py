@@ -61,13 +61,31 @@ def _reduced_adjacency(net: QNetwork, caps: dict[str, float]) -> dict[str, list[
             )
         ):
             best[key] = edge
+    return _sorted_adjacency(net, best.values())
+
+
+def _sorted_adjacency(net: QNetwork, edges) -> dict[str, list[Edge]]:
+    """Incidence lists of ``edges``, each ordered by neighbour then edge id."""
     adj: dict[str, list[Edge]] = {p: [] for p in net.points}
-    for edge in best.values():
+    for edge in edges:
         adj[edge.u].append(edge)
         adj[edge.v].append(edge)
     for point in adj:
         adj[point].sort(key=lambda e: (e.other(point), e.edge_id))
     return adj
+
+
+def _route_to_bob(net: QNetwork, pred: dict[str, tuple[str, str]]) -> Route:
+    """Follow ``pred`` (point -> (previous point, edge id)) back from bob."""
+    points = [net.bob]
+    edge_ids: list[str] = []
+    while points[-1] != net.alice:
+        parent, eid = pred[points[-1]]
+        edge_ids.append(eid)
+        points.append(parent)
+    points.reverse()
+    edge_ids.reverse()
+    return Route(point_sequence=tuple(points), edge_sequence=tuple(edge_ids))
 
 
 def _widths(net: QNetwork, caps: dict[str, float]):
@@ -122,20 +140,11 @@ def widest_path(net: QNetwork) -> RouteReport:
     if net.bob not in width:
         raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
     value = width[net.bob]
-
-    points = [net.bob]
-    edge_ids: list[str] = []
-    while points[-1] != net.alice:
-        parent, eid = pred[points[-1]]
-        edge_ids.append(eid)
-        points.append(parent)
-    points.reverse()
-    edge_ids.reverse()
-
-    bottleneck = next(eid for eid in edge_ids if caps[eid] == value)
+    route = _route_to_bob(net, pred)
+    bottleneck = next(eid for eid in route.edge_sequence if caps[eid] == value)
     return RouteReport(
         capacity=value,
-        route=Route(point_sequence=tuple(points), edge_sequence=tuple(edge_ids)),
+        route=route,
         bottleneck_edge=bottleneck,
         dual_cut=_threshold_cut(net, width, value),
     )
@@ -202,13 +211,7 @@ def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
     non-tree crossing edge can beat that edge, so the certificate is exact.
     """
     caps = _edge_capacities(net)
-    tree_edges = [net.edge(eid) for eid in tree]
-    adj: dict[str, list[Edge]] = {p: [] for p in net.points}
-    for edge in tree_edges:
-        adj[edge.u].append(edge)
-        adj[edge.v].append(edge)
-    for point in adj:
-        adj[point].sort(key=lambda e: (e.other(point), e.edge_id))
+    adj = _sorted_adjacency(net, [net.edge(eid) for eid in tree])
 
     pred: dict[str, tuple[str, str]] = {}
     stack = [net.alice]
@@ -224,17 +227,9 @@ def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
     if net.bob not in seen:
         raise NoRoute(f"tree contains no path from {net.alice!r} to {net.bob!r}")
 
-    points = [net.bob]
-    edge_ids: list[str] = []
-    while points[-1] != net.alice:
-        parent, eid = pred[points[-1]]
-        edge_ids.append(eid)
-        points.append(parent)
-    points.reverse()
-    edge_ids.reverse()
-
-    value = min(caps[eid] for eid in edge_ids)
-    bottleneck = next(eid for eid in edge_ids if caps[eid] == value)
+    route = _route_to_bob(net, pred)
+    value = min(caps[eid] for eid in route.edge_sequence)
+    bottleneck = next(eid for eid in route.edge_sequence if caps[eid] == value)
 
     # Alice's tree component once the bottleneck edge is removed.
     side_a = {net.alice}
@@ -250,7 +245,7 @@ def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
                 stack.append(other)
     return RouteReport(
         capacity=value,
-        route=Route(point_sequence=tuple(points), edge_sequence=tuple(edge_ids)),
+        route=route,
         bottleneck_edge=bottleneck,
         dual_cut=make_cut(net, side_a),
     )

@@ -25,6 +25,17 @@ from qnetcap import (
 SUITE_SEED = 20250808
 SUITE_SIZE = 500
 
+#: Network documents repeating one key, by where the key repeats.  JSON
+#: decoders keep the last value by default.
+DUPLICATE_KEY_DOCS = {
+    "top-level": '{"points": ["a", "b"], "points": ["a", "b"], "alice": "a", "bob": "b",'
+    ' "edges": []}',
+    "edge": '{"points": ["a", "b"], "alice": "a", "bob": "b", "edges": [{"id": "e0", "u": "a",'
+    ' "v": "b", "u": "a", "channel": {"kind": "lossy", "eta": 0.5}}]}',
+    "channel": '{"points": ["a", "b"], "alice": "a", "bob": "b", "edges": [{"id": "e0", "u": "a",'
+    ' "v": "b", "channel": {"kind": "lossy", "eta": 0.5, "eta": 0.9}}]}',
+}
+
 
 def build_network(point_names, edge_specs, alice="a", bob="b"):
     """edge_specs: iterable of (edge_id, u, v, ChannelSpec)."""

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from highprec import hp_equidistant
+from highprec import hp_equidistant, hp_plob
 from qnetcap import (
     InvalidParameter,
     asymptotic_loss_dominant,
@@ -64,6 +64,13 @@ class TestEquidistant:
         assert equidistant_lossy_capacity(0.5, 0) == 1.0
         for eta in (0.01, 0.37, 0.93):
             assert equidistant_lossy_capacity(eta, 0) == capacity(lossy(eta))
+
+    @pytest.mark.parametrize("loss_db", [100, 170, 200])
+    def test_n0_and_multiband_chain_exact_at_high_loss(self, loss_db):
+        eta = 10.0 ** (-loss_db / 10.0)
+        expected = float(hp_plob(eta))
+        assert math.isclose(equidistant_lossy_capacity(eta, 0), expected, rel_tol=1e-14)
+        assert math.isclose(multiband_chain_capacity([(eta, 2)]), 2 * expected, rel_tol=1e-14)
 
     def test_20db_one_repeater(self):
         assert equidistant_lossy_capacity(0.01, 1) == pytest.approx(

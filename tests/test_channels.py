@@ -48,6 +48,18 @@ class TestCapacityValues:
         # 1 - 1/2 = 0.5: same formula argument as the lossy 3 dB point
         assert capacity(amplifier(2.0)) == 1.0
 
+    @pytest.mark.parametrize("loss_db", [100, 130, 160, 170, 200])
+    def test_pure_loss_exact_at_high_loss(self, loss_db):
+        # PLOB regime, C ~ eta / ln 2: far below the spacing of doubles
+        # near 1, so 1 - eta must never be formed.
+        eta = 10.0 ** (-loss_db / 10.0)
+        expected = float(hp_plob(eta))
+        assert math.isclose(capacity(lossy(eta)), expected, rel_tol=1e-14)
+        assert math.isclose(capacity(multiband_lossy(eta, 3)), 3 * expected, rel_tol=1e-14)
+        gain = 1.0 / eta
+        expected = float(hp_plob(1.0 / gain))
+        assert math.isclose(capacity(amplifier(gain)), expected, rel_tol=1e-14)
+
 
 class TestEntropies:
     def test_binary_entropy_max(self):

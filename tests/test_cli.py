@@ -3,8 +3,17 @@ import math
 
 import pytest
 
-from conftest import diamond
-from qnetcap import serialize_network
+from conftest import DUPLICATE_KEY_DOCS, diamond
+from qnetcap import (
+    CHANNEL_KINDS,
+    amplifier,
+    capacity,
+    dephasing,
+    erasure,
+    lossy,
+    multiband_lossy,
+    serialize_network,
+)
 from qnetcap.cli import (
     compare_rows,
     db_grid,
@@ -12,6 +21,25 @@ from qnetcap.cli import (
     main,
     sweep_rows,
 )
+from qnetcap.network import channel_from_json, channel_to_json
+
+SAMPLE_SPECS = {
+    "lossy": lossy(0.3),
+    "amplifier": amplifier(2.5),
+    "dephasing": dephasing((0.7, 0.2, 0.1)),
+    "erasure": erasure(0.25, dim=4),
+    "multiband_lossy": multiband_lossy(0.3, 3),
+}
+
+
+def channel_argv(spec):
+    """``qnetcap channel`` arguments naming ``spec``, one flag per JSON field."""
+    argv = ["channel", "--kind", spec.kind]
+    for name, value in channel_to_json(spec).items():
+        if name != "kind":
+            text = ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+            argv += [f"--{name}", text]
+    return argv
 
 
 @pytest.fixture
@@ -56,6 +84,19 @@ class TestChannelCommand:
     def test_missing_required_field_exits_2(self, capsys):
         assert main(["channel", "--kind", "lossy"]) == 2
 
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_constructor_json_and_flags_agree(self, kind, capsys):
+        spec = SAMPLE_SPECS[kind]
+        assert channel_from_json(channel_to_json(spec)) == spec
+        assert main(channel_argv(spec)) == 0
+        assert capsys.readouterr().out == f"{format_bits(capacity(spec))} bits/use\n"
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_flag_of_another_kind_exits_2(self, kind, capsys):
+        foreign = ["--eta", "0.5"] if kind == "amplifier" else ["--gain", "7"]
+        assert main(channel_argv(SAMPLE_SPECS[kind]) + foreign) == 2
+        assert "unknown field" in capsys.readouterr().err
+
 
 class TestChainCommand:
     def test_inline_lossy_chain(self, capsys):
@@ -88,6 +129,12 @@ class TestChainCommand:
         path = tmp_path / "chain.json"
         path.write_text("[]", encoding="utf-8")
         assert main(["chain", str(path)]) == 2
+
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text('[{"kind": "lossy", "eta": 0.5, "eta": 0.9}]', encoding="utf-8")
+        assert main(["chain", str(path)]) == 2
+        assert "duplicate key 'eta'" in capsys.readouterr().err
 
 
 class TestNetworkCommand:
@@ -127,6 +174,32 @@ class TestNetworkCommand:
         path = tmp_path / "bad.json"
         path.write_text("{")
         assert main(["network", str(path)]) == 2
+
+    @pytest.mark.parametrize("document", DUPLICATE_KEY_DOCS.values(), ids=DUPLICATE_KEY_DOCS)
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, document):
+        path = tmp_path / "dup.json"
+        path.write_text(document, encoding="utf-8")
+        assert main(["network", str(path)]) == 2
+        assert "duplicate key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_5000_hop_chain(self, tmp_path, capsys, mode):
+        hops = 5000
+        names = ["a"] + [f"r{i}" for i in range(1, hops)] + ["b"]
+        edges = [
+            {
+                "id": f"e{i}",
+                "u": names[i],
+                "v": names[i + 1],
+                "channel": {"kind": "lossy", "eta": 0.5 + 0.4 * (i % 7) / 7},
+            }
+            for i in range(hops)
+        ]
+        doc = {"points": names, "alice": "a", "bob": "b", "edges": edges}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["network", str(path), "--mode", mode]) == 0
+        assert "capacity: 1.000000000 bits/use" in capsys.readouterr().out
 
 
 class TestSweep:

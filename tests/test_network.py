@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import build_network, diamond
+from conftest import DUPLICATE_KEY_DOCS, build_network, diamond
 from qnetcap import (
     NoRoute,
     ParseError,
@@ -91,6 +91,18 @@ class TestParse:
         with pytest.raises(ValidationError, match="thermal"):
             parse_network(json.dumps(doc))
 
+    def test_unhashable_channel_kind(self):
+        doc = json.loads(DIAMOND_DOC)
+        doc["edges"][0]["channel"]["kind"] = ["lossy"]
+        with pytest.raises(ValidationError, match="unknown channel kind"):
+            parse_network(json.dumps(doc))
+
+    def test_null_channel_field(self):
+        doc = json.loads(MIXED_DOC)
+        doc["edges"][1]["channel"]["dim"] = None
+        with pytest.raises(ValidationError, match="null"):
+            parse_network(json.dumps(doc))
+
     def test_extra_channel_field(self):
         doc = json.loads(DIAMOND_DOC)
         doc["edges"][0]["channel"]["mood"] = 1
@@ -112,6 +124,11 @@ class TestParse:
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_network("{ nope }")
+
+    @pytest.mark.parametrize("document", DUPLICATE_KEY_DOCS.values(), ids=DUPLICATE_KEY_DOCS)
+    def test_duplicate_key(self, document):
+        with pytest.raises(ValidationError, match="duplicate key"):
+            parse_network(document)
 
 
 class TestSerialize:
