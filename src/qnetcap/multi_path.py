@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channels import capacity
 from .network import Cut, QNetwork, make_cut
 
-#: Residual capacities at or below this are treated as saturated.  This is
-#: the only epsilon inside an algorithm in the package; it guards against
-#: denormal drift in repeated float subtractions.
+#: Residual capacities at or below this fraction of the largest edge capacity
+#: are treated as saturated.  The only epsilon inside an algorithm in the
+#: package, it guards against drift in repeated float subtractions; being
+#: relative, it still lets networks of capacities below 1e-12 carry flow.
 RESIDUAL_EPS = 1e-12
 
 
@@ -64,25 +64,26 @@ class _Residual:
         self.cap[index ^ 1] += amount
 
 
-def _bfs_levels(res: _Residual, source: str, sink: str):
+def _bfs_levels(res: _Residual, source: str, sink: str, eps: float):
     level = {source: 0}
     queue = [source]
     for point in queue:
         for idx in res.adj[point]:
             other = res.to[idx]
-            if other not in level and res.cap[idx] > RESIDUAL_EPS:
+            if other not in level and res.cap[idx] > eps:
                 level[other] = level[point] + 1
                 queue.append(other)
     return level if sink in level else None
 
 
-def _blocking_flow(res: _Residual, level, ptr, source: str, sink: str) -> float:
+def _blocking_flow(res: _Residual, level, ptr, source: str, sink: str, eps: float) -> float:
     """Push flow along one source-sink path of the level graph; 0.0 if none.
 
     Depth-first with an explicit stack, so path length is not bounded by the
     recursion limit.  ``ptr[p]`` is the next arc to try at ``p``; it moves
     past arcs outside the level graph and arcs leading to dead ends, so later
-    calls resume where this one stopped.
+    calls resume where this one stopped.  Arcs with residual capacity at or
+    below ``eps`` count as saturated.
     """
     path: list[int] = []  # arcs from source to ``point``
     point = source
@@ -91,7 +92,7 @@ def _blocking_flow(res: _Residual, level, ptr, source: str, sink: str) -> float:
         while ptr[point] < len(adj):
             idx = adj[ptr[point]]
             other = res.to[idx]
-            if res.cap[idx] > RESIDUAL_EPS and level.get(other) == level[point] + 1:
+            if res.cap[idx] > eps and level.get(other) == level[point] + 1:
                 path.append(idx)
                 point = other
                 break
@@ -113,12 +114,14 @@ def max_flow(net: QNetwork) -> FlowReport:
     Never raises on disconnected inputs: the value is then 0, every rate is
     zero, and the min cut is the trivial bipartition along alice's component.
     """
+    caps = net.capacities
+    eps = RESIDUAL_EPS * max(caps.values(), default=0.0)
     res = _Residual(net.points)
     # Per edge, its arcs as (residual index, capacity, runs u -> v): one arc
     # leaving alice or entering bob, else one arc each way.
     arcs = []
     for edge in net.edges:
-        cap = capacity(edge.channel)
+        cap = caps[edge.edge_id]
         if net.alice in (edge.u, edge.v):
             ends = [(net.alice, edge.other(net.alice))]
         elif net.bob in (edge.u, edge.v):
@@ -128,11 +131,11 @@ def max_flow(net: QNetwork) -> FlowReport:
         arcs.append([(res.add(s, t, cap), cap, s == edge.u) for s, t in ends])
 
     while True:
-        level = _bfs_levels(res, net.alice, net.bob)
+        level = _bfs_levels(res, net.alice, net.bob, eps)
         if level is None:
             break
         ptr = {p: 0 for p in net.points}
-        while _blocking_flow(res, level, ptr, net.alice, net.bob) > 0.0:
+        while _blocking_flow(res, level, ptr, net.alice, net.bob, eps) > 0.0:
             pass
 
     value = 0.0
@@ -146,9 +149,9 @@ def max_flow(net: QNetwork) -> FlowReport:
         if net.alice in (edge.u, edge.v):
             value += flow  # the edge's only arc, leaving alice
         effective_rates[edge.edge_id] = rate
-        if rate > RESIDUAL_EPS:
+        if rate > eps:
             orientation[edge.edge_id] = (edge.u, edge.v)
-        elif rate < -RESIDUAL_EPS:
+        elif rate < -eps:
             orientation[edge.edge_id] = (edge.v, edge.u)
 
     # Points still reachable in the residual graph form the alice side of a
@@ -159,7 +162,7 @@ def max_flow(net: QNetwork) -> FlowReport:
         point = stack.pop()
         for idx in res.adj[point]:
             other = res.to[idx]
-            if other not in side_a and res.cap[idx] > RESIDUAL_EPS:
+            if other not in side_a and res.cap[idx] > eps:
                 side_a.add(other)
                 stack.append(other)
     return FlowReport(

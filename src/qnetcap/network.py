@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import channels
 from .channels import ChannelSpec, capacity
@@ -39,7 +40,11 @@ class Edge:
 
 @dataclass(frozen=True)
 class QNetwork:
-    """Immutable network of named points with two designated end-points."""
+    """Immutable network of named points with two designated end-points.
+
+    Indexed once (``point_set``, the ids behind :meth:`edge`, and
+    :attr:`capacities` on first read), so no lookup rescans the network.
+    """
 
     points: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -61,13 +66,13 @@ class QNetwork:
         for role, name in (("alice", self.alice), ("bob", self.bob)):
             if name not in seen:
                 raise ValidationError(f"{role} {name!r} is not a declared point")
-        ids = set()
+        by_id = {}
         for edge in self.edges:
             if not isinstance(edge.edge_id, str) or not edge.edge_id:
                 raise ValidationError(f"edge id {edge.edge_id!r} must be a non-empty string")
-            if edge.edge_id in ids:
+            if edge.edge_id in by_id:
                 raise ValidationError(f"duplicate edge id {edge.edge_id!r}")
-            ids.add(edge.edge_id)
+            by_id[edge.edge_id] = edge
             for endpoint in (edge.u, edge.v):
                 if endpoint not in seen:
                     raise ValidationError(
@@ -75,12 +80,19 @@ class QNetwork:
                     )
             if edge.u == edge.v:
                 raise ValidationError(f"edge {edge.edge_id!r}: self-loops are not allowed")
+        object.__setattr__(self, "point_set", frozenset(seen))
+        object.__setattr__(self, "_edges_by_id", by_id)
 
     def edge(self, edge_id: str) -> Edge:
-        for edge in self.edges:
-            if edge.edge_id == edge_id:
-                return edge
-        raise UnknownEdge(edge_id)
+        try:
+            return self._edges_by_id[edge_id]
+        except (KeyError, TypeError):
+            raise UnknownEdge(edge_id) from None
+
+    @cached_property
+    def capacities(self) -> dict[str, float]:
+        """Edge id -> channel capacity, in edge order; shared, so read only."""
+        return {e.edge_id: capacity(e.channel) for e in self.edges}
 
     def adjacency(self) -> dict[str, list[Edge]]:
         """Incidence lists in declaration order; rebuilt per call, never cached."""
@@ -109,14 +121,18 @@ class Cut:
 
 
 def make_cut(net: QNetwork, side_a) -> Cut:
-    """Build the cut induced by the given alice-side point set."""
+    """Build the cut induced by the given alice-side point set.
+
+    Runs in O(|E| + |P| log |P|): one pass over the edges for the crossing
+    set, set lookups for the point checks, and a sort of each side.
+    """
     side_a = set(side_a)
     if net.alice not in side_a:
         raise ValidationError("side_a must contain alice")
     if net.bob in side_a:
         raise ValidationError("side_a must not contain bob")
     for name in side_a:
-        if name not in net.points:
+        if name not in net.point_set:
             raise ValidationError(f"side_a point {name!r} is not a declared point")
     side_b = [p for p in net.points if p not in side_a]
     crossing = tuple(
@@ -160,7 +176,8 @@ def is_connected(net: QNetwork) -> bool:
 
 def edge_capacity(net: QNetwork, edge_id: str) -> float:
     """Capacity in bits/use of the channel on the named edge."""
-    return capacity(net.edge(edge_id).channel)
+    net.edge(edge_id)  # raises UnknownEdge
+    return net.capacities[edge_id]
 
 
 # --- JSON ingestion / serialization ---------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channels import capacity
 from .errors import NoRoute, TooLarge
 from .network import Cut, QNetwork, Route, make_cut
 
@@ -66,7 +65,7 @@ class BruteForceSinglePath:
 def enumerate_cuts(net: QNetwork) -> CutEnumeration:
     """Every alice/bob bipartition with its single- and multi-edge values."""
     _check_size(net)
-    caps = {e.edge_id: capacity(e.channel) for e in net.edges}
+    caps = net.capacities
     interior = [p for p in net.points if p not in (net.alice, net.bob)]
     records = []
     for mask in range(1 << len(interior)):
@@ -74,14 +73,12 @@ def enumerate_cuts(net: QNetwork) -> CutEnumeration:
         for bit, point in enumerate(interior):
             if mask >> bit & 1:
                 side_a.add(point)
-        crossing = [
-            e.edge_id for e in net.edges if (e.u in side_a) != (e.v in side_a)
-        ]
+        cut = make_cut(net, side_a)
         records.append(
             CutRecord(
-                cut=make_cut(net, side_a),
-                single_edge_value=max((caps[eid] for eid in crossing), default=None),
-                multi_edge_value=sum(caps[eid] for eid in crossing),
+                cut=cut,
+                single_edge_value=max((caps[eid] for eid in cut.cut_set), default=None),
+                multi_edge_value=sum(caps[eid] for eid in cut.cut_set),
             )
         )
     return CutEnumeration(cuts=tuple(records))
@@ -134,7 +131,7 @@ def enumerate_simple_routes(net: QNetwork) -> list[Route]:
 def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:
     """Widest-path value from both sides of the duality, by enumeration."""
     _check_size(net)
-    caps = {e.edge_id: capacity(e.channel) for e in net.edges}
+    caps = net.capacities
 
     routes = enumerate_simple_routes(net)
     if not routes:

@@ -17,7 +17,6 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .channels import capacity
 from .errors import NoRoute
 from .network import Cut, Edge, QNetwork, Route, make_cut
 
@@ -37,17 +36,14 @@ class RouteReport:
     dual_cut: Cut
 
 
-def _edge_capacities(net: QNetwork) -> dict[str, float]:
-    return {e.edge_id: capacity(e.channel) for e in net.edges}
-
-
-def _reduced_adjacency(net: QNetwork, caps: dict[str, float]) -> dict[str, list[Edge]]:
+def _reduced_adjacency(net: QNetwork) -> dict[str, list[Edge]]:
     """Adjacency with parallel bundles reduced to their best edge.
 
     Only the highest-capacity edge of a parallel bundle can matter on a
     widest path; ties keep the lexicographically smallest edge id so routes
     are reproducible.
     """
+    caps = net.capacities
     best: dict[tuple[str, str], Edge] = {}
     for edge in net.edges:
         key = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
@@ -88,14 +84,18 @@ def _route_to_bob(net: QNetwork, pred: dict[str, tuple[str, str]]) -> Route:
     return Route(point_sequence=tuple(points), edge_sequence=tuple(edge_ids))
 
 
-def _widths(net: QNetwork, caps: dict[str, float]):
-    """Width-maximizing Dijkstra from alice.
+def _widths(net: QNetwork):
+    """Width-maximizing Dijkstra from alice, stopped once bob is popped.
 
     ``width[p]`` is the best achievable bottleneck capacity of an alice-to-p
     path (infinite at alice).  The priority queue prefers larger widths and
-    breaks ties by point name, so predecessors are deterministic.
+    breaks ties by point name, so predecessors are deterministic.  Stopping
+    at bob is exact: every point wider than bob pops (final) before bob and
+    queued points hold widths <= bob's, so route and dual cut match a full
+    run.
     """
-    adj = _reduced_adjacency(net, caps)
+    caps = net.capacities
+    adj = _reduced_adjacency(net)
     width: dict[str, float] = {net.alice: math.inf}
     pred: dict[str, tuple[str, str]] = {}
     done: set[str] = set()
@@ -104,6 +104,8 @@ def _widths(net: QNetwork, caps: dict[str, float]):
         neg_w, point = heapq.heappop(heap)
         if point in done:
             continue
+        if point == net.bob:
+            break
         done.add(point)
         for edge in adj[point]:
             other = edge.other(point)
@@ -117,36 +119,29 @@ def _widths(net: QNetwork, caps: dict[str, float]):
     return width, pred
 
 
-def _threshold_cut(net: QNetwork, width: dict[str, float], value: float) -> Cut:
-    """Cut whose alice side is every point of width strictly above ``value``.
-
-    Every crossing edge has capacity <= value (otherwise the far endpoint
-    would inherit a larger width), and some crossing edge on the optimal
-    route attains it, so this realizes the minimum single-edge cut.
-    """
-    side_a = {p for p in net.points if width.get(p, -math.inf) > value}
-    return make_cut(net, side_a)
-
-
 def widest_path(net: QNetwork) -> RouteReport:
     """Route maximizing the minimum edge capacity, with a certifying cut.
 
-    Runs in O(|E| log |P|).  Ties are broken deterministically (larger width
-    first, then lexicographic point name).  Raises :class:`NoRoute` when
-    alice and bob are disconnected.
+    Runs in O(|E| log |P|), certifying cut included: the search stops once
+    bob is popped and the cut costs O(|E| + |P| log |P|).  Ties are broken
+    deterministically (larger width first, then lexicographic point name).
+    Raises :class:`NoRoute` when alice and bob are disconnected.
     """
-    caps = _edge_capacities(net)
-    width, pred = _widths(net, caps)
+    width, pred = _widths(net)
     if net.bob not in width:
         raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
     value = width[net.bob]
     route = _route_to_bob(net, pred)
-    bottleneck = next(eid for eid in route.edge_sequence if caps[eid] == value)
+    bottleneck = next(eid for eid in route.edge_sequence if net.capacities[eid] == value)
+    # The dual cut's alice side is every point wider than ``value``: each
+    # crossing edge has capacity <= value (else its far end would be wider)
+    # and the bottleneck crosses, so this is a minimum single-edge cut.
+    side_a = {p for p in net.points if width.get(p, -math.inf) > value}
     return RouteReport(
         capacity=value,
         route=route,
         bottleneck_edge=bottleneck,
-        dual_cut=_threshold_cut(net, width, value),
+        dual_cut=make_cut(net, side_a),
     )
 
 
@@ -156,11 +151,7 @@ def min_single_edge_cut(net: QNetwork) -> Cut:
     By widest-path duality its value equals the widest-path capacity
     bit-for-bit (both sides select among the same doubles).
     """
-    caps = _edge_capacities(net)
-    width, _ = _widths(net, caps)
-    if net.bob not in width:
-        raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
-    return _threshold_cut(net, width, width[net.bob])
+    return widest_path(net).dual_cut
 
 
 class _UnionFind:
@@ -190,7 +181,7 @@ def max_spanning_tree(net: QNetwork) -> frozenset[str]:
     raises :class:`NoRoute` when alice and bob end up in different trees.
     The optimal alice-bob route is the unique tree path between them.
     """
-    caps = _edge_capacities(net)
+    caps = net.capacities
     ordered = sorted(net.edges, key=lambda e: (-caps[e.edge_id], e.edge_id))
     uf = _UnionFind(net.points)
     chosen = []
@@ -209,8 +200,10 @@ def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
     :func:`max_spanning_tree`).  The dual cut splits the tree at the
     bottleneck edge: by the cut property of maximum spanning trees no
     non-tree crossing edge can beat that edge, so the certificate is exact.
+    Runs in O(|E| + |P| log |P|): id lookups are dict reads and the dual cut
+    is one :func:`make_cut`.
     """
-    caps = _edge_capacities(net)
+    caps = net.capacities
     adj = _sorted_adjacency(net, [net.edge(eid) for eid in tree])
 
     pred: dict[str, tuple[str, str]] = {}

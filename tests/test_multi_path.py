@@ -110,6 +110,18 @@ class TestMaxFlow:
                 else:
                     assert abs(rate) <= 1e-12
 
+    @pytest.mark.parametrize("eta", [1e-13, 1e-16, 1e-20])
+    def test_weak_channels_carry_flow(self, eta):
+        # 130-200 dB links: every capacity lies below RESIDUAL_EPS itself.
+        chain = path_network([lossy(eta), lossy(eta)])
+        assert max_flow(chain).value == widest_path(chain).capacity > 0.0
+        assert max_flow(chain).value == brute_multi_path_capacity(chain)
+        net = diamond(eta)
+        report = max_flow(net)
+        assert report.value == pytest.approx(brute_multi_path_capacity(net), rel=1e-12)
+        assert report.value == pytest.approx(2.0 * edge_capacity(net, "e1"), rel=1e-12)
+        assert set(report.orientation) == {"e1", "e2", "e4", "e5"}
+
     def test_multi_path_at_least_single_path(self, network_suite):
         for net in network_suite[:120]:
             if is_connected(net):

@@ -9,6 +9,7 @@ from qnetcap import (
     UnknownEdge,
     ValidationError,
     brute_multi_path_capacity,
+    capacity,
     cut_multi_edge_value,
     cut_single_edge_value,
     edge_capacity,
@@ -171,6 +172,31 @@ class TestQueries:
         with pytest.raises(UnknownEdge):
             edge_capacity(diamond(), "e99")
 
+    def test_edge_lookup_by_id(self):
+        net = diamond()
+        for edge in net.edges:
+            assert net.edge(edge.edge_id) is edge
+
+    @pytest.mark.parametrize("edge_id", ["e99", "", None, 3])
+    def test_edge_unknown_id(self, edge_id):
+        with pytest.raises(UnknownEdge):
+            diamond().edge(edge_id)
+
+    @pytest.mark.parametrize("edge_id", [["e1"], {"e1": 1}, {"e1"}])
+    def test_edge_unhashable_id(self, edge_id):
+        with pytest.raises(UnknownEdge):
+            diamond().edge(edge_id)
+
+    def test_capacities_in_edge_order(self):
+        specs = [lossy(0.5), erasure(0.25, dim=4), lossy(0.9)]
+        net = build_network(
+            ("a", "p1", "b"),
+            [("x", "a", "p1", specs[0]), ("y", "p1", "b", specs[1]), ("w", "a", "b", specs[2])],
+        )
+        assert list(net.capacities) == ["x", "y", "w"]
+        assert list(net.capacities.values()) == [capacity(spec) for spec in specs]
+        assert net.capacities is net.capacities  # evaluated once per network
+
     def test_make_cut_crossing_set(self):
         net = diamond()
         cut = make_cut(net, {"a", "p1"})
@@ -185,6 +211,10 @@ class TestQueries:
             make_cut(net, {"p1"})
         with pytest.raises(ValidationError):
             make_cut(net, {"a", "b"})
+
+    def test_make_cut_rejects_undeclared_point(self):
+        with pytest.raises(ValidationError, match="'ghost' is not a declared point"):
+            make_cut(diamond(), {"a", "ghost"})
 
     def test_empty_cut_set_single_value_is_no_route(self):
         net = build_network(("a", "b"), [])

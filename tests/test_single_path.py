@@ -1,5 +1,7 @@
+import heapq
 import math
 import random
+import time
 
 import pytest
 
@@ -25,6 +27,48 @@ from qnetcap import (
 def lossy_for_bits(bits):
     """Lossy channel whose capacity is exactly `bits` for dyadic values."""
     return lossy(1.0 - 2.0 ** (-bits))
+
+
+def grid(side, rng):
+    """Points ``g<row>_<col>`` of a side x side grid and its random lossy spans."""
+    points = [f"g{r}_{c}" for r in range(side) for c in range(side)]
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            for r2, c2 in ((r + 1, c), (r, c + 1)):
+                if r2 < side and c2 < side:
+                    spec = lossy(rng.uniform(0.05, 0.95))
+                    edges.append((f"e{len(edges)}", f"g{r}_{c}", f"g{r2}_{c2}", spec))
+    return points, edges
+
+
+def grid_behind_access_span(side, rng):
+    """Grid with alice at one corner and bob behind a span weaker than any
+    grid span at the opposite corner: every certifying cut holds the grid."""
+    points, edges = grid(side, rng)
+    access = ("access", f"g{side - 1}_{side - 1}", "b", lossy(0.01))
+    return build_network(points + ["b"], edges + [access], alice="g0_0", bob="b")
+
+
+def full_widths(net):
+    """Widest-path width of every reachable point, searched to exhaustion."""
+    caps = net.capacities
+    adj = net.adjacency()
+    width = {net.alice: math.inf}
+    heap = [(-math.inf, net.alice)]
+    done = set()
+    while heap:
+        _, point = heapq.heappop(heap)
+        if point in done:
+            continue
+        done.add(point)
+        for edge in adj[point]:
+            other = edge.other(point)
+            reach = min(width[point], caps[edge.edge_id])
+            if other not in done and reach > width.get(other, -math.inf):
+                width[other] = reach
+                heapq.heappush(heap, (-reach, other))
+    return width
 
 
 class TestWidestPath:
@@ -114,6 +158,63 @@ class TestWidestPath:
                     bob=net.bob,
                 )
                 assert widest_path(raised).capacity >= base
+
+
+class TestEarlyExit:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bob_next_to_alice_in_large_grid(self, seed, monkeypatch):
+        points, edges = grid(40, random.Random(seed))
+        net = build_network(points, edges, alice="g0_0", bob="g0_1")
+        pops = 0
+        heappop = heapq.heappop
+
+        def counting_heappop(heap):
+            nonlocal pops
+            pops += 1
+            return heappop(heap)
+
+        monkeypatch.setattr(heapq, "heappop", counting_heappop)
+        report = widest_path(net)
+        monkeypatch.undo()
+        assert pops < len(net.points) // 2  # the search stopped at bob
+
+        assert report.dual_cut == min_single_edge_cut(net)
+        assert net.alice in report.dual_cut.side_a
+        assert net.bob in report.dual_cut.side_b
+        assert cut_single_edge_value(net, report.dual_cut) == report.capacity
+        assert tree_route_capacity(net, max_spanning_tree(net)).capacity == report.capacity
+        # The cut is the threshold cut of an exhaustive search.
+        width = full_widths(net)
+        assert width[net.bob] == report.capacity
+        assert report.dual_cut.side_a == tuple(
+            sorted(p for p in net.points if width.get(p, -math.inf) > report.capacity)
+        )
+        caps = [edge_capacity(net, eid) for eid in report.route.edge_sequence]
+        assert min(caps) == report.capacity == edge_capacity(net, report.bottleneck_edge)
+
+
+class TestScaling:
+    def test_ten_times_larger_grid_is_not_quadratic(self):
+        def best_of_3(fn):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        cost = {}
+        for side in (30, 95):  # 900 and 9,025 grid points
+            net = grid_behind_access_span(side, random.Random(side))
+            tree = max_spanning_tree(net)
+            cost[side] = (
+                best_of_3(lambda: widest_path(net)),
+                best_of_3(lambda: tree_route_capacity(net, tree)),
+            )
+            assert len(widest_path(net).dual_cut.side_a) == side * side
+        # Near-linear work grows about 10x, quadratic work about 100x.
+        for small, large in zip(cost[30], cost[95]):
+            assert large < 40 * small
 
 
 class TestMinSingleEdgeCut:
