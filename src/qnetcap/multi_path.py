@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 from .network import Cut, QNetwork, make_cut
 
-#: Residual capacities at or below this fraction of the largest edge capacity
-#: are treated as saturated.  The only epsilon inside an algorithm in the
-#: package, it guards against drift in repeated float subtractions; being
-#: relative, it still lets networks of capacities below 1e-12 carry flow.
+#: A residual arc holding at most this fraction of its edge's capacity counts
+#: as saturated.  The only epsilon inside an algorithm in the package, it
+#: guards against drift in repeated float subtractions.  Each push is bounded
+#: by the arc's own residual, so drift stays within a few ulps of the edge's
+#: capacity and the tolerance is scaled per edge: a 200 dB link next to a
+#: 7-bit one still carries its flow.
 RESIDUAL_EPS = 1e-12
 
 
@@ -42,11 +44,16 @@ class FlowReport:
 
 
 class _Residual:
-    """Adjacency-array residual graph; entry i pairs with i ^ 1."""
+    """Adjacency-array residual graph; entry i pairs with i ^ 1.
+
+    Arc i is saturated once ``cap[i] <= eps[i]``, ``RESIDUAL_EPS`` times the
+    capacity of the edge it belongs to.
+    """
 
     def __init__(self, points):
         self.to: list[str] = []
         self.cap: list[float] = []
+        self.eps: list[float] = []
         self.adj: dict[str, list[int]] = {p: [] for p in points}
 
     def add(self, source: str, target: str, cap: float) -> int:
@@ -57,6 +64,7 @@ class _Residual:
         self.to.append(source)
         self.cap.append(0.0)
         self.adj[target].append(index + 1)
+        self.eps += [RESIDUAL_EPS * cap] * 2
         return index
 
     def push(self, index: int, amount: float):
@@ -64,26 +72,25 @@ class _Residual:
         self.cap[index ^ 1] += amount
 
 
-def _bfs_levels(res: _Residual, source: str, sink: str, eps: float):
+def _bfs_levels(res: _Residual, source: str, sink: str):
     level = {source: 0}
     queue = [source]
     for point in queue:
         for idx in res.adj[point]:
             other = res.to[idx]
-            if other not in level and res.cap[idx] > eps:
+            if other not in level and res.cap[idx] > res.eps[idx]:
                 level[other] = level[point] + 1
                 queue.append(other)
     return level if sink in level else None
 
 
-def _blocking_flow(res: _Residual, level, ptr, source: str, sink: str, eps: float) -> float:
+def _blocking_flow(res: _Residual, level, ptr, source: str, sink: str) -> float:
     """Push flow along one source-sink path of the level graph; 0.0 if none.
 
     Depth-first with an explicit stack, so path length is not bounded by the
     recursion limit.  ``ptr[p]`` is the next arc to try at ``p``; it moves
     past arcs outside the level graph and arcs leading to dead ends, so later
-    calls resume where this one stopped.  Arcs with residual capacity at or
-    below ``eps`` count as saturated.
+    calls resume where this one stopped.
     """
     path: list[int] = []  # arcs from source to ``point``
     point = source
@@ -92,7 +99,7 @@ def _blocking_flow(res: _Residual, level, ptr, source: str, sink: str, eps: floa
         while ptr[point] < len(adj):
             idx = adj[ptr[point]]
             other = res.to[idx]
-            if res.cap[idx] > eps and level.get(other) == level[point] + 1:
+            if res.cap[idx] > res.eps[idx] and level.get(other) == level[point] + 1:
                 path.append(idx)
                 point = other
                 break
@@ -115,10 +122,9 @@ def max_flow(net: QNetwork) -> FlowReport:
     zero, and the min cut is the trivial bipartition along alice's component.
     """
     caps = net.capacities
-    eps = RESIDUAL_EPS * max(caps.values(), default=0.0)
     res = _Residual(net.points)
-    # Per edge, its arcs as (residual index, capacity, runs u -> v): one arc
-    # leaving alice or entering bob, else one arc each way.
+    # Per edge, its arcs as (residual index, runs u -> v): one arc leaving
+    # alice or entering bob, else one arc each way.
     arcs = []
     for edge in net.edges:
         cap = caps[edge.edge_id]
@@ -128,27 +134,35 @@ def max_flow(net: QNetwork) -> FlowReport:
             ends = [(edge.other(net.bob), net.bob)]
         else:
             ends = [(edge.u, edge.v), (edge.v, edge.u)]
-        arcs.append([(res.add(s, t, cap), cap, s == edge.u) for s, t in ends])
+        arcs.append([(res.add(s, t, cap), s == edge.u) for s, t in ends])
 
     while True:
-        level = _bfs_levels(res, net.alice, net.bob, eps)
+        level = _bfs_levels(res, net.alice, net.bob)
         if level is None:
             break
         ptr = {p: 0 for p in net.points}
-        while _blocking_flow(res, level, ptr, net.alice, net.bob, eps) > 0.0:
+        while _blocking_flow(res, level, ptr, net.alice, net.bob) > 0.0:
             pass
 
     value = 0.0
     effective_rates: dict[str, float] = {}
-    orientation: dict[str, tuple[str, str]] = {}
     for edge, edge_arcs in zip(net.edges, arcs):
         rate = 0.0
-        for idx, cap, forward in edge_arcs:
-            flow = cap - res.cap[idx]
+        for idx, forward in edge_arcs:
+            # The paired arc's residual is the flow itself, exact even where
+            # cap - residual would cancel a small flow against a large cap.
+            flow = res.cap[idx ^ 1]
             rate += flow if forward else -flow
         if net.alice in (edge.u, edge.v):
             value += flow  # the edge's only arc, leaving alice
         effective_rates[edge.edge_id] = rate
+
+    # An augmenting path crosses an edge at most once, so the pushes through
+    # any edge total at most ``value`` and its drift stays within ulps of it.
+    eps = RESIDUAL_EPS * value
+    orientation: dict[str, tuple[str, str]] = {}
+    for edge in net.edges:
+        rate = effective_rates[edge.edge_id]
         if rate > eps:
             orientation[edge.edge_id] = (edge.u, edge.v)
         elif rate < -eps:
@@ -162,7 +176,7 @@ def max_flow(net: QNetwork) -> FlowReport:
         point = stack.pop()
         for idx in res.adj[point]:
             other = res.to[idx]
-            if other not in side_a and res.cap[idx] > eps:
+            if other not in side_a and res.cap[idx] > res.eps[idx]:
                 side_a.add(other)
                 stack.append(other)
     return FlowReport(

@@ -85,14 +85,11 @@ def _route_to_bob(net: QNetwork, pred: dict[str, tuple[str, str]]) -> Route:
 
 
 def _widths(net: QNetwork):
-    """Width-maximizing Dijkstra from alice, stopped once bob is popped.
+    """Width-maximizing Dijkstra from alice.
 
     ``width[p]`` is the best achievable bottleneck capacity of an alice-to-p
     path (infinite at alice).  The priority queue prefers larger widths and
-    breaks ties by point name, so predecessors are deterministic.  Stopping
-    at bob is exact: every point wider than bob pops (final) before bob and
-    queued points hold widths <= bob's, so route and dual cut match a full
-    run.
+    breaks ties by point name, so predecessors are deterministic.
     """
     caps = net.capacities
     adj = _reduced_adjacency(net)
@@ -104,8 +101,6 @@ def _widths(net: QNetwork):
         neg_w, point = heapq.heappop(heap)
         if point in done:
             continue
-        if point == net.bob:
-            break
         done.add(point)
         for edge in adj[point]:
             other = edge.other(point)
@@ -122,10 +117,10 @@ def _widths(net: QNetwork):
 def widest_path(net: QNetwork) -> RouteReport:
     """Route maximizing the minimum edge capacity, with a certifying cut.
 
-    Runs in O(|E| log |P|), certifying cut included: the search stops once
-    bob is popped and the cut costs O(|E| + |P| log |P|).  Ties are broken
-    deterministically (larger width first, then lexicographic point name).
-    Raises :class:`NoRoute` when alice and bob are disconnected.
+    Runs in O(|E| log |P|), certifying cut included (the cut costs
+    O(|E| + |P| log |P|)).  Ties are broken deterministically (larger width
+    first, then lexicographic point name).  Raises :class:`NoRoute` when
+    alice and bob are disconnected.
     """
     width, pred = _widths(net)
     if net.bob not in width:

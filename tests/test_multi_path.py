@@ -122,6 +122,17 @@ class TestMaxFlow:
         assert report.value == pytest.approx(2.0 * edge_capacity(net, "e1"), rel=1e-12)
         assert set(report.orientation) == {"e1", "e2", "e4", "e5"}
 
+    @pytest.mark.parametrize("eta", [10**-11.5, 1e-16, 1e-20])
+    def test_weak_channel_next_to_strong_one_carries_flow(self, eta):
+        # A 6.6-bit link in series with a 115-200 dB one: the weak link's
+        # tolerance follows its own capacity, not the strong link's.
+        chain = path_network([lossy(0.99), lossy(eta)])
+        report = max_flow(chain)
+        assert report.value == widest_path(chain).capacity == edge_capacity(chain, "e1") > 0.0
+        assert cut_multi_edge_value(chain, report.min_cut) == report.value
+        assert report.min_cut.cut_set == ("e1",)
+        assert set(report.orientation) == {"e0", "e1"}
+
     def test_multi_path_at_least_single_path(self, network_suite):
         for net in network_suite[:120]:
             if is_connected(net):

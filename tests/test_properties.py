@@ -5,9 +5,11 @@ a failure to a small reproducible pair.  No oracle is involved: every answer
 is checked through its own certificate (route bottleneck, dual cut, flow
 conservation, min cut), which is what makes these sizes checkable.
 
-A quarter of the networks consist of weak lossy channels only (100-200 dB
-per edge), where every capacity lies far below any absolute tolerance, so
-tolerances here are relative to the largest capacity of the network.
+Networks come in three mixes: mixed channel kinds; weak lossy links only
+(100-200 dB per edge, every capacity far below any absolute tolerance); and
+mixed kinds with a third of the links weak, so capacities on one network
+span up to twenty orders of magnitude.  Tolerances are therefore relative to
+the quantity being checked, never to the network's largest capacity.
 """
 
 import random
@@ -31,26 +33,25 @@ REL_TOL = 1e-9
 
 def random_network(seed, n):
     """Connected network: a random spanning tree, about n/2 extra edges and
-    a few parallel edges, with mixed channel kinds or weak lossy links only."""
+    a few parallel edges; each edge is weak with probability 0, 1/3 or 1."""
     rng = random.Random(seed)
     points = ["a", "b"] + [f"p{i}" for i in range(n - 2)]
     rng.shuffle(points)
     pairs = [(points[i], rng.choice(points[:i])) for i in range(1, n)]
     pairs += [tuple(rng.sample(points, 2)) for _ in range(n // 2)]
     pairs += rng.sample(pairs, len(pairs) // 10)
-    weak = rng.random() < 0.25
+    weak = rng.choice((0.0, 1 / 3, 1.0))
     edges = []
     for i, (u, v) in enumerate(pairs):
-        spec = lossy(10.0 ** -rng.uniform(10.0, 20.0)) if weak else random_channel(rng)
+        if rng.random() < weak:
+            spec = lossy(10.0 ** -rng.uniform(10.0, 20.0))
+        else:
+            spec = random_channel(rng)
         edges.append((f"e{i}", u, v, spec))
     return build_network(points, edges)
 
 
 networks = st.builds(random_network, st.integers(0, 2**32 - 1), st.integers(2, 200))
-
-
-def tolerance(net):
-    return REL_TOL * max(net.capacities.values())
 
 
 def check_route_report(net, report):
@@ -81,20 +82,25 @@ def test_widest_path_equals_tree_route_and_both_dual_cuts(net):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(networks)
 def test_flow_is_conserved_and_equals_its_min_cut(net):
-    tol = tolerance(net)
+    caps = net.capacities
     report = max_flow(net)
-    assert report.value >= widest_path(net).capacity - tol
+    assert report.value >= widest_path(net).capacity * (1 - REL_TOL)
 
     balance = {p: 0.0 for p in net.points}
+    incident = {p: 0.0 for p in net.points}
     for edge in net.edges:
         rate = report.effective_rates[edge.edge_id]
-        assert abs(rate) <= net.capacities[edge.edge_id] + tol
+        assert abs(rate) <= caps[edge.edge_id] * (1 + REL_TOL)
         balance[edge.u] += rate
         balance[edge.v] -= rate
-    assert abs(balance.pop(net.alice) - report.value) <= tol
-    assert abs(balance.pop(net.bob) + report.value) <= tol
-    assert all(abs(b) <= tol for b in balance.values())
+        incident[edge.u] += caps[edge.edge_id]
+        incident[edge.v] += caps[edge.edge_id]
+    balance[net.alice] -= report.value
+    balance[net.bob] += report.value
+    for point, excess in balance.items():
+        assert abs(excess) <= REL_TOL * incident[point]
 
     cut = report.min_cut
     assert net.alice in cut.side_a and net.bob in cut.side_b
-    assert abs(cut_multi_edge_value(net, cut) - report.value) <= tol
+    cut_value = cut_multi_edge_value(net, cut)
+    assert abs(cut_value - report.value) <= REL_TOL * cut_value

@@ -1,7 +1,5 @@
-import heapq
 import math
 import random
-import time
 
 import pytest
 
@@ -50,25 +48,23 @@ def grid_behind_access_span(side, rng):
     return build_network(points + ["b"], edges + [access], alice="g0_0", bob="b")
 
 
-def full_widths(net):
-    """Widest-path width of every reachable point, searched to exhaustion."""
-    caps = net.capacities
-    adj = net.adjacency()
-    width = {net.alice: math.inf}
-    heap = [(-math.inf, net.alice)]
-    done = set()
-    while heap:
-        _, point = heapq.heappop(heap)
-        if point in done:
-            continue
-        done.add(point)
-        for edge in adj[point]:
-            other = edge.other(point)
-            reach = min(width[point], caps[edge.edge_id])
-            if other not in done and reach > width.get(other, -math.inf):
-                width[other] = reach
-                heapq.heappush(heap, (-reach, other))
-    return width
+def count_scans(net):
+    """Make every scan of ``net.points`` or ``net.edges`` (iteration or ``in``)
+    add the tuple's length to the returned counter."""
+    visits = [0]
+
+    class Counting(tuple):
+        def __iter__(self):
+            visits[0] += len(self)
+            return tuple.__iter__(self)
+
+        def __contains__(self, item):
+            visits[0] += len(self)
+            return tuple.__contains__(self, item)
+
+    object.__setattr__(net, "points", Counting(net.points))
+    object.__setattr__(net, "edges", Counting(net.edges))
+    return visits
 
 
 class TestWidestPath:
@@ -160,61 +156,18 @@ class TestWidestPath:
                 assert widest_path(raised).capacity >= base
 
 
-class TestEarlyExit:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_bob_next_to_alice_in_large_grid(self, seed, monkeypatch):
-        points, edges = grid(40, random.Random(seed))
-        net = build_network(points, edges, alice="g0_0", bob="g0_1")
-        pops = 0
-        heappop = heapq.heappop
-
-        def counting_heappop(heap):
-            nonlocal pops
-            pops += 1
-            return heappop(heap)
-
-        monkeypatch.setattr(heapq, "heappop", counting_heappop)
-        report = widest_path(net)
-        monkeypatch.undo()
-        assert pops < len(net.points) // 2  # the search stopped at bob
-
-        assert report.dual_cut == min_single_edge_cut(net)
-        assert net.alice in report.dual_cut.side_a
-        assert net.bob in report.dual_cut.side_b
-        assert cut_single_edge_value(net, report.dual_cut) == report.capacity
-        assert tree_route_capacity(net, max_spanning_tree(net)).capacity == report.capacity
-        # The cut is the threshold cut of an exhaustive search.
-        width = full_widths(net)
-        assert width[net.bob] == report.capacity
-        assert report.dual_cut.side_a == tuple(
-            sorted(p for p in net.points if width.get(p, -math.inf) > report.capacity)
-        )
-        caps = [edge_capacity(net, eid) for eid in report.route.edge_sequence]
-        assert min(caps) == report.capacity == edge_capacity(net, report.bottleneck_edge)
-
-
-class TestScaling:
-    def test_ten_times_larger_grid_is_not_quadratic(self):
-        def best_of_3(fn):
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        cost = {}
-        for side in (30, 95):  # 900 and 9,025 grid points
-            net = grid_behind_access_span(side, random.Random(side))
-            tree = max_spanning_tree(net)
-            cost[side] = (
-                best_of_3(lambda: widest_path(net)),
-                best_of_3(lambda: tree_route_capacity(net, tree)),
-            )
-            assert len(widest_path(net).dual_cut.side_a) == side * side
-        # Near-linear work grows about 10x, quadratic work about 100x.
-        for small, large in zip(cost[30], cost[95]):
-            assert large < 40 * small
+class TestLinearWork:
+    @pytest.mark.parametrize("side", [30, 95])  # 900 and 9,025 grid points
+    def test_certificates_scan_the_network_a_bounded_number_of_times(self, side):
+        net = grid_behind_access_span(side, random.Random(side))
+        tree = max_spanning_tree(net)
+        visits = count_scans(net)
+        wide = widest_path(net)
+        assert len(wide.dual_cut.side_a) == side * side
+        assert tree_route_capacity(net, tree).capacity == wide.capacity
+        # A few passes each; one scan per point or edge lookup, as in a
+        # quadratic layer, visits about |P| * |E| elements.
+        assert visits[0] <= 10 * (len(net.points) + len(net.edges))
 
 
 class TestMinSingleEdgeCut:
