@@ -130,14 +130,17 @@ def cmd_network(args) -> int:
 
 
 def db_grid(start: float, stop: float, step: float) -> list[float]:
-    if not (math.isfinite(start) and start >= 0.0):
+    start = channels._require_finite("start", start)
+    if start < 0.0:
         raise InvalidParameter("start", start, "must be a non-negative loss in dB")
-    if not (math.isfinite(step) and step > 0.0):
-        raise InvalidParameter("step", step, "must be positive")
-    if not (math.isfinite(stop) and stop >= start):
+    step = channels._require_positive("step", step)
+    stop = channels._require_finite("stop", stop)
+    if stop < start:
         raise InvalidParameter("stop", stop, "must be >= start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [start + i * step for i in range(count)]
+    intervals = (stop - start) / step
+    if not math.isfinite(intervals):
+        raise InvalidParameter("step", step, "leaves more grid rows than a float can count")
+    return [start + i * step for i in range(int(intervals + 1e-9) + 1)]
 
 
 def _equidistant_cell(loss_db: float, n_repeaters: int) -> float:
@@ -158,8 +161,7 @@ def sweep_rows(start: float, stop: float, step: float, repeater_counts):
     """Header and rows of the equidistant-repeater sweep CSV."""
     repeater_counts = list(repeater_counts)
     for n in repeater_counts:
-        if n < 0:
-            raise InvalidParameter("repeaters", n, "must be >= 0")
+        channels._require_int("repeaters", n, 0)
     header = ["loss_db"] + [f"N{n}" for n in repeater_counts]
     rows = []
     for loss_db in db_grid(start, stop, step):
@@ -172,13 +174,10 @@ def compare_rows(start, stop, step, bands, repeater_counts, rate_db_per_km=0.2):
     bands = list(bands)
     repeater_counts = list(repeater_counts)
     for m in bands:
-        if m < 1:
-            raise InvalidParameter("bands", m, "must be >= 1")
+        channels._require_int("bands", m, 1)
     for n in repeater_counts:
-        if n < 0:
-            raise InvalidParameter("repeaters", n, "must be >= 0")
-    if not rate_db_per_km > 0.0:
-        raise InvalidParameter("rate_db_per_km", rate_db_per_km, "must be positive")
+        channels._require_int("repeaters", n, 0)
+    rate_db_per_km = channels._require_positive("rate_db_per_km", rate_db_per_km)
     header = (
         ["loss_db", "distance_km"]
         + [f"M{m}" for m in bands]

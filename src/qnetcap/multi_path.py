@@ -33,8 +33,9 @@ class FlowReport:
     ``effective_rates[edge_id]`` is signed relative to the edge's declared
     (u, v) order: positive means net flow u -> v.  ``orientation`` holds the
     flow direction for edges actually carrying flow; edges with zero net rate
-    have no orientation.  ``min_cut`` is extracted from residual reachability
-    and its total crossing capacity equals ``value``.
+    have no orientation.  ``min_cut``'s alice side is the set of points still
+    reachable in the final residual graph, and its total crossing capacity
+    equals ``value``.
     """
 
     value: float
@@ -72,7 +73,8 @@ class _Residual:
         self.cap[index ^ 1] += amount
 
 
-def _bfs_levels(res: _Residual, source: str, sink: str):
+def _bfs_levels(res: _Residual, source: str) -> dict[str, int]:
+    """Level of every point reachable from ``source`` over unsaturated arcs."""
     level = {source: 0}
     queue = [source]
     for point in queue:
@@ -81,7 +83,7 @@ def _bfs_levels(res: _Residual, source: str, sink: str):
             if other not in level and res.cap[idx] > res.eps[idx]:
                 level[other] = level[point] + 1
                 queue.append(other)
-    return level if sink in level else None
+    return level
 
 
 def _blocking_flow(res: _Residual, level, ptr, source: str, sink: str) -> float:
@@ -120,6 +122,10 @@ def max_flow(net: QNetwork) -> FlowReport:
 
     Never raises on disconnected inputs: the value is then 0, every rate is
     zero, and the min cut is the trivial bipartition along alice's component.
+
+    The min cut comes from the last level search, the one that no longer
+    reaches bob: the points it reached are those still reachable in the
+    residual graph, which form the alice side of a minimum cut (Dinic 1970).
     """
     caps = net.capacities
     res = _Residual(net.points)
@@ -137,8 +143,8 @@ def max_flow(net: QNetwork) -> FlowReport:
         arcs.append([(res.add(s, t, cap), s == edge.u) for s, t in ends])
 
     while True:
-        level = _bfs_levels(res, net.alice, net.bob)
-        if level is None:
+        level = _bfs_levels(res, net.alice)
+        if net.bob not in level:
             break
         ptr = {p: 0 for p in net.points}
         while _blocking_flow(res, level, ptr, net.alice, net.bob) > 0.0:
@@ -168,22 +174,11 @@ def max_flow(net: QNetwork) -> FlowReport:
         elif rate < -eps:
             orientation[edge.edge_id] = (edge.v, edge.u)
 
-    # Points still reachable in the residual graph form the alice side of a
-    # minimum cut (standard max-flow/min-cut certificate).
-    side_a = {net.alice}
-    stack = [net.alice]
-    while stack:
-        point = stack.pop()
-        for idx in res.adj[point]:
-            other = res.to[idx]
-            if other not in side_a and res.cap[idx] > res.eps[idx]:
-                side_a.add(other)
-                stack.append(other)
     return FlowReport(
         value=value,
         effective_rates=effective_rates,
         orientation=orientation,
-        min_cut=make_cut(net, side_a),
+        min_cut=make_cut(net, level),
     )
 
 

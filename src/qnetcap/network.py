@@ -64,7 +64,7 @@ class QNetwork:
         if self.alice == self.bob:
             raise ValidationError("alice and bob must be distinct points")
         for role, name in (("alice", self.alice), ("bob", self.bob)):
-            if name not in seen:
+            if not isinstance(name, str) or name not in seen:
                 raise ValidationError(f"{role} {name!r} is not a declared point")
         by_id = {}
         for edge in self.edges:
@@ -74,7 +74,7 @@ class QNetwork:
                 raise ValidationError(f"duplicate edge id {edge.edge_id!r}")
             by_id[edge.edge_id] = edge
             for endpoint in (edge.u, edge.v):
-                if endpoint not in seen:
+                if not isinstance(endpoint, str) or endpoint not in seen:
                     raise ValidationError(
                         f"edge {edge.edge_id!r}: endpoint {endpoint!r} is not a declared point"
                     )
@@ -94,10 +94,14 @@ class QNetwork:
         """Edge id -> channel capacity, in edge order; shared, so read only."""
         return {e.edge_id: capacity(e.channel) for e in self.edges}
 
-    def adjacency(self) -> dict[str, list[Edge]]:
-        """Incidence lists in declaration order; rebuilt per call, never cached."""
+    def adjacency(self, edges=None) -> dict[str, list[Edge]]:
+        """Incidence lists of ``edges`` (default: every edge of the network).
+
+        Each point lists its incident edges in the order ``edges`` gives
+        them; rebuilt per call, never cached.
+        """
         adj: dict[str, list[Edge]] = {p: [] for p in self.points}
-        for edge in self.edges:
+        for edge in self.edges if edges is None else edges:
             adj[edge.u].append(edge)
             adj[edge.v].append(edge)
         return adj
@@ -268,14 +272,8 @@ def parse_network(document: str) -> QNetwork:
         for key in ("id", "u", "v", "channel"):
             if key not in obj:
                 raise ValidationError(f"edge #{i}: missing field {key!r}")
-        for key in ("id", "u", "v"):
-            if not isinstance(obj[key], str):
-                raise ValidationError(f"edge #{i}: field {key!r} must be a string")
         spec = channel_from_json(obj["channel"], where=f"edge {obj['id']!r}")
         edges.append(Edge(edge_id=obj["id"], u=obj["u"], v=obj["v"], channel=spec))
-    for role in ("alice", "bob"):
-        if not isinstance(data[role], str):
-            raise ValidationError(f"'{role}' must be a string")
     return QNetwork(
         points=tuple(points),
         edges=tuple(edges),

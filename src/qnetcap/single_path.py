@@ -57,18 +57,7 @@ def _reduced_adjacency(net: QNetwork) -> dict[str, list[Edge]]:
             )
         ):
             best[key] = edge
-    return _sorted_adjacency(net, best.values())
-
-
-def _sorted_adjacency(net: QNetwork, edges) -> dict[str, list[Edge]]:
-    """Incidence lists of ``edges``, each ordered by neighbour then edge id."""
-    adj: dict[str, list[Edge]] = {p: [] for p in net.points}
-    for edge in edges:
-        adj[edge.u].append(edge)
-        adj[edge.v].append(edge)
-    for point in adj:
-        adj[point].sort(key=lambda e: (e.other(point), e.edge_id))
-    return adj
+    return net.adjacency(best.values())
 
 
 def _route_to_bob(net: QNetwork, pred: dict[str, tuple[str, str]]) -> Route:
@@ -89,7 +78,10 @@ def _widths(net: QNetwork):
 
     ``width[p]`` is the best achievable bottleneck capacity of an alice-to-p
     path (infinite at alice).  The priority queue prefers larger widths and
-    breaks ties by point name, so predecessors are deterministic.
+    breaks ties by point name, so predecessors are deterministic.  Declaration
+    order does not matter: bundles are reduced by (capacity, id), so a point
+    lists at most one edge per neighbour and the order of that list cannot
+    change which relaxation wins, and pops follow (width, name) alone.
     """
     caps = net.capacities
     adj = _reduced_adjacency(net)
@@ -196,10 +188,12 @@ def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
     bottleneck edge: by the cut property of maximum spanning trees no
     non-tree crossing edge can beat that edge, so the certificate is exact.
     Runs in O(|E| + |P| log |P|): id lookups are dict reads and the dual cut
-    is one :func:`make_cut`.
+    is one :func:`make_cut`.  The incidence lists keep declaration order;
+    paths in a forest are unique, so that order cannot change the answer.
     """
     caps = net.capacities
-    adj = _sorted_adjacency(net, [net.edge(eid) for eid in tree])
+    tree = {net.edge(eid).edge_id for eid in tree}  # raises UnknownEdge
+    adj = net.adjacency([e for e in net.edges if e.edge_id in tree])
 
     pred: dict[str, tuple[str, str]] = {}
     stack = [net.alice]

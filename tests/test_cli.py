@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -22,6 +23,8 @@ from qnetcap.cli import (
     sweep_rows,
 )
 from qnetcap.network import channel_from_json, channel_to_json
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 SAMPLE_SPECS = {
     "lossy": lossy(0.3),
@@ -157,6 +160,17 @@ class TestNetworkCommand:
         assert "min_cut_side_a: a" in out
         assert "min_cut_edges: e1,e2" in out
 
+    # ties36.json, drawn once from a seeded generator, is a 6x6 grid of 36
+    # points with diagonals and 12 parallel duplicates, in all five kinds;
+    # 68 of its 80 edges, of four kinds, hold exactly 1 or 2 bits, so most
+    # points have several equally wide routes.
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("name", ["diamond", "ties36"])
+    def test_golden_text(self, capsys, name, mode):
+        assert main(["network", str(DATA / f"{name}.json"), "--mode", mode]) == 0
+        golden = (DATA / f"{name}.{mode}.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
     def test_no_route_exits_3(self, no_route_file, capsys):
         assert main(["network", no_route_file, "--mode", "single"]) == 3
         assert "no route" in capsys.readouterr().err
@@ -253,6 +267,13 @@ class TestSweep:
              "--repeaters", "0", "--out", str(out)]
         ) == 2
 
+    def test_uncountable_grid_exits_2(self, capsys):
+        assert main(
+            ["sweep", "--start", "0", "--stop", "1e300", "--step", "1e-300",
+             "--repeaters", "0", "--out", "-"]
+        ) == 2
+        assert "step" in capsys.readouterr().err
+
 
 class TestCompareMultiband:
     def test_m1_and_n0_columns_identical(self):
@@ -290,6 +311,13 @@ class TestCompareMultiband:
             if n_val > m_val and saw_band_ahead:
                 saw_repeater_ahead = True
         assert saw_band_ahead and saw_repeater_ahead
+
+    def test_infinite_fiber_rate_exits_2(self, capsys):
+        assert main(
+            ["compare-multiband", "--start", "0", "--stop", "3", "--step", "1",
+             "--bands", "1", "--repeaters", "0", "--rate-db-per-km", "inf", "--out", "-"]
+        ) == 2
+        assert "rate_db_per_km" in capsys.readouterr().err
 
     def test_distance_column_uses_fiber_rate(self):
         header, rows = compare_rows(3.0, 3.0, 1.0, bands=[1], repeater_counts=[])

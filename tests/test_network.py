@@ -4,8 +4,10 @@ import pytest
 
 from conftest import DUPLICATE_KEY_DOCS, build_network, diamond
 from qnetcap import (
+    Edge,
     NoRoute,
     ParseError,
+    QNetwork,
     UnknownEdge,
     ValidationError,
     brute_multi_path_capacity,
@@ -130,6 +132,27 @@ class TestParse:
     def test_duplicate_key(self, document):
         with pytest.raises(ValidationError, match="duplicate key"):
             parse_network(document)
+
+    @pytest.mark.parametrize("value", [["a"], 7, None], ids=["list", "number", "null"])
+    @pytest.mark.parametrize("field", ["id", "u", "v", "alice", "bob"])
+    def test_non_string_name(self, field, value):
+        doc = json.loads(DIAMOND_DOC)
+        (doc if field in ("alice", "bob") else doc["edges"][0])[field] = value
+        with pytest.raises(ValidationError):
+            parse_network(json.dumps(doc))
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("role", ["u", "v", "alice", "bob"])
+    def test_unhashable_name(self, role):
+        names = {"u": "a", "v": "b", "alice": "a", "bob": "b", role: ["a"]}
+        with pytest.raises(ValidationError):
+            QNetwork(
+                points=("a", "b"),
+                edges=(Edge("e0", names["u"], names["v"], lossy(0.5)),),
+                alice=names["alice"],
+                bob=names["bob"],
+            )
 
 
 class TestSerialize:

@@ -10,6 +10,9 @@ Networks come in three mixes: mixed channel kinds; weak lossy links only
 mixed kinds with a third of the links weak, so capacities on one network
 span up to twenty orders of magnitude.  Tolerances are therefore relative to
 the quantity being checked, never to the network's largest capacity.
+
+The last property reorders a network's points and edges, with parallel
+twins of equal capacity added: route answers must not depend on that order.
 """
 
 import random
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import build_network, random_channel
 from qnetcap import (
+    QNetwork,
     cut_multi_edge_value,
     cut_single_edge_value,
     lossy,
@@ -104,3 +108,40 @@ def test_flow_is_conserved_and_equals_its_min_cut(net):
     assert net.alice in cut.side_a and net.bob in cut.side_b
     cut_value = cut_multi_edge_value(net, cut)
     assert abs(cut_value - report.value) <= REL_TOL * cut_value
+
+
+def route_answer(report):
+    """Everything a route report states, with the cut set as a set."""
+    cut = report.dual_cut
+    return (
+        report.capacity,
+        report.route,
+        report.bottleneck_edge,
+        cut.side_a,
+        cut.side_b,
+        frozenset(cut.cut_set),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(networks, st.integers(0, 2**32 - 1))
+def test_route_answers_do_not_depend_on_declaration_order(net, seed):
+    rng = random.Random(seed)
+    # Equal-capacity parallel twins, so reduced bundles hold exact ties.
+    twins = [(f"d{i}", e.u, e.v, e.channel) for i, e in enumerate(rng.choices(net.edges, k=5))]
+    net = build_network(
+        net.points, [(e.edge_id, e.u, e.v, e.channel) for e in net.edges] + twins
+    )
+    expected = [
+        route_answer(widest_path(net)),
+        route_answer(tree_route_capacity(net, max_spanning_tree(net))),
+    ]
+    for _ in range(3):
+        points, edges = list(net.points), list(net.edges)
+        rng.shuffle(points)
+        rng.shuffle(edges)
+        shuffled = QNetwork(tuple(points), tuple(edges), net.alice, net.bob)
+        assert [
+            route_answer(widest_path(shuffled)),
+            route_answer(tree_route_capacity(shuffled, max_spanning_tree(shuffled))),
+        ] == expected
