@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .channels import (
     ChannelSpec,
+    _LN2,
     _open_unit,
     _pure_loss,
     _require_int,
@@ -55,9 +56,12 @@ def equidistant_lossy_capacity(eta_total: float, n_repeaters: int) -> float:
     n_repeaters = _require_int("n_repeaters", n_repeaters, 0)
     if n_repeaters == 0:
         return _pure_loss(eta_total)
+    log_root = math.log(eta_total) / (n_repeaters + 1)
+    if log_root < -_LN2:
+        # A root below 1/2: log1p keeps the digits 1 - root rounds away.
+        return _pure_loss(math.exp(log_root))
     # 1 - eta**(1/(N+1)) via expm1 keeps precision when the root nears 1.
-    one_minus_root = -math.expm1(math.log(eta_total) / (n_repeaters + 1))
-    return -math.log2(one_minus_root)
+    return -math.log2(-math.expm1(log_root))
 
 
 def max_link_loss_for_rate(target_bits: float) -> float:
@@ -67,12 +71,8 @@ def max_link_loss_for_rate(target_bits: float) -> float:
     (3.0103 dB per link, about 15 km of standard fiber at 0.2 dB/km).
     """
     target_bits = _require_positive("target_bits", target_bits)
-    eta_needed = 1.0 - 2.0 ** (-target_bits)
-    if eta_needed <= 0.0:
-        raise InvalidParameter(
-            "target_bits", target_bits, "is too small to resolve in double precision"
-        )
-    return transmissivity_to_db(eta_needed)
+    # 1 - 2**-t via expm1 keeps its digits and stays positive for every t > 0.
+    return transmissivity_to_db(-math.expm1(-target_bits * _LN2))
 
 
 def min_repeaters_for_rate(eta_total: float, target_bits: float) -> int:

@@ -59,23 +59,19 @@ def _channel_from_args(args) -> channels.ChannelSpec:
         value = getattr(args, name)
         if value is not None:
             if type_ == channels.NUMBERS:
-                value = _parse_float_list(value, f"--{name}")
+                value = _parse_list(value, f"--{name}")
             obj[name] = value
     return channel_from_json(obj)
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, type_=float) -> list:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [type_(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise InvalidParameter(flag, text, "must be a comma-separated list of numbers") from exc
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise InvalidParameter(flag, text, "must be a comma-separated list of integers") from exc
+        noun = "integers" if type_ is int else "numbers"
+        raise InvalidParameter(
+            flag, text, f"must be a comma-separated list of {noun}"
+        ) from exc
 
 
 def cmd_channel(args) -> int:
@@ -86,7 +82,7 @@ def cmd_channel(args) -> int:
 
 def _load_chain_links(args):
     if args.lossy is not None:
-        return [channels.lossy(eta) for eta in _parse_float_list(args.lossy, "--lossy")]
+        return [channels.lossy(eta) for eta in _parse_list(args.lossy, "--lossy")]
     with open(args.file, encoding="utf-8") as handle:
         data = _load_json(handle.read())
     if not isinstance(data, list) or not data:
@@ -208,7 +204,7 @@ def _write_csv(path: str, header, rows, n_grid_columns: int):
 
 def cmd_sweep(args) -> int:
     header, rows = sweep_rows(
-        args.start, args.stop, args.step, _parse_int_list(args.repeaters, "--repeaters")
+        args.start, args.stop, args.step, _parse_list(args.repeaters, "--repeaters", int)
     )
     _write_csv(args.out, header, rows, n_grid_columns=1)
     return EXIT_OK
@@ -219,8 +215,8 @@ def cmd_compare_multiband(args) -> int:
         args.start,
         args.stop,
         args.step,
-        _parse_int_list(args.bands, "--bands"),
-        _parse_int_list(args.repeaters, "--repeaters"),
+        _parse_list(args.bands, "--bands", int),
+        _parse_list(args.repeaters, "--repeaters", int),
         rate_db_per_km=args.rate_db_per_km,
     )
     _write_csv(args.out, header, rows, n_grid_columns=2)
@@ -285,10 +281,9 @@ def main(argv=None) -> int:
     except NoRoute as exc:
         print(f"no route: {exc}", file=sys.stderr)
         return EXIT_NO_ROUTE
-    except (InvalidParameter, ParseError, ValidationError, UnknownEdge, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (
+        InvalidParameter, ParseError, ValidationError, UnknownEdge, TooLarge, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

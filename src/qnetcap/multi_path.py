@@ -1,10 +1,10 @@
 """Multi-path (flooding) network capacity via max-flow / min-cut.
 
-The undirected network is turned into a directed flow network: alice's edges
-leave her (source), bob's edges enter him (sink), and every interior edge is
-split into two opposite arcs of equal capacity.  The maximum flow on that
-network equals the minimum over alice/bob cuts of the total crossing
-capacity, which is the multi-path capacity of a distillable network.
+The undirected network is turned into a directed flow network: every edge is
+two opposite arcs of equal capacity, alice being the source and bob the
+sink.  The maximum flow on that network equals the minimum over alice/bob
+cuts of the total crossing capacity, which is the multi-path capacity of a
+distillable network.
 
 Dinic's blocking-flow algorithm is used because its phase count depends only
 on the graph size, so it terminates on real-valued (irrational) capacities
@@ -30,12 +30,13 @@ RESIDUAL_EPS = 1e-12
 class FlowReport:
     """Optimal flow value with per-edge effective rates and a certifying cut.
 
-    ``effective_rates[edge_id]`` is signed relative to the edge's declared
-    (u, v) order: positive means net flow u -> v.  ``orientation`` holds the
-    flow direction for edges actually carrying flow; edges with zero net rate
-    have no orientation.  ``min_cut``'s alice side is the set of points still
-    reachable in the final residual graph, and its total crossing capacity
-    equals ``value``.
+    Every edge is two opposite arcs of its capacity, so
+    ``effective_rates[edge_id]`` is the net of the flows along them, signed
+    relative to the edge's declared (u, v) order: positive means net flow
+    u -> v.  ``orientation`` holds the flow direction for edges actually
+    carrying flow; edges with zero net rate have no orientation.
+    ``min_cut``'s alice side is the set of points still reachable in the
+    final residual graph, and its total crossing capacity equals ``value``.
     """
 
     value: float
@@ -57,7 +58,7 @@ class _Residual:
         self.eps: list[float] = []
         self.adj: dict[str, list[int]] = {p: [] for p in points}
 
-    def add(self, source: str, target: str, cap: float) -> int:
+    def add(self, source: str, target: str, cap: float):
         index = len(self.to)
         self.to.append(target)
         self.cap.append(cap)
@@ -66,7 +67,6 @@ class _Residual:
         self.cap.append(0.0)
         self.adj[target].append(index + 1)
         self.eps += [RESIDUAL_EPS * cap] * 2
-        return index
 
     def push(self, index: int, amount: float):
         self.cap[index] -= amount
@@ -129,18 +129,10 @@ def max_flow(net: QNetwork) -> FlowReport:
     """
     caps = net.capacities
     res = _Residual(net.points)
-    # Per edge, its arcs as (residual index, runs u -> v): one arc leaving
-    # alice or entering bob, else one arc each way.
-    arcs = []
+    # Edge k is two opposite arcs: u -> v at index 4k, v -> u at 4k + 2.
     for edge in net.edges:
-        cap = caps[edge.edge_id]
-        if net.alice in (edge.u, edge.v):
-            ends = [(net.alice, edge.other(net.alice))]
-        elif net.bob in (edge.u, edge.v):
-            ends = [(edge.other(net.bob), net.bob)]
-        else:
-            ends = [(edge.u, edge.v), (edge.v, edge.u)]
-        arcs.append([(res.add(s, t, cap), s == edge.u) for s, t in ends])
+        res.add(edge.u, edge.v, caps[edge.edge_id])
+        res.add(edge.v, edge.u, caps[edge.edge_id])
 
     while True:
         level = _bfs_levels(res, net.alice)
@@ -152,15 +144,16 @@ def max_flow(net: QNetwork) -> FlowReport:
 
     value = 0.0
     effective_rates: dict[str, float] = {}
-    for edge, edge_arcs in zip(net.edges, arcs):
-        rate = 0.0
-        for idx, forward in edge_arcs:
-            # The paired arc's residual is the flow itself, exact even where
-            # cap - residual would cancel a small flow against a large cap.
-            flow = res.cap[idx ^ 1]
-            rate += flow if forward else -flow
-        if net.alice in (edge.u, edge.v):
-            value += flow  # the edge's only arc, leaving alice
+    for k, edge in enumerate(net.edges):
+        # Each paired arc's residual is the flow pushed along its twin, exact
+        # even where cap - residual would cancel a small flow against a large
+        # cap.  No arc enters alice in a level graph, so her edges carry flow
+        # out of her only and the value is her net outflow.
+        rate = res.cap[4 * k + 1] - res.cap[4 * k + 3]
+        if edge.u == net.alice:
+            value += rate
+        elif edge.v == net.alice:
+            value -= rate
         effective_rates[edge.edge_id] = rate
 
     # An augmenting path crosses an edge at most once, so the pushes through

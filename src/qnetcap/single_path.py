@@ -4,7 +4,9 @@ Under single-path routing the end-to-end capacity is the widest-path value
 over edge capacities: the route maximizing its minimum edge capacity, which
 equals the minimum over alice/bob cuts of the largest crossing capacity.
 Two independent algorithms are provided (a width-maximizing Dijkstra variant
-and a maximum-spanning-tree extraction); both report a certifying cut.
+and a maximum-spanning-tree extraction).  Both hand their per-point widths to
+one report builder, so both report the same certifying cut: the threshold
+cut whose alice side is every point wider than the capacity.
 
 Comparisons inside the algorithms are exact double comparisons: both sides of
 the duality select among the same floating-point capacities, so equality is
@@ -17,7 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import NoRoute
+from .errors import NoRoute, ValidationError
 from .network import Cut, Edge, QNetwork, Route, make_cut
 
 
@@ -60,8 +62,18 @@ def _reduced_adjacency(net: QNetwork) -> dict[str, list[Edge]]:
     return net.adjacency(best.values())
 
 
-def _route_to_bob(net: QNetwork, pred: dict[str, tuple[str, str]]) -> Route:
-    """Follow ``pred`` (point -> (previous point, edge id)) back from bob."""
+def _route_report(
+    net: QNetwork, width: dict[str, float], pred: dict[str, tuple[str, str]]
+) -> RouteReport:
+    """Report of the alice-bob route given by a width search from alice.
+
+    ``width[p]`` is the bottleneck capacity of the searched alice-to-p path
+    and ``pred[p]`` its last step (previous point, edge id); points the
+    search missed have no entry.  Raises :class:`NoRoute` if bob is missed.
+    """
+    if net.bob not in width:
+        raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
+    value = width[net.bob]
     points = [net.bob]
     edge_ids: list[str] = []
     while points[-1] != net.alice:
@@ -70,7 +82,17 @@ def _route_to_bob(net: QNetwork, pred: dict[str, tuple[str, str]]) -> Route:
         points.append(parent)
     points.reverse()
     edge_ids.reverse()
-    return Route(point_sequence=tuple(points), edge_sequence=tuple(edge_ids))
+    bottleneck = next(eid for eid in edge_ids if net.capacities[eid] == value)
+    # The dual cut's alice side is every point wider than ``value``: each
+    # crossing edge has capacity <= value (else its far end would be wider)
+    # and the bottleneck crosses, so this is a minimum single-edge cut.
+    side_a = {p for p in net.points if width.get(p, -math.inf) > value}
+    return RouteReport(
+        capacity=value,
+        route=Route(point_sequence=tuple(points), edge_sequence=tuple(edge_ids)),
+        bottleneck_edge=bottleneck,
+        dual_cut=make_cut(net, side_a),
+    )
 
 
 def _widths(net: QNetwork):
@@ -114,22 +136,7 @@ def widest_path(net: QNetwork) -> RouteReport:
     first, then lexicographic point name).  Raises :class:`NoRoute` when
     alice and bob are disconnected.
     """
-    width, pred = _widths(net)
-    if net.bob not in width:
-        raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
-    value = width[net.bob]
-    route = _route_to_bob(net, pred)
-    bottleneck = next(eid for eid in route.edge_sequence if net.capacities[eid] == value)
-    # The dual cut's alice side is every point wider than ``value``: each
-    # crossing edge has capacity <= value (else its far end would be wider)
-    # and the bottleneck crosses, so this is a minimum single-edge cut.
-    side_a = {p for p in net.points if width.get(p, -math.inf) > value}
-    return RouteReport(
-        capacity=value,
-        route=route,
-        bottleneck_edge=bottleneck,
-        dual_cut=make_cut(net, side_a),
-    )
+    return _route_report(net, *_widths(net))
 
 
 def min_single_edge_cut(net: QNetwork) -> Cut:
@@ -184,50 +191,35 @@ def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
     """Bottleneck report for the unique alice-bob path inside ``tree``.
 
     ``tree`` is a set of edge ids forming a forest (normally the output of
-    :func:`max_spanning_tree`).  The dual cut splits the tree at the
-    bottleneck edge: by the cut property of maximum spanning trees no
-    non-tree crossing edge can beat that edge, so the certificate is exact.
-    Runs in O(|E| + |P| log |P|): id lookups are dict reads and the dual cut
-    is one :func:`make_cut`.  The incidence lists keep declaration order;
-    paths in a forest are unique, so that order cannot change the answer.
+    :func:`max_spanning_tree`); an edge closing a cycle in alice's tree
+    raises :class:`ValidationError` naming it.  One depth-first search from
+    alice records each point's width along the tree, and the report is built
+    as in :func:`widest_path`.  A maximum spanning tree holds a
+    maximum-capacity route between every pair of points (Hu 1961), so its
+    widths are the network's and the threshold cut equals
+    ``widest_path(net).dual_cut``.  Runs in O(|E| + |P| log |P|): id lookups
+    are dict reads, the search is linear and the dual cut is one
+    :func:`make_cut`.  Paths in a forest are unique, so the declaration
+    order of the incidence lists cannot change the answer.
     """
     caps = net.capacities
     tree = {net.edge(eid).edge_id for eid in tree}  # raises UnknownEdge
     adj = net.adjacency([e for e in net.edges if e.edge_id in tree])
-
+    width: dict[str, float] = {net.alice: math.inf}
     pred: dict[str, tuple[str, str]] = {}
     stack = [net.alice]
-    seen = {net.alice}
     while stack:
         point = stack.pop()
+        via = pred[point][1] if point in pred else None
         for edge in adj[point]:
-            other = edge.other(point)
-            if other not in seen:
-                seen.add(other)
-                pred[other] = (point, edge.edge_id)
-                stack.append(other)
-    if net.bob not in seen:
-        raise NoRoute(f"tree contains no path from {net.alice!r} to {net.bob!r}")
-
-    route = _route_to_bob(net, pred)
-    value = min(caps[eid] for eid in route.edge_sequence)
-    bottleneck = next(eid for eid in route.edge_sequence if caps[eid] == value)
-
-    # Alice's tree component once the bottleneck edge is removed.
-    side_a = {net.alice}
-    stack = [net.alice]
-    while stack:
-        point = stack.pop()
-        for edge in adj[point]:
-            if edge.edge_id == bottleneck:
+            if edge.edge_id == via:
                 continue
             other = edge.other(point)
-            if other not in side_a:
-                side_a.add(other)
-                stack.append(other)
-    return RouteReport(
-        capacity=value,
-        route=route,
-        bottleneck_edge=bottleneck,
-        dual_cut=make_cut(net, side_a),
-    )
+            if other in width:
+                raise ValidationError(
+                    f"tree is not a forest: edge {edge.edge_id!r} closes a cycle"
+                )
+            width[other] = min(width[point], caps[edge.edge_id])
+            pred[other] = (point, edge.edge_id)
+            stack.append(other)
+    return _route_report(net, width, pred)

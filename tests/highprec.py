@@ -28,6 +28,12 @@ def hp_equidistant(loss_db, n_repeaters) -> Decimal:
     return -hp_log2(1 - root)
 
 
+def hp_max_link_loss(target_bits) -> Decimal:
+    """Loss in dB at which -log2(1 - eta) = target: eta = 1 - 2**-target."""
+    eta = 1 - Decimal(2) ** -Decimal(repr(target_bits))
+    return -10 * eta.log10()
+
+
 def hp_binary_entropy(p) -> Decimal:
     p = Decimal(str(p))
     if p == 0 or p == 1:

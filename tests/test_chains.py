@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from highprec import hp_equidistant, hp_plob
+from highprec import hp_equidistant, hp_max_link_loss, hp_plob
 from qnetcap import (
     InvalidParameter,
     asymptotic_loss_dominant,
@@ -83,6 +83,15 @@ class TestEquidistant:
             float(hp_equidistant(30, 2)), abs=1e-12
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 100])
+    def test_exact_at_high_loss(self, n):
+        # 1 - root rounds away the digits of a small root; at 200 dB with
+        # one repeater the naive form is off by 8e-8 relative.
+        for loss_db in range(100, 201, 5):
+            eta = db_to_transmissivity(loss_db)
+            exact = float(hp_equidistant(loss_db, n))
+            assert math.isclose(equidistant_lossy_capacity(eta, n), exact, rel_tol=1e-13)
+
     def test_matches_generic_chain_of_equal_links(self):
         for eta in (0.01, 0.2, 0.8):
             for n in (0, 1, 2, 5, 10):
@@ -123,6 +132,15 @@ class TestEquidistant:
 class TestRateBudgeting:
     def test_3db_rule(self):
         assert max_link_loss_for_rate(1.0) == pytest.approx(3.0103, abs=1e-3)
+
+    @pytest.mark.parametrize("target", [1e-17, 1e-10, 1e-6, 0.5, 1.0])
+    def test_exact_for_small_targets(self, target):
+        # 1 - 2**-t rounds to 0 below t ~ 1e-16 and loses digits above it.
+        exact = float(hp_max_link_loss(target))
+        assert math.isclose(max_link_loss_for_rate(target), exact, rel_tol=1e-14)
+
+    def test_smallest_target_resolves(self):
+        assert max_link_loss_for_rate(5e-324) == pytest.approx(3233.06, abs=0.01)
 
     def test_single_link_meets_target_at_3db_total(self):
         assert min_repeaters_for_rate(db_to_transmissivity(3.0), 1.0) == 0

@@ -163,9 +163,11 @@ class TestNetworkCommand:
     # ties36.json, drawn once from a seeded generator, is a 6x6 grid of 36
     # points with diagonals and 12 parallel duplicates, in all five kinds;
     # 68 of its 80 edges, of four kinds, hold exactly 1 or 2 bits, so most
-    # points have several equally wide routes.
+    # points have several equally wide routes.  ends_reversed.json declares
+    # alice as the second end (v) of each of her edges and bob as the first
+    # (u) of each of his, with a direct bob-alice edge.
     @pytest.mark.parametrize("mode", ["single", "multi"])
-    @pytest.mark.parametrize("name", ["diamond", "ties36"])
+    @pytest.mark.parametrize("name", ["diamond", "ties36", "ends_reversed"])
     def test_golden_text(self, capsys, name, mode):
         assert main(["network", str(DATA / f"{name}.json"), "--mode", mode]) == 0
         golden = (DATA / f"{name}.{mode}.txt").read_text(encoding="utf-8")
@@ -266,6 +268,18 @@ class TestSweep:
             ["sweep", "--start", "5", "--stop", "1", "--step", "1",
              "--repeaters", "0", "--out", str(out)]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "argv, noun",
+        [
+            (["chain", "--lossy", "0.5,x"], "numbers"),
+            (["sweep", "--start", "0", "--stop", "1", "--step", "1",
+              "--repeaters", "0,1.5", "--out", "-"], "integers"),
+        ],
+    )
+    def test_bad_list_exits_2(self, capsys, argv, noun):
+        assert main(argv) == 2
+        assert f"must be a comma-separated list of {noun}" in capsys.readouterr().err
 
     def test_uncountable_grid_exits_2(self, capsys):
         assert main(

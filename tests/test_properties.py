@@ -81,6 +81,7 @@ def test_widest_path_equals_tree_route_and_both_dual_cuts(net):
     check_route_report(net, wide)
     check_route_report(net, tree)
     assert wide.capacity == tree.capacity
+    assert tree.dual_cut == wide.dual_cut
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -7,6 +7,7 @@ from conftest import build_network, diamond, path_network, random_connected_netw
 from qnetcap import (
     NoRoute,
     UnknownEdge,
+    ValidationError,
     brute_single_path_capacity,
     chain_capacity,
     cut_single_edge_value,
@@ -232,6 +233,26 @@ class TestSpanningTree:
     def test_unknown_tree_edge(self):
         with pytest.raises(UnknownEdge):
             tree_route_capacity(diamond(), {"e1", "nope"})
+
+    def test_cycle_is_rejected_naming_the_closing_edge(self):
+        # The search reaches p1 over e1 and p2 over e2, then meets p1 again
+        # from p2 over e3.
+        with pytest.raises(ValidationError, match="not a forest: edge 'e3'"):
+            tree_route_capacity(diamond(), {"e1", "e2", "e3", "e4", "e5"})
+
+    def test_parallel_twins_are_rejected(self):
+        # Without the check the twins would go unnoticed: the bottleneck is
+        # e3, so splitting the tree there still separates alice from bob.
+        net = build_network(
+            ("a", "x", "b"),
+            [
+                ("e1", "a", "x", lossy_for_bits(3)),
+                ("e2", "a", "x", lossy_for_bits(2)),
+                ("e3", "x", "b", lossy_for_bits(1)),
+            ],
+        )
+        with pytest.raises(ValidationError, match="not a forest: edge 'e2'"):
+            tree_route_capacity(net, {"e1", "e2", "e3"})
 
 
 class TestDuality:
