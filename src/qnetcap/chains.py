@@ -78,15 +78,43 @@ def max_link_loss_for_rate(target_bits: float) -> float:
 def min_repeaters_for_rate(eta_total: float, target_bits: float) -> int:
     """Smallest repeater count whose equidistant chain meets the target rate.
 
-    Direct integer ascent; the count stays small for any practical loss
-    budget (under 64 even at 120 dB for a 1 bit/use target).
+    The returned N satisfies ``equidistant_lossy_capacity(eta_total, N) >=
+    target_bits`` and, for N > 0, N - 1 does not.  Up to rounding N is
+    ceil(ln eta / log(1 - 2**-t)) - 1, which grows like 2**t.  The search
+    climbs from there in doubling steps until the target is met, then
+    bisects against :func:`equidistant_lossy_capacity`, so it makes
+    O(log N) calls.  Raises :class:`InvalidParameter` when the count is
+    beyond float range, which includes every target at which 2**-t
+    underflows to 0 (t > 1074).
     """
     eta_total = _open_unit("eta_total", eta_total)
     target_bits = _require_positive("target_bits", target_bits)
-    n = 0
-    while equidistant_lossy_capacity(eta_total, n) < target_bits:
-        n += 1
-    return n
+
+    def meets(n):
+        return equidistant_lossy_capacity(eta_total, n) >= target_bits
+
+    # log(1 - 2**-t): expm1 keeps small targets' digits, log1p large ones'.
+    if target_bits < 1.0:
+        log_keep = math.log(-math.expm1(-target_bits * _LN2))
+    else:
+        log_keep = math.log1p(-(2.0**-target_bits))
+    try:
+        estimate = math.ceil(math.log(eta_total) / log_keep) - 1
+        # ``low`` misses the target (-1 stands for no count), ``high`` meets it.
+        low, high, step = -1, max(0, estimate), 1
+        while not meets(high):
+            low, high, step = high, high + step, 2 * step
+        while high - low > 1:
+            middle = (low + high) // 2
+            if meets(middle):
+                high = middle
+            else:
+                low = middle
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidParameter(
+            "target_bits", target_bits, "needs more repeaters than a float can count"
+        ) from None
+    return high
 
 
 def asymptotic_repeater_dominant(eta_total: float, n_repeaters: int) -> float:

@@ -12,7 +12,10 @@ JSON field, the constructor argument and the CLI flag, the
 :class:`ChannelSpec` attribute holding it, its type, its default and its
 range check, and it gives the kind's capacity formula.  Spec validation,
 :func:`capacity`, the network JSON format and the ``qnetcap channel`` flags
-all read these records.
+all read these records.  Each record has one builder,
+:meth:`ChannelKind.build`, the only place a spec's parameters are checked:
+the public constructors call it directly, and direct :class:`ChannelSpec`
+construction calls it once the other kinds' attributes are seen unset.
 """
 
 from __future__ import annotations
@@ -142,18 +145,7 @@ class ChannelSpec:
                 raise InvalidParameter(
                     attr, getattr(self, attr), f"does not apply to a {self.kind} channel"
                 )
-        for param in kind.params:
-            value = getattr(self, param.attr)
-            if value is not None:
-                object.__setattr__(self, param.attr, param.check(param.attr, value))
-            elif param.required:
-                raise InvalidParameter(
-                    param.attr, None, f"is required for a {self.kind} channel"
-                )
-            else:
-                object.__setattr__(self, param.attr, param.default)
-        if kind.check is not None:
-            kind.check(self)
+        kind.build([getattr(self, param.attr) for param in kind.params], self)
 
 
 @dataclass(frozen=True)
@@ -181,7 +173,10 @@ class ChannelKind:
 
     ``check``, when given, enforces rules across parameters once each is
     valid.  ``forbidden`` lists the :class:`ChannelSpec` attributes that
-    belong to other kinds and must stay unset.
+    belong to other kinds and must stay unset.  ``names`` lists the
+    parameter names in order; ``fields`` and ``required_fields`` are the
+    JSON field names a channel object of the kind may and must carry,
+    ``"kind"`` included.
     """
 
     name: str
@@ -189,11 +184,44 @@ class ChannelKind:
     capacity: Callable[[ChannelSpec], float]
     check: Callable[[ChannelSpec], None] | None = None
     forbidden: tuple[str, ...] = field(init=False)
+    names: tuple[str, ...] = field(init=False)
+    fields: frozenset[str] = field(init=False)
+    required_fields: frozenset[str] = field(init=False)
 
     def __post_init__(self):
         own = {p.attr for p in self.params}
         attrs = [f.name for f in fields(ChannelSpec) if f.name != "kind"]
         object.__setattr__(self, "forbidden", tuple(a for a in attrs if a not in own))
+        object.__setattr__(self, "names", tuple(p.name for p in self.params))
+        object.__setattr__(self, "fields", frozenset(["kind", *self.names]))
+        required = [p.name for p in self.params if p.required]
+        object.__setattr__(self, "required_fields", frozenset(["kind", *required]))
+
+    def build(self, values, spec: ChannelSpec | None = None) -> ChannelSpec:
+        """The spec of this kind holding ``values``, checked once each.
+
+        ``values`` gives one value per parameter, in order, ``None`` where
+        unset.  Each ``Param.check`` runs once, an unset optional parameter
+        takes its default and the kind's ``check`` runs last.  Only ``kind``
+        and the values set are stored on a new spec; its other fields read
+        the class defaults (``None``).  ``spec``, when given, is a directly
+        constructed :class:`ChannelSpec` to fill instead.
+        """
+        if spec is None:
+            spec = object.__new__(ChannelSpec)
+            object.__setattr__(spec, "kind", self.name)
+        for param, value in zip(self.params, values):
+            if value is not None:
+                object.__setattr__(spec, param.attr, param.check(param.attr, value))
+            elif param.required:
+                raise InvalidParameter(
+                    param.attr, None, f"is required for a {self.name} channel"
+                )
+            elif param.default is not None:
+                object.__setattr__(spec, param.attr, param.default)
+        if self.check is not None:
+            self.check(spec)
+        return spec
 
 
 def _check_dephasing(spec: ChannelSpec):
@@ -213,6 +241,18 @@ def _check_dephasing(spec: ChannelSpec):
         )
 
 
+def _amplifier(spec: ChannelSpec) -> float:
+    """-log2(1 - 1/g), accurate to a few ulps at any gain g > 1."""
+    gain = spec.gain
+    if gain <= 2.0:
+        # g - 1 is exact here (Sterbenz), while 1/g rounds and 1 - 1/g
+        # magnifies that rounding as g nears 1.
+        return math.log2(gain / (gain - 1.0))
+    # Above 2, log2(g) - log2(g - 1) would cancel; 1/g is small and exact
+    # to an ulp, and log1p keeps its digits.
+    return _pure_loss(1.0 / gain)
+
+
 _ETA = Param("eta", "eta", NUMBER, _open_unit)
 _DIM_CHECK = partial(_require_int, minimum=2)
 
@@ -225,7 +265,7 @@ KINDS = {
         ChannelKind(
             AMPLIFIER,
             (Param("gain", "gain", NUMBER, _above_one),),
-            lambda s: _pure_loss(1.0 / s.gain),
+            _amplifier,
         ),
         ChannelKind(
             DEPHASING,
@@ -258,12 +298,12 @@ CHANNEL_KINDS = tuple(KINDS)
 
 def lossy(eta: float) -> ChannelSpec:
     """Pure-loss bosonic channel with transmissivity ``eta`` in (0, 1)."""
-    return ChannelSpec(LOSSY, eta=eta)
+    return KINDS[LOSSY].build((eta,))
 
 
 def amplifier(gain: float) -> ChannelSpec:
     """Quantum-limited amplifier with gain strictly above 1."""
-    return ChannelSpec(AMPLIFIER, gain=gain)
+    return KINDS[AMPLIFIER].build((gain,))
 
 
 def dephasing(probs, dim: int | None = None) -> ChannelSpec:
@@ -272,7 +312,7 @@ def dephasing(probs, dim: int | None = None) -> ChannelSpec:
     ``probs[k]`` is the probability of k phase rotations; the dimension is
     the length of the vector (``dim``, when given, must match it).
     """
-    return ChannelSpec(DEPHASING, probs=probs, dim=dim)
+    return KINDS[DEPHASING].build((probs, dim))
 
 
 def erasure(p: float, dim: int = 2) -> ChannelSpec:
@@ -282,7 +322,7 @@ def erasure(p: float, dim: int = 2) -> ChannelSpec:
     quoted for p <= 1/2; the formula (1 - p) log2 d is stated without that
     restriction and stays non-negative on all of [0, 1].
     """
-    return ChannelSpec(ERASURE, p_erase=p, dim=dim)
+    return KINDS[ERASURE].build((p, dim))
 
 
 def multiband_lossy(eta: float, bands: int) -> ChannelSpec:
@@ -291,7 +331,7 @@ def multiband_lossy(eta: float, bands: int) -> ChannelSpec:
     Heterogeneous bands are modeled as parallel edges at the graph level,
     not here.
     """
-    return ChannelSpec(MULTIBAND_LOSSY, eta=eta, bands=bands)
+    return KINDS[MULTIBAND_LOSSY].build((eta, bands))
 
 
 def binary_entropy(p: float) -> float:
@@ -299,7 +339,8 @@ def binary_entropy(p: float) -> float:
     p = _unit("p", p)
     if p == 0.0 or p == 1.0:
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    # log1p keeps the -p/ln 2 that 1 - p rounds away at small p.
+    return -p * math.log2(p) - (1.0 - p) * math.log1p(-p) / _LN2
 
 
 def shannon_entropy(probs) -> float:

@@ -213,20 +213,18 @@ def channel_from_json(obj, where: str = "channel") -> ChannelSpec:
     kind = channels.KINDS.get(name) if isinstance(name, str) else None
     if kind is None:
         raise ValidationError(f"{where}: unknown channel kind {name!r}")
-    values = {}
-    for param in kind.params:
-        if param.name in obj:
-            values[param.name] = obj[param.name]
-        elif param.required:
-            raise ValidationError(f"{where}: missing field {param.name!r} for kind {name!r}")
-    if len(values) + 1 != len(obj):
-        extra = next(key for key in obj if key != "kind" and key not in values)
+    if not kind.required_fields <= obj.keys() <= kind.fields:
+        for param in kind.params:
+            if param.required and param.name not in obj:
+                raise ValidationError(f"{where}: missing field {param.name!r} for kind {name!r}")
+        extra = next(key for key in obj if key not in kind.fields)
         raise ValidationError(f"{where}: unknown field {extra!r} for kind {name!r}")
-    if None in values.values():
+    if None in obj.values():
         raise ValidationError(f"{where}: fields of kind {name!r} must not be null")
     try:
-        # Each kind's public constructor carries the kind's name.
-        return getattr(channels, name)(**values)
+        # Each kind's public constructor carries the kind's name and takes
+        # its parameters in order; an absent optional one is passed unset.
+        return getattr(channels, name)(*map(obj.get, kind.names))
     except InvalidParameter as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
@@ -238,6 +236,9 @@ def channel_to_json(spec: ChannelSpec) -> dict:
         value = getattr(spec, param.attr)
         obj[param.name] = list(value) if param.type == channels.NUMBERS else value
     return obj
+
+
+_EDGE_FIELDS = frozenset(("id", "u", "v", "channel"))
 
 
 def parse_network(document: str) -> QNetwork:
@@ -266,14 +267,15 @@ def parse_network(document: str) -> QNetwork:
     for i, obj in enumerate(data["edges"]):
         if not isinstance(obj, dict):
             raise ValidationError(f"edge #{i}: must be an object")
-        for key in obj:
-            if key not in ("id", "u", "v", "channel"):
-                raise ValidationError(f"edge #{i}: unknown field {key!r}")
-        for key in ("id", "u", "v", "channel"):
-            if key not in obj:
-                raise ValidationError(f"edge #{i}: missing field {key!r}")
+        if obj.keys() != _EDGE_FIELDS:
+            for key in obj:
+                if key not in _EDGE_FIELDS:
+                    raise ValidationError(f"edge #{i}: unknown field {key!r}")
+            for key in ("id", "u", "v", "channel"):
+                if key not in obj:
+                    raise ValidationError(f"edge #{i}: missing field {key!r}")
         spec = channel_from_json(obj["channel"], where=f"edge {obj['id']!r}")
-        edges.append(Edge(edge_id=obj["id"], u=obj["u"], v=obj["v"], channel=spec))
+        edges.append(Edge(obj["id"], obj["u"], obj["v"], spec))
     return QNetwork(
         points=tuple(points),
         edges=tuple(edges),

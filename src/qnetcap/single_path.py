@@ -82,16 +82,26 @@ def _route_report(
         points.append(parent)
     points.reverse()
     edge_ids.reverse()
-    bottleneck = next(eid for eid in edge_ids if net.capacities[eid] == value)
-    # The dual cut's alice side is every point wider than ``value``: each
-    # crossing edge has capacity <= value (else its far end would be wider)
-    # and the bottleneck crosses, so this is a minimum single-edge cut.
-    side_a = {p for p in net.points if width.get(p, -math.inf) > value}
+    caps = net.capacities
+    bottleneck = next(eid for eid in edge_ids if caps[eid] == value)
+    # The dual cut's alice side is every point wider than ``value``.  The
+    # bottleneck crosses it, and after a widest-path search no crossing edge
+    # is wider than ``value`` (else its far end would be wider), so this is
+    # a minimum single-edge cut.  Widths from a tree that is not a maximum
+    # spanning forest can leave a wider edge crossing: that cut certifies
+    # nothing, so it is an error.
+    cut = make_cut(net, {p for p in net.points if width.get(p, -math.inf) > value})
+    for eid in cut.cut_set:
+        if caps[eid] > value:
+            raise ValidationError(
+                f"tree is not a maximum spanning forest: edge {eid!r} is wider than"
+                f" the route's bottleneck {bottleneck!r}"
+            )
     return RouteReport(
         capacity=value,
         route=Route(point_sequence=tuple(points), edge_sequence=tuple(edge_ids)),
         bottleneck_edge=bottleneck,
-        dual_cut=make_cut(net, side_a),
+        dual_cut=cut,
     )
 
 
@@ -190,16 +200,19 @@ def max_spanning_tree(net: QNetwork) -> frozenset[str]:
 def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
     """Bottleneck report for the unique alice-bob path inside ``tree``.
 
-    ``tree`` is a set of edge ids forming a forest (normally the output of
-    :func:`max_spanning_tree`); an edge closing a cycle in alice's tree
-    raises :class:`ValidationError` naming it.  One depth-first search from
-    alice records each point's width along the tree, and the report is built
-    as in :func:`widest_path`.  A maximum spanning tree holds a
-    maximum-capacity route between every pair of points (Hu 1961), so its
-    widths are the network's and the threshold cut equals
-    ``widest_path(net).dual_cut``.  Runs in O(|E| + |P| log |P|): id lookups
-    are dict reads, the search is linear and the dual cut is one
-    :func:`make_cut`.  Paths in a forest are unique, so the declaration
+    ``tree`` is a set of edge ids that must form a maximum spanning forest
+    (normally the output of :func:`max_spanning_tree`).  One depth-first
+    search from alice records each point's width along the tree, and the
+    report is built as in :func:`widest_path`.  A maximum spanning tree
+    holds a maximum-capacity route between every pair of points (Hu 1961),
+    so its widths are the network's and the threshold cut equals
+    ``widest_path(net).dual_cut``.  :class:`ValidationError` names the
+    offending edge when one closes a cycle in alice's tree, or when an edge
+    wider than the route's bottleneck crosses the threshold cut (the tree
+    is then not a maximum spanning forest, and the cut certifies nothing).
+    Runs in O(|E| + |P| log |P|): id lookups are dict reads, the search is
+    linear, the dual cut is one :func:`make_cut` and its check reads each
+    crossing edge once.  Paths in a forest are unique, so the declaration
     order of the incidence lists cannot change the answer.
     """
     caps = net.capacities

@@ -5,7 +5,7 @@ digits, from the defining formulas directly, so the values are independent
 of the float paths in the package.
 """
 
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 
 getcontext().prec = 50
 
@@ -35,11 +35,22 @@ def hp_max_link_loss(target_bits) -> Decimal:
 
 
 def hp_binary_entropy(p) -> Decimal:
-    p = Decimal(str(p))
+    """H2 of ``p`` (a float is taken at its exact binary value)."""
+    p = Decimal(p)
     if p == 0 or p == 1:
         return Decimal(0)
-    q = 1 - p
-    return -(p * hp_log2(p) + q * hp_log2(q))
+    # Enough digits that 1 - p keeps all of p, however small.
+    with localcontext() as ctx:
+        ctx.prec += max(0, -p.adjusted())
+        q = 1 - p
+        q_term = q * hp_log2(q)
+    return -(p * hp_log2(p) + q_term)
+
+
+def hp_amplifier(gain) -> Decimal:
+    """Amplifier capacity log2(g / (g - 1)) = -log2(1 - 1/g), g exact."""
+    gain = Decimal(gain)
+    return hp_log2(gain / (gain - 1))
 
 
 def hp_shannon_entropy(probs) -> Decimal:

@@ -162,6 +162,34 @@ class TestRateBudgeting:
         with pytest.raises(InvalidParameter):
             min_repeaters_for_rate(0.5, -1.0)
 
+    @pytest.mark.parametrize(
+        "eta, target",
+        [(0.5, 1.0), (0.5, 18.0), (0.999, 18.0), (1e-3, 1.0), (1e-30, 1.0), (1e-30, 2.5)]
+        + [(eta, 1e-20) for eta in (0.5, 1e-30)]
+        + [(eta, 0.3) for eta in (0.5, 0.999, 1e-30)],
+    )
+    def test_min_repeaters_matches_integer_ascent(self, eta, target):
+        n = 0
+        while equidistant_lossy_capacity(eta, n) < target:
+            n += 1
+        assert min_repeaters_for_rate(eta, target) == n
+
+    @pytest.mark.parametrize("eta", [0.5, 1e-30])
+    @pytest.mark.parametrize("target", [1.0, 18.0, 40.0, 100.0, 1000.0])
+    def test_min_repeaters_meets_the_target_and_one_fewer_does_not(self, eta, target):
+        # At 40 bits the ascent would take ~7.6e11 steps; the answer grows
+        # like 2**t, so large targets are checked by their defining pair.
+        n = min_repeaters_for_rate(eta, target)
+        assert equidistant_lossy_capacity(eta, n) >= target
+        assert n == 0 or equidistant_lossy_capacity(eta, n - 1) < target
+
+    @pytest.mark.parametrize("target", [1030.0, 1074.5, 1075.0, 1e300])
+    def test_min_repeaters_beyond_float_range(self, target):
+        # 2**-t underflows to 0 above 1074 bits; the count overflows sooner.
+        with pytest.raises(InvalidParameter) as err:
+            min_repeaters_for_rate(0.5, target)
+        assert err.value.field == "target_bits"
+
 
 class TestAsymptotics:
     def test_repeater_dominant_regime(self):

@@ -1,11 +1,15 @@
+import json
 import math
 
 import pytest
 
-from highprec import hp_binary_entropy, hp_plob, hp_shannon_entropy
+from highprec import hp_amplifier, hp_binary_entropy, hp_plob, hp_shannon_entropy
 from qnetcap import (
+    CHANNEL_KINDS,
+    ChannelSpec,
     InvalidParameter,
     ParameterRegimeWarning,
+    ValidationError,
     amplifier,
     binary_entropy,
     capacity,
@@ -18,6 +22,9 @@ from qnetcap import (
     shannon_entropy,
     transmissivity_to_db,
 )
+from qnetcap import channels
+from qnetcap.cli import main
+from qnetcap.network import channel_from_json, parse_network
 
 
 class TestCapacityValues:
@@ -60,6 +67,12 @@ class TestCapacityValues:
         expected = float(hp_plob(1.0 / gain))
         assert math.isclose(capacity(amplifier(gain)), expected, rel_tol=1e-14)
 
+    @pytest.mark.parametrize("gain", [1 + 1e-10, 1.5, 2.0, 10.0, 1e6])
+    def test_amplifier_exact_near_unit_gain(self, gain):
+        # 1/g rounds, and 1 - 1/g magnifies that rounding as g nears 1.
+        expected = float(hp_amplifier(gain))
+        assert math.isclose(capacity(amplifier(gain)), expected, rel_tol=1e-13)
+
 
 class TestEntropies:
     def test_binary_entropy_max(self):
@@ -73,6 +86,12 @@ class TestEntropies:
         assert binary_entropy(0.11) == pytest.approx(
             float(hp_binary_entropy("0.11")), abs=1e-14
         )
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-20, 1e-12, 1e-3, 0.5])
+    def test_binary_entropy_exact_at_small_p(self, p):
+        # 1 - p rounds to 1 below p ~ 1e-16, dropping the p/ln 2 term.
+        expected = float(hp_binary_entropy(p))
+        assert math.isclose(binary_entropy(p), expected, rel_tol=1e-13)
 
     def test_shannon_point_mass(self):
         assert shannon_entropy((1.0, 0.0, 0.0, 0.0)) == 0.0
@@ -233,3 +252,136 @@ class TestInvariants:
             value = capacity(spec)
             assert math.isfinite(value)
             assert value >= 0.0
+
+
+#: Per kind: valid arguments by parameter name, and bad values per parameter
+#: (numbers the ``qnetcap channel`` flags can carry, then other JSON types).
+BUILDER_CASES = {
+    "lossy": ({"eta": 0.3}, {"eta": [0.0, 1.0, 1.5, "0.3", True, [0.3]]}),
+    "amplifier": ({"gain": 2.5}, {"gain": [1.0, 0.5, -2.0, "2", False]}),
+    "dephasing": (
+        {"probs": [0.7, 0.2, 0.1], "dim": 3},
+        {
+            "probs": [[0.5, 0.4], [1.0], [0.5, 0.6, -0.1], [1.5, -0.5], 0.5, [0.5, "x"]],
+            "dim": [2, 4, 1, 2.5, "3"],
+        },
+    ),
+    "erasure": ({"p": 0.25, "dim": 4}, {"p": [-0.01, 1.01, "p"], "dim": [1, 0, 2.5, True]}),
+    "multiband_lossy": (
+        {"eta": 0.3, "bands": 3},
+        {"eta": [0.0, 1.0, "x"], "bands": [0, -1, 2.5, "3", False]},
+    ),
+}
+#: JSON field name of every ``ChannelSpec`` attribute.
+FIELD_OF = {p.attr: p.name for kind in channels.KINDS.values() for p in kind.params}
+#: Parameter type of every JSON field name, for the ``qnetcap channel`` flags.
+TYPE_OF = {p.name: p.type for kind in channels.KINDS.values() for p in kind.params}
+
+
+def attrs_of(kind, args):
+    """``args`` keyed by ``ChannelSpec`` attribute instead of parameter name."""
+    return {p.attr: args[p.name] for p in channels.KINDS[kind].params if p.name in args}
+
+
+def message(call):
+    with pytest.raises((InvalidParameter, ValidationError)) as err:
+        call()
+    return str(err.value)
+
+
+def one_edge_network(channel):
+    """Network document whose one edge, e0, carries the channel object."""
+    edge = {"id": "e0", "u": "a", "v": "b", "channel": channel}
+    return json.dumps({"points": ["a", "b"], "alice": "a", "bob": "b", "edges": [edge]})
+
+
+def network_message(channel):
+    return message(lambda: parse_network(one_edge_network(channel)))
+
+
+def cli_message(obj, capsys):
+    """stderr of ``qnetcap channel`` given ``obj``'s fields as flags, or None
+    when a value has no flag spelling."""
+    argv = ["channel", "--kind", obj["kind"]]
+    for name, value in obj.items():
+        if name == "kind":
+            continue
+        values = value if TYPE_OF[name] == channels.NUMBERS else [value]
+        number = int if TYPE_OF[name] == channels.INTEGER else (int, float)
+        if not isinstance(values, list) or not all(
+            isinstance(v, number) and not isinstance(v, bool) for v in values
+        ):
+            return None
+        argv += [f"--{name}", ",".join(map(repr, values))]
+    assert main(argv) == 2
+    return capsys.readouterr().err
+
+
+class TestOneBuilderPerKind:
+    """Direct construction, the public constructor, the JSON format and the
+    CLI flags all reach one builder per kind: same spec, same messages."""
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_every_route_builds_the_same_spec(self, kind):
+        args, _ = BUILDER_CASES[kind]
+        obj = {"kind": kind, **args}
+        specs = [
+            ChannelSpec(kind, **attrs_of(kind, args)),
+            getattr(channels, kind)(**args),
+            channel_from_json(obj),
+            parse_network(one_edge_network(obj)).edges[0].channel,
+        ]
+        for spec in specs[1:]:
+            assert spec == specs[0]
+            assert hash(spec) == hash(specs[0])
+            assert repr(spec) == repr(specs[0])
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_bad_parameter_same_message_on_every_route(self, kind, capsys):
+        args, bad = BUILDER_CASES[kind]
+        for name, values in bad.items():
+            for value in values:
+                wrong = {**args, name: value}
+                expected = message(lambda: getattr(channels, kind)(**wrong))
+                assert message(lambda: ChannelSpec(kind, **attrs_of(kind, wrong))) == expected
+                obj = {"kind": kind, **wrong}
+                assert message(lambda: channel_from_json(obj)) == f"channel: {expected}"
+                assert network_message(obj) == f"edge 'e0': {expected}"
+                cli = cli_message(obj, capsys)
+                assert cli is None or cli == f"error: channel: {expected}\n"
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_missing_parameter_same_message_on_every_route(self, kind, capsys):
+        args, _ = BUILDER_CASES[kind]
+        for param in channels.KINDS[kind].params:
+            if not param.required:
+                continue
+            rest = {k: v for k, v in args.items() if k != param.name}
+            unset = {**rest, param.name: None}
+            expected = f"{param.attr}=None: is required for a {kind} channel"
+            assert message(lambda: getattr(channels, kind)(**unset)) == expected
+            assert message(lambda: ChannelSpec(kind, **attrs_of(kind, rest))) == expected
+            obj = {"kind": kind, **rest}
+            expected = f"missing field {param.name!r} for kind {kind!r}"
+            assert message(lambda: channel_from_json(obj)) == f"channel: {expected}"
+            assert network_message(obj) == f"edge 'e0': {expected}"
+            assert cli_message(obj, capsys) == f"error: channel: {expected}\n"
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_foreign_field_same_message_on_every_route(self, kind, capsys):
+        args, _ = BUILDER_CASES[kind]
+        for attr in channels.KINDS[kind].forbidden:
+            foreign = {**attrs_of(kind, args), attr: 7}
+            expected = f"{attr}=7: does not apply to a {kind} channel"
+            assert message(lambda: ChannelSpec(kind, **foreign)) == expected
+            name = FIELD_OF[attr]
+            value = [7] if TYPE_OF[name] == channels.NUMBERS else 7
+            # The extra field is named wherever it stands among the others.
+            for obj in (
+                {"kind": kind, **args, name: value},
+                {name: value, "kind": kind, **args},
+            ):
+                expected = f"unknown field {name!r} for kind {kind!r}"
+                assert message(lambda: channel_from_json(obj)) == f"channel: {expected}"
+                assert network_message(obj) == f"edge 'e0': {expected}"
+                assert cli_message(obj, capsys) == f"error: channel: {expected}\n"

@@ -15,6 +15,7 @@ from qnetcap import (
     edge_capacity,
     erasure,
     lossy,
+    max_flow,
     max_spanning_tree,
     min_single_edge_cut,
     multiband_lossy,
@@ -170,6 +171,15 @@ class TestLinearWork:
         # quadratic layer, visits about |P| * |E| elements.
         assert visits[0] <= 10 * (len(net.points) + len(net.edges))
 
+    @pytest.mark.parametrize("side", [30, 95])
+    def test_max_flow_scans_the_network_a_bounded_number_of_times(self, side):
+        net = grid_behind_access_span(side, random.Random(side))
+        visits = count_scans(net)
+        flow = max_flow(net)
+        assert flow.min_cut.cut_set == ("access",)
+        assert flow.value == widest_path(net).capacity
+        assert visits[0] <= 10 * (len(net.points) + len(net.edges))
+
 
 class TestMinSingleEdgeCut:
     def test_diamond_cut_value(self):
@@ -253,6 +263,22 @@ class TestSpanningTree:
         )
         with pytest.raises(ValidationError, match="not a forest: edge 'e2'"):
             tree_route_capacity(net, {"e1", "e2", "e3"})
+
+    def test_tree_that_is_not_maximum_is_rejected(self):
+        # The a-b edge alone is a spanning tree of this triangle, but its
+        # route (1 bit) is narrower than a-x-b (2 bits): its threshold cut
+        # {a} is crossed by e1 at 2 bits and certifies nothing.
+        net = build_network(
+            ("a", "x", "b"),
+            [
+                ("e1", "a", "x", lossy_for_bits(2)),
+                ("e2", "x", "b", lossy_for_bits(3)),
+                ("e3", "a", "b", lossy_for_bits(1)),
+            ],
+        )
+        with pytest.raises(ValidationError, match="tree is not a maximum spanning forest: edge 'e1'"):
+            tree_route_capacity(net, {"e3"})
+        assert tree_route_capacity(net, max_spanning_tree(net)).capacity == 2.0
 
 
 class TestDuality:
