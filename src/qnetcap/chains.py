@@ -148,7 +148,4 @@ def multiband_chain_capacity(links: Sequence[tuple[float, int]]) -> float:
     minimum of the per-link capacities -M_i log2(1 - eta_i), equivalently
     -log2 of the largest (1 - eta_i)**M_i along the line.
     """
-    links = tuple(links)
-    if not links:
-        raise InvalidParameter("links", links, "chain needs at least one link")
-    return min(capacity(multiband_lossy(eta, bands)) for eta, bands in links)
+    return chain_capacity([multiband_lossy(eta, bands) for eta, bands in links]).value

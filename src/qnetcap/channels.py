@@ -21,6 +21,7 @@ construction calls it once the other kinds' attributes are seen unset.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -89,6 +90,13 @@ def _require_positive(field, value):
     value = _require_finite(field, value)
     if not value > 0.0:
         raise InvalidParameter(field, value, "must be positive")
+    return value
+
+
+def _non_negative(field, value):
+    value = _require_finite(field, value)
+    if value < 0.0:
+        raise InvalidParameter(field, value, "must be non-negative")
     return value
 
 
@@ -237,8 +245,20 @@ def _check_dephasing(spec: ChannelSpec):
         warnings.warn(
             f"dephasing distribution {spec.probs} puts more than 1/2 on a phase rotation",
             ParameterRegimeWarning,
-            stacklevel=4,
+            stacklevel=_caller_stacklevel(),
         )
+
+
+def _caller_stacklevel() -> int:
+    """``warnings.warn`` stacklevel of the first frame outside the package.
+
+    Generated dataclass ``__init__`` methods run with their module's globals,
+    so they count as package frames too.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").startswith("qnetcap."):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _amplifier(spec: ChannelSpec) -> float:
@@ -367,9 +387,7 @@ def capacity(spec: ChannelSpec) -> float:
 
 def db_to_transmissivity(loss_db: float) -> float:
     """Convert a non-negative loss in dB to a transmissivity."""
-    loss_db = _require_finite("loss_db", loss_db)
-    if loss_db < 0.0:
-        raise InvalidParameter("loss_db", loss_db, "must be non-negative")
+    loss_db = _non_negative("loss_db", loss_db)
     return 10.0 ** (-loss_db / 10.0)
 
 
@@ -383,8 +401,6 @@ def transmissivity_to_db(eta: float) -> float:
 
 def fiber_transmissivity(length_km: float, rate_db_per_km: float = 0.2) -> float:
     """Transmissivity of a fiber span at the given attenuation rate."""
-    length_km = _require_finite("length_km", length_km)
-    if length_km < 0.0:
-        raise InvalidParameter("length_km", length_km, "must be non-negative")
+    length_km = _non_negative("length_km", length_km)
     rate_db_per_km = _require_positive("rate_db_per_km", rate_db_per_km)
     return db_to_transmissivity(length_km * rate_db_per_km)

@@ -126,9 +126,7 @@ def cmd_network(args) -> int:
 
 
 def db_grid(start: float, stop: float, step: float) -> list[float]:
-    start = channels._require_finite("start", start)
-    if start < 0.0:
-        raise InvalidParameter("start", start, "must be a non-negative loss in dB")
+    start = channels._non_negative("start", start)
     step = channels._require_positive("step", step)
     stop = channels._require_finite("stop", stop)
     if stop < start:
@@ -139,52 +137,42 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(int(intervals + 1e-9) + 1)]
 
 
-def _equidistant_cell(loss_db: float, n_repeaters: int) -> float:
+def _capacities(loss_db: float, bands, repeater_counts) -> list[float]:
+    """Multiband cells, then equidistant-repeater cells, at one grid loss."""
     eta = channels.db_to_transmissivity(loss_db)
     if eta >= 1.0:
-        return math.inf  # zero loss: the point-to-point bound diverges
-    return equidistant_lossy_capacity(eta, n_repeaters)
-
-
-def _multiband_cell(loss_db: float, bands: int) -> float:
-    eta = channels.db_to_transmissivity(loss_db)
-    if eta >= 1.0:
-        return math.inf
-    return channels.capacity(channels.multiband_lossy(eta, bands))
+        # zero loss: the point-to-point bound diverges
+        return [math.inf] * (len(bands) + len(repeater_counts))
+    return [channels.capacity(channels.multiband_lossy(eta, m)) for m in bands] + [
+        equidistant_lossy_capacity(eta, n) for n in repeater_counts
+    ]
 
 
 def sweep_rows(start: float, stop: float, step: float, repeater_counts):
     """Header and rows of the equidistant-repeater sweep CSV."""
-    repeater_counts = list(repeater_counts)
-    for n in repeater_counts:
-        channels._require_int("repeaters", n, 0)
+    repeater_counts = [channels._require_int("repeaters", n, 0) for n in repeater_counts]
     header = ["loss_db"] + [f"N{n}" for n in repeater_counts]
-    rows = []
-    for loss_db in db_grid(start, stop, step):
-        rows.append([loss_db] + [_equidistant_cell(loss_db, n) for n in repeater_counts])
+    rows = [
+        [loss_db, *_capacities(loss_db, (), repeater_counts)]
+        for loss_db in db_grid(start, stop, step)
+    ]
     return header, rows
 
 
 def compare_rows(start, stop, step, bands, repeater_counts, rate_db_per_km=0.2):
     """Header and rows comparing multiband point-to-point use with repeaters."""
-    bands = list(bands)
-    repeater_counts = list(repeater_counts)
-    for m in bands:
-        channels._require_int("bands", m, 1)
-    for n in repeater_counts:
-        channels._require_int("repeaters", n, 0)
+    bands = [channels._require_int("bands", m, 1) for m in bands]
+    repeater_counts = [channels._require_int("repeaters", n, 0) for n in repeater_counts]
     rate_db_per_km = channels._require_positive("rate_db_per_km", rate_db_per_km)
     header = (
         ["loss_db", "distance_km"]
         + [f"M{m}" for m in bands]
         + [f"N{n}" for n in repeater_counts]
     )
-    rows = []
-    for loss_db in db_grid(start, stop, step):
-        row = [loss_db, loss_db / rate_db_per_km]
-        row += [_multiband_cell(loss_db, m) for m in bands]
-        row += [_equidistant_cell(loss_db, n) for n in repeater_counts]
-        rows.append(row)
+    rows = [
+        [loss_db, loss_db / rate_db_per_km, *_capacities(loss_db, bands, repeater_counts)]
+        for loss_db in db_grid(start, stop, step)
+    ]
     return header, rows
 
 
@@ -247,10 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_network.add_argument("--mode", choices=("single", "multi"), default="single")
     p_network.set_defaults(func=cmd_network)
 
-    p_sweep = sub.add_parser("sweep", help="capacity vs total loss CSV")
-    p_sweep.add_argument("--start", type=float, required=True, help="first loss (dB)")
-    p_sweep.add_argument("--stop", type=float, required=True, help="last loss (dB)")
-    p_sweep.add_argument("--step", type=float, required=True, help="grid step (dB)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--start", type=float, required=True, help="first loss (dB)")
+    grid.add_argument("--stop", type=float, required=True, help="last loss (dB)")
+    grid.add_argument("--step", type=float, required=True, help="grid step (dB)")
+
+    p_sweep = sub.add_parser("sweep", parents=[grid], help="capacity vs total loss CSV")
     p_sweep.add_argument(
         "--repeaters", required=True, help="comma-separated repeater counts (N=0 is the point-to-point bound)"
     )
@@ -258,11 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser(
-        "compare-multiband", help="multiband point-to-point vs repeater chains CSV"
+        "compare-multiband", parents=[grid], help="multiband point-to-point vs repeater chains CSV"
     )
-    p_cmp.add_argument("--start", type=float, required=True)
-    p_cmp.add_argument("--stop", type=float, required=True)
-    p_cmp.add_argument("--step", type=float, required=True)
     p_cmp.add_argument("--bands", required=True, help="comma-separated band counts")
     p_cmp.add_argument("--repeaters", required=True, help="comma-separated repeater counts")
     p_cmp.add_argument("--rate-db-per-km", type=float, default=0.2)

@@ -251,7 +251,7 @@ def parse_network(document: str) -> QNetwork:
     data = _load_json(document)
     if not isinstance(data, dict):
         raise ValidationError("top-level document must be an object")
-    expected = {"points", "alice", "bob", "edges"}
+    expected = ("points", "alice", "bob", "edges")
     for key in data:
         if key not in expected:
             raise ValidationError(f"unknown top-level field {key!r}")

@@ -158,41 +158,30 @@ def min_single_edge_cut(net: QNetwork) -> Cut:
     return widest_path(net).dual_cut
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-
 def max_spanning_tree(net: QNetwork) -> frozenset[str]:
     """Kruskal over descending edge capacities; returns the tree's edge ids.
 
-    On a disconnected graph this yields a maximum spanning forest; the call
-    raises :class:`NoRoute` when alice and bob end up in different trees.
-    The optimal alice-bob route is the unique tree path between them.
+    Components are tracked by union-find on a dict (each point maps towards
+    its component's root) with path halving.  On a disconnected graph this
+    yields a maximum spanning forest; the call raises :class:`NoRoute` when
+    alice and bob end up in different trees.  The optimal alice-bob route is
+    the unique tree path between them.
     """
     caps = net.capacities
-    ordered = sorted(net.edges, key=lambda e: (-caps[e.edge_id], e.edge_id))
-    uf = _UnionFind(net.points)
+    root = {p: p for p in net.points}
+
+    def find(p):
+        while root[p] != p:
+            root[p] = p = root[root[p]]
+        return p
+
     chosen = []
-    for edge in ordered:
-        if uf.union(edge.u, edge.v):
+    for edge in sorted(net.edges, key=lambda e: (-caps[e.edge_id], e.edge_id)):
+        ru, rv = find(edge.u), find(edge.v)
+        if ru != rv:
+            root[rv] = ru
             chosen.append(edge.edge_id)
-    if uf.find(net.alice) != uf.find(net.bob):
+    if find(net.alice) != find(net.bob):
         raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
     return frozenset(chosen)
 

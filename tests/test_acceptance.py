@@ -73,6 +73,15 @@ def test_criterion_2_sweep_reproduction(tmp_path):
         encoding="utf-8"
     )
 
+    out = tmp_path / "compare.csv"
+    assert main(
+        ["compare-multiband", "--start", "0", "--stop", "200", "--step", "1",
+         "--bands", "1,10,100", "--repeaters", "1,2,10", "--out", str(out)]
+    ) == 0
+    assert out.read_text(encoding="utf-8") == (DATA / "compare_golden.csv").read_text(
+        encoding="utf-8"
+    )
+
     # Spot values against an independent high-precision evaluation.
     by_loss = {row[0]: row[1:] for row in rows}
     for loss_db in (10, 30, 50):

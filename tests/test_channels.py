@@ -176,6 +176,25 @@ class TestValidation:
             spec = dephasing((0.2, 0.8))
         assert capacity(spec) == pytest.approx(1.0 - binary_entropy(0.8), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: dephasing((0.2, 0.8)),
+            lambda: ChannelSpec("dephasing", probs=(0.2, 0.8)),
+            lambda: channel_from_json({"kind": "dephasing", "probs": [0.2, 0.8]}),
+            lambda: parse_network(json.dumps({
+                "points": ["a", "b"], "alice": "a", "bob": "b",
+                "edges": [{"id": "e", "u": "a", "v": "b",
+                           "channel": {"kind": "dephasing", "probs": [0.2, 0.8]}}],
+            })),
+        ],
+        ids=["constructor", "direct", "channel_from_json", "parse_network"],
+    )
+    def test_regime_warning_points_at_the_caller(self, make):
+        with pytest.warns(ParameterRegimeWarning) as record:
+            make()
+        assert [w.filename for w in record] == [__file__]
+
     @pytest.mark.parametrize("p", [-0.01, 1.01])
     def test_erasure_probability_range(self, p):
         with pytest.raises(InvalidParameter) as err:

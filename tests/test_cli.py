@@ -281,6 +281,15 @@ class TestSweep:
         assert main(argv) == 2
         assert f"must be a comma-separated list of {noun}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "compare-multiband"])
+    def test_negative_start_exits_2(self, capsys, command):
+        bands = ["--bands", "1"] if command == "compare-multiband" else []
+        assert main(
+            [command, "--start", "-1", "--stop", "1", "--step", "1", *bands,
+             "--repeaters", "0", "--out", "-"]
+        ) == 2
+        assert capsys.readouterr().err == "error: start=-1.0: must be non-negative\n"
+
     def test_uncountable_grid_exits_2(self, capsys):
         assert main(
             ["sweep", "--start", "0", "--stop", "1e300", "--step", "1e-300",

@@ -1,6 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import qnetcap
 
 from conftest import DUPLICATE_KEY_DOCS, build_network, diamond
 from qnetcap import (
@@ -123,6 +129,22 @@ class TestParse:
         doc["edges"][0]["channel"]["eta"] = 1.0
         with pytest.raises(ValidationError, match="eta"):
             parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+    def test_missing_top_level_field_is_named_alike_under_every_hash_seed(self, seed):
+        code = (
+            "from qnetcap import parse_network\n"
+            "try:\n"
+            "    parse_network('{\"points\": [\"a\"]}')\n"
+            "except Exception as exc:\n"
+            "    print(exc)\n"
+        )
+        src = pathlib.Path(qnetcap.__file__).parent.parent
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "missing top-level field 'alice'\n"
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError, match="line 1"):
