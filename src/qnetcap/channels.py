@@ -241,9 +241,10 @@ def _check_dephasing(spec: ChannelSpec):
         )
     if max(spec.probs[1:]) > 0.5:
         # The qubit formula is usually quoted for flip probability <= 1/2;
-        # the general entropy form is valid anyway, so accept but flag.
+        # the general entropy form is valid anyway, so accept but flag.  The
+        # text names no value, so the default filter shows one per call site.
         warnings.warn(
-            f"dephasing distribution {spec.probs} puts more than 1/2 on a phase rotation",
+            "a dephasing distribution puts more than 1/2 on a phase rotation",
             ParameterRegimeWarning,
             stacklevel=_caller_stacklevel(),
         )

@@ -1,21 +1,31 @@
 """Brute-force ground truth on small networks.
 
-Everything here is deliberately naive: all 2^(|P|-2) alice/bob bipartitions
-and all simple alice-bob routes are enumerated outright, with no graph
-algorithms involved.  That makes these functions an independent referee for
-the fast widest-path and max-flow implementations, and a direct check of the
-route/cut dualities themselves.
+Everything here is exhaustive and free of graph algorithms, which makes these
+functions an independent referee for the fast widest-path and max-flow
+implementations and a direct check of the route/cut dualities themselves:
+
+- The cut side visits all 2^(|P|-2) alice/bob bipartitions.  Each one's
+  crossing set is a bit mask over the edges, the XOR of its points' incidence
+  masks, so the cut values do not depend on ``make_cut``; only the winning
+  cut of :func:`brute_single_path_capacity` is built with it.
+- The route side is :func:`enumerate_simple_routes`, every simple alice-bob
+  route outright, and for the widest route an exhaustive depth-first search
+  in the same order with a bound: it drops any partial route no wider than
+  the best complete one found so far.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import NoRoute, TooLarge
 from .network import Cut, QNetwork, Route, make_cut
 
-#: Hard cap on |P|; 2^10 cuts and the simple-path count stay sub-second.
-#: The cap belongs here, not in the production algorithms.
+#: Hard cap on |P|: 2^10 bipartitions of a few dozen edges, and a route
+#: search whose worst case grows like the count of simple routes.  The cap
+#: belongs here, not in the production algorithms.
 MAX_POINTS = 12
 
 
@@ -62,26 +72,69 @@ class BruteForceSinglePath:
     min_cut: Cut
 
 
+def _interior(net: QNetwork) -> list[str]:
+    """The points other than alice and bob; bit k of a bipartition's index
+    puts the k-th of them on alice's side."""
+    return [p for p in net.points if p not in (net.alice, net.bob)]
+
+
+def _crossing_masks(net: QNetwork, edges) -> list[int]:
+    """Crossing set of every bipartition, as a mask whose bit i is ``edges[i]``.
+
+    An edge crosses iff exactly one endpoint is on alice's side, so a side's
+    crossing set is the XOR of its points' incidence masks.  Entry m is
+    bipartition m: each interior point doubles the list, one XOR per entry.
+    """
+    incidence = dict.fromkeys(net.points, 0)
+    for bit, edge in enumerate(edges):
+        incidence[edge.u] |= 1 << bit
+        incidence[edge.v] |= 1 << bit
+    masks = [incidence[net.alice]]
+    for point in _interior(net):
+        flip = incidence[point]
+        masks += [mask ^ flip for mask in masks]
+    return masks
+
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selected(items, mask: int):
+    """The items at the set bits of ``mask`` (bit i selects ``items[i]``), in order."""
+    return compress(items, format(mask, "b")[::-1].encode().translate(_BIT_FLAGS))
+
+
 def enumerate_cuts(net: QNetwork) -> CutEnumeration:
     """Every alice/bob bipartition with its single- and multi-edge values."""
     _check_size(net)
-    caps = net.capacities
-    interior = [p for p in net.points if p not in (net.alice, net.bob)]
+    caps = list(net.capacities.values())
+    edge_ids = [e.edge_id for e in net.edges]
+    interior = _interior(net)
+    ordered = sorted(net.points)
     records = []
-    for mask in range(1 << len(interior)):
-        side_a = {net.alice}
-        for bit, point in enumerate(interior):
-            if mask >> bit & 1:
-                side_a.add(point)
-        cut = make_cut(net, side_a)
+    for index, mask in enumerate(_crossing_masks(net, net.edges)):
+        side_a = {net.alice, *_selected(interior, index)}
+        crossing = list(_selected(caps, mask))
         records.append(
             CutRecord(
-                cut=cut,
-                single_edge_value=max((caps[eid] for eid in cut.cut_set), default=None),
-                multi_edge_value=sum(caps[eid] for eid in cut.cut_set),
+                cut=Cut(
+                    side_a=tuple(p for p in ordered if p in side_a),
+                    side_b=tuple(p for p in ordered if p not in side_a),
+                    cut_set=tuple(_selected(edge_ids, mask)),
+                ),
+                single_edge_value=max(crossing, default=None),
+                multi_edge_value=sum(crossing),
             )
         )
     return CutEnumeration(cuts=tuple(records))
+
+
+def _sorted_adjacency(net: QNetwork) -> dict[str, list[tuple[str, str]]]:
+    """Each point's ``(neighbour, edge id)`` pairs, sorted: the route order."""
+    return {
+        point: sorted((edge.other(point), edge.edge_id) for edge in incident)
+        for point, incident in net.adjacency().items()
+    }
 
 
 def enumerate_simple_routes(net: QNetwork) -> list[Route]:
@@ -92,13 +145,7 @@ def enumerate_simple_routes(net: QNetwork) -> list[Route]:
     nothing for bottleneck or flow values.
     """
     _check_size(net)
-    adj: dict[str, list[tuple[str, str]]] = {p: [] for p in net.points}
-    for edge in net.edges:
-        adj[edge.u].append((edge.v, edge.edge_id))
-        adj[edge.v].append((edge.u, edge.edge_id))
-    for point in adj:
-        adj[point].sort()
-
+    adj = _sorted_adjacency(net)
     routes: list[Route] = []
     point_stack = [net.alice]
     edge_stack: list[str] = []
@@ -129,36 +176,65 @@ def enumerate_simple_routes(net: QNetwork) -> list[Route]:
 
 
 def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:
-    """Widest-path value from both sides of the duality, by enumeration."""
+    """Widest-path value from both sides of the duality, by exhaustive search.
+
+    ``best_route`` is the first route of :func:`enumerate_simple_routes` with
+    the largest bottleneck, and ``min_cut`` the first bipartition of
+    :func:`enumerate_cuts` with the smallest largest crossing capacity.
+    """
     _check_size(net)
     caps = net.capacities
-
-    routes = enumerate_simple_routes(net)
-    if not routes:
-        raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
+    adj = _sorted_adjacency(net)
     best_route = None
     route_value = -1.0
-    for route in routes:
-        bottleneck = min(caps[eid] for eid in route.edge_sequence)
-        if bottleneck > route_value:
-            route_value = bottleneck
-            best_route = route
+    point_stack = [net.alice]
+    edge_stack: list[str] = []
+    on_path = {net.alice}
 
-    cut_value = None
-    min_cut = None
-    for record in enumerate_cuts(net).cuts:
-        if record.single_edge_value is None:
-            # An empty crossing set means the bipartition already separates
-            # alice from bob, contradicting the route found above.
-            raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
-        if cut_value is None or record.single_edge_value < cut_value:
-            cut_value = record.single_edge_value
-            min_cut = record.cut
+    def descend(point: str, width: float):
+        # Every route through an extension is at most as wide as it, so one
+        # no wider than the best route so far can only tie, never win.
+        nonlocal best_route, route_value
+        for other, eid in adj[point]:
+            narrowed = min(width, caps[eid])
+            if narrowed <= route_value or other in on_path:
+                continue
+            if other == net.bob:
+                route_value = narrowed
+                best_route = Route(
+                    point_sequence=tuple(point_stack) + (net.bob,),
+                    edge_sequence=tuple(edge_stack) + (eid,),
+                )
+                continue
+            point_stack.append(other)
+            edge_stack.append(eid)
+            on_path.add(other)
+            descend(other, narrowed)
+            point_stack.pop()
+            edge_stack.pop()
+            on_path.remove(other)
+
+    descend(net.alice, math.inf)
+    if best_route is None:
+        raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
+
+    # Bits in ascending capacity order: a cut's largest crossing capacity is
+    # that of its highest set bit.
+    by_width = sorted(net.edges, key=lambda e: caps[e.edge_id])
+    widths = [caps[e.edge_id] for e in by_width]
+    masks = _crossing_masks(net, by_width)
+    if 0 in masks:
+        # An empty crossing set means the bipartition already separates
+        # alice from bob, contradicting the route found above.
+        raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
+    cut_values = [widths[mask.bit_length() - 1] for mask in masks]
+    cut_value = min(cut_values)
+    winner = cut_values.index(cut_value)
     return BruteForceSinglePath(
         route_value=route_value,
         cut_value=cut_value,
         best_route=best_route,
-        min_cut=min_cut,
+        min_cut=make_cut(net, [net.alice, *_selected(_interior(net), winner)]),
     )
 
 
@@ -169,4 +245,5 @@ def brute_multi_path_capacity(net: QNetwork) -> float:
     empty crossing set), matching the 0-flow convention of ``max_flow``.
     """
     _check_size(net)
-    return min(record.multi_edge_value for record in enumerate_cuts(net).cuts)
+    caps = list(net.capacities.values())
+    return min(sum(_selected(caps, mask)) for mask in _crossing_masks(net, net.edges))

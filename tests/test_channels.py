@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -194,6 +195,20 @@ class TestValidation:
         with pytest.warns(ParameterRegimeWarning) as record:
             make()
         assert [w.filename for w in record] == [__file__]
+
+    def test_regime_warning_shows_once_for_many_edges(self):
+        # Fifty different distributions from one call site: the default
+        # filter merges warnings whose text and location agree.
+        edges = [
+            {"id": f"e{i}", "u": "a", "v": "b",
+             "channel": {"kind": "dephasing", "probs": [0.25 - i / 1000, 0.75 + i / 1000]}}
+            for i in range(50)
+        ]
+        document = json.dumps({"points": ["a", "b"], "alice": "a", "bob": "b", "edges": edges})
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("default")
+            parse_network(document)
+        assert [w.category for w in record] == [ParameterRegimeWarning]
 
     @pytest.mark.parametrize("p", [-0.01, 1.01])
     def test_erasure_probability_range(self, p):

@@ -1,14 +1,22 @@
+import random
+
 import pytest
 
-from conftest import build_network, diamond, path_network
+from conftest import build_network, diamond, path_network, random_connected_network
 from qnetcap import (
+    Edge,
     NoRoute,
+    QNetwork,
     TooLarge,
     brute_multi_path_capacity,
     brute_single_path_capacity,
+    cut_multi_edge_value,
+    cut_single_edge_value,
     enumerate_cuts,
     enumerate_simple_routes,
     lossy,
+    make_cut,
+    oracle,
 )
 
 
@@ -151,3 +159,79 @@ class TestSizeCap:
             enumerate_simple_routes(net13)
         with pytest.raises(TooLarge):
             enumerate_cuts(net13)
+
+
+@pytest.fixture(scope="module")
+def referee_networks(network_suite):
+    """The seeded suite plus 12-point networks, one of them with every edge
+    of equal capacity so that every route and cut ties."""
+    rng = random.Random(20261018)
+    large = [random_connected_network(rng, 12, 12) for _ in range(20)]
+    base = large[0]
+    flat = QNetwork(
+        base.points,
+        tuple(Edge(e.edge_id, e.u, e.v, lossy(0.5)) for e in base.edges),
+        base.alice,
+        base.bob,
+    )
+    return network_suite + large + [flat]
+
+
+class TestAgainstNaiveReferences:
+    """The brute functions against the plain enumerations they stand for."""
+
+    def test_widest_route_is_the_first_widest_enumerated_route(self, referee_networks):
+        for net in referee_networks:
+            caps = net.capacities
+            routes = enumerate_simple_routes(net)
+            widths = [min(caps[eid] for eid in r.edge_sequence) for r in routes]
+            result = brute_single_path_capacity(net)
+            assert result.route_value == max(widths)
+            assert result.best_route == routes[widths.index(max(widths))]
+
+    def test_cut_side_is_the_first_strict_minimum_over_enumerated_cuts(self, referee_networks):
+        for net in referee_networks:
+            records = enumerate_cuts(net).cuts
+            singles = [rec.single_edge_value for rec in records]
+            result = brute_single_path_capacity(net)
+            assert result.cut_value == min(singles)
+            assert result.min_cut == records[singles.index(min(singles))].cut
+            assert brute_multi_path_capacity(net) == min(rec.multi_edge_value for rec in records)
+
+    def test_enumerated_cuts_match_make_cut(self, referee_networks):
+        for net in referee_networks:
+            for rec in enumerate_cuts(net).cuts:
+                cut = make_cut(net, rec.cut.side_a)
+                assert rec.cut == cut
+                assert rec.single_edge_value == cut_single_edge_value(net, cut)
+                assert rec.multi_edge_value == cut_multi_edge_value(net, cut)
+
+    def test_all_equal_capacities_pick_the_first_route_and_cut(self, referee_networks):
+        flat = referee_networks[-1]
+        result = brute_single_path_capacity(flat)
+        assert result.best_route == enumerate_simple_routes(flat)[0]
+        assert result.min_cut == make_cut(flat, [flat.alice])
+
+
+class TestOracleWork:
+    """Cut values come from edge masks; only the single-path winner is a Cut."""
+
+    @pytest.fixture
+    def make_cut_calls(self, monkeypatch):
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return make_cut(*args)
+
+        monkeypatch.setattr(oracle, "make_cut", counting)
+        return calls
+
+    def test_make_cut_calls(self, make_cut_calls):
+        net = random_connected_network(random.Random(12), 12, 12)
+        assert len(enumerate_cuts(net).cuts) == 2**10
+        assert make_cut_calls[0] == 0
+        brute_multi_path_capacity(net)
+        assert make_cut_calls[0] == 0
+        brute_single_path_capacity(net)
+        assert make_cut_calls[0] == 1
