@@ -7,15 +7,17 @@ number in bits per channel use describes all three tasks.  All functions are
 pure and operate on immutable values; they are safe to call concurrently.
 
 Channel kinds: a kind is one :class:`ChannelKind` record in :data:`KINDS`.
-The record lists the kind's parameters, each with the name shared by the
-JSON field, the constructor argument and the CLI flag, the
-:class:`ChannelSpec` attribute holding it, its type, its default and its
-range check, and it gives the kind's capacity formula.  Spec validation,
-:func:`capacity`, the network JSON format and the ``qnetcap channel`` flags
-all read these records.  Each record has one builder,
-:meth:`ChannelKind.build`, the only place a spec's parameters are checked:
-the public constructors call it directly, and direct :class:`ChannelSpec`
-construction calls it once the other kinds' attributes are seen unset.
+The record lists the kind's parameters, each with its one name (the JSON
+field, the constructor argument, the :class:`ChannelSpec` attribute and the
+CLI flag), its Python type, its default and its range check, and it gives
+the kind's capacity formula.  Spec validation, :func:`capacity`, the
+network JSON format and the ``qnetcap channel`` flags all read these
+records.  Each record has one builder, :meth:`ChannelKind.build`, the only
+place a spec's parameters are checked: the public constructors call it
+directly, and direct :class:`ChannelSpec` construction calls it once the
+other kinds' parameters are seen unset.  A probability vector has one
+check too, shared by :func:`dephasing` and :func:`shannon_entropy`;
+:func:`capacity` reads a spec's checked values without checking them again.
 """
 
 from __future__ import annotations
@@ -35,15 +37,13 @@ DEPHASING = "dephasing"
 ERASURE = "erasure"
 MULTIBAND_LOSSY = "multiband_lossy"
 
-#: Parameter types: one real number, one integer, a list of real numbers.
-NUMBER = "number"
-INTEGER = "integer"
-NUMBERS = "numbers"
-
 #: Absolute tolerance for capacity comparisons everywhere in the package.
 #: Far above accumulated rounding of the few transcendental calls involved,
 #: far below any physically meaningful distinction.
 CAPACITY_TOL = 1e-9
+
+#: Fiber attenuation in dB/km assumed wherever a rate is not given.
+FIBER_DB_PER_KM = 0.2
 
 _PROB_SUM_TOL = 1e-12
 _LN2 = math.log(2.0)
@@ -106,8 +106,6 @@ def _distribution(field, values):
     except TypeError:
         raise InvalidParameter(field, values, "must be a list of numbers") from None
     probs = tuple(_unit(field, p) for p in values)
-    if len(probs) < 2:
-        raise InvalidParameter(field, probs, "needs at least two entries")
     total = math.fsum(probs)
     if abs(total - 1.0) > _PROB_SUM_TOL:
         raise InvalidParameter(field, probs, f"must sum to 1 (got {total!r})")
@@ -137,7 +135,7 @@ class ChannelSpec:
     eta: float | None = None
     gain: float | None = None
     probs: tuple[float, ...] | None = None
-    p_erase: float | None = None
+    p: float | None = None
     dim: int | None = None
     bands: int | None = None
 
@@ -148,28 +146,28 @@ class ChannelSpec:
             raise InvalidParameter(
                 "kind", self.kind, f"must be one of {', '.join(CHANNEL_KINDS)}"
             ) from None
-        for attr in kind.forbidden:
-            if getattr(self, attr) is not None:
+        for name in kind.forbidden:
+            if getattr(self, name) is not None:
                 raise InvalidParameter(
-                    attr, getattr(self, attr), f"does not apply to a {self.kind} channel"
+                    name, getattr(self, name), f"does not apply to a {self.kind} channel"
                 )
-        kind.build([getattr(self, param.attr) for param in kind.params], self)
+        kind.build([getattr(self, param.name) for param in kind.params], self)
 
 
 @dataclass(frozen=True)
 class Param:
     """One parameter of a channel kind.
 
-    ``name`` is the JSON field, the constructor argument and the CLI flag;
-    ``attr`` is the :class:`ChannelSpec` attribute holding the value.
-    ``check(attr, value)`` returns the value normalised or raises
+    ``name`` is the JSON field, the constructor argument, the
+    :class:`ChannelSpec` attribute and the CLI flag.  ``type`` is the type
+    of a valid value: ``float``, ``int`` or ``tuple`` (of floats).
+    ``check(name, value)`` returns the value normalised or raises
     :class:`InvalidParameter`.  An optional parameter left unset takes
     ``default``; a ``None`` default leaves it to the kind's ``check``.
     """
 
     name: str
-    attr: str
-    type: str  # NUMBER, INTEGER or NUMBERS
+    type: type
     check: Callable[[str, Any], Any]
     required: bool = True
     default: Any = None
@@ -179,12 +177,11 @@ class Param:
 class ChannelKind:
     """One channel kind: its parameters and its capacity formula.
 
-    ``check``, when given, enforces rules across parameters once each is
-    valid.  ``forbidden`` lists the :class:`ChannelSpec` attributes that
-    belong to other kinds and must stay unset.  ``names`` lists the
-    parameter names in order; ``fields`` and ``required_fields`` are the
-    JSON field names a channel object of the kind may and must carry,
-    ``"kind"`` included.
+    ``check``, when given, enforces the kind's own rules once each
+    parameter is valid.  ``forbidden`` lists the other kinds' parameters,
+    which must stay unset.  ``names`` lists the kind's parameter names in
+    order; ``fields`` and ``required_fields`` are the JSON field names a
+    channel object of the kind may and must carry, ``"kind"`` included.
     """
 
     name: str
@@ -197,11 +194,11 @@ class ChannelKind:
     required_fields: frozenset[str] = field(init=False)
 
     def __post_init__(self):
-        own = {p.attr for p in self.params}
+        names = tuple(p.name for p in self.params)
         attrs = [f.name for f in fields(ChannelSpec) if f.name != "kind"]
-        object.__setattr__(self, "forbidden", tuple(a for a in attrs if a not in own))
-        object.__setattr__(self, "names", tuple(p.name for p in self.params))
-        object.__setattr__(self, "fields", frozenset(["kind", *self.names]))
+        object.__setattr__(self, "forbidden", tuple(a for a in attrs if a not in names))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "fields", frozenset(["kind", *names]))
         required = [p.name for p in self.params if p.required]
         object.__setattr__(self, "required_fields", frozenset(["kind", *required]))
 
@@ -220,25 +217,26 @@ class ChannelKind:
             object.__setattr__(spec, "kind", self.name)
         for param, value in zip(self.params, values):
             if value is not None:
-                object.__setattr__(spec, param.attr, param.check(param.attr, value))
+                object.__setattr__(spec, param.name, param.check(param.name, value))
             elif param.required:
                 raise InvalidParameter(
-                    param.attr, None, f"is required for a {self.name} channel"
+                    param.name, None, f"is required for a {self.name} channel"
                 )
             elif param.default is not None:
-                object.__setattr__(spec, param.attr, param.default)
+                object.__setattr__(spec, param.name, param.default)
         if self.check is not None:
             self.check(spec)
         return spec
 
 
 def _check_dephasing(spec: ChannelSpec):
+    dim = len(spec.probs)
+    if dim < 2:
+        raise InvalidParameter("probs", spec.probs, "needs at least two entries")
     if spec.dim is None:
-        object.__setattr__(spec, "dim", len(spec.probs))
-    elif spec.dim != len(spec.probs):
-        raise InvalidParameter(
-            "dim", spec.dim, f"must equal the number of probabilities ({len(spec.probs)})"
-        )
+        object.__setattr__(spec, "dim", dim)
+    elif spec.dim != dim:
+        raise InvalidParameter("dim", spec.dim, f"must equal the number of probabilities ({dim})")
     if max(spec.probs[1:]) > 0.5:
         # The qubit formula is usually quoted for flip probability <= 1/2;
         # the general entropy form is valid anyway, so accept but flag.  The
@@ -274,7 +272,7 @@ def _amplifier(spec: ChannelSpec) -> float:
     return _pure_loss(1.0 / gain)
 
 
-_ETA = Param("eta", "eta", NUMBER, _open_unit)
+_ETA = Param("eta", float, _open_unit)
 _DIM_CHECK = partial(_require_int, minimum=2)
 
 #: The channel kinds by name, in canonical order.  Each kind's public
@@ -285,30 +283,30 @@ KINDS = {
         ChannelKind(LOSSY, (_ETA,), lambda s: _pure_loss(s.eta)),
         ChannelKind(
             AMPLIFIER,
-            (Param("gain", "gain", NUMBER, _above_one),),
+            (Param("gain", float, _above_one),),
             _amplifier,
         ),
         ChannelKind(
             DEPHASING,
             (
-                Param("probs", "probs", NUMBERS, _distribution),
-                Param("dim", "dim", INTEGER, _DIM_CHECK, required=False),
+                Param("probs", tuple, _distribution),
+                Param("dim", int, _DIM_CHECK, required=False),
             ),
             # H({p_k}) <= log2 d mathematically; clamp the few-ulp rounding dip.
-            lambda s: max(0.0, math.log2(s.dim) - shannon_entropy(s.probs)),
+            lambda s: max(0.0, math.log2(s.dim) - _entropy(s.probs)),
             check=_check_dephasing,
         ),
         ChannelKind(
             ERASURE,
             (
-                Param("p", "p_erase", NUMBER, _unit),
-                Param("dim", "dim", INTEGER, _DIM_CHECK, required=False, default=2),
+                Param("p", float, _unit),
+                Param("dim", int, _DIM_CHECK, required=False, default=2),
             ),
-            lambda s: (1.0 - s.p_erase) * math.log2(s.dim),
+            lambda s: (1.0 - s.p) * math.log2(s.dim),
         ),
         ChannelKind(
             MULTIBAND_LOSSY,
-            (_ETA, Param("bands", "bands", INTEGER, partial(_require_int, minimum=1))),
+            (_ETA, Param("bands", int, partial(_require_int, minimum=1))),
             lambda s: s.bands * _pure_loss(s.eta),
         ),
     )
@@ -336,12 +334,12 @@ def dephasing(probs, dim: int | None = None) -> ChannelSpec:
     return KINDS[DEPHASING].build((probs, dim))
 
 
-def erasure(p: float, dim: int = 2) -> ChannelSpec:
+def erasure(p: float, dim: int | None = None) -> ChannelSpec:
     """Qudit erasure channel with erasure probability ``p`` in [0, 1].
 
-    The full range of ``p`` is accepted even though the closed form is often
-    quoted for p <= 1/2; the formula (1 - p) log2 d is stated without that
-    restriction and stays non-negative on all of [0, 1].
+    An unset ``dim`` means a qubit.  All of [0, 1] is accepted for ``p``
+    although the closed form is often quoted for p <= 1/2: (1 - p) log2 d
+    is stated without that restriction and stays non-negative throughout.
     """
     return KINDS[ERASURE].build((p, dim))
 
@@ -366,14 +364,11 @@ def binary_entropy(p: float) -> float:
 
 def shannon_entropy(probs) -> float:
     """Shannon entropy in bits of a probability vector (0 log 0 := 0)."""
-    values = [_require_finite("probs", p) for p in probs]
-    for p in values:
-        if p < 0.0:
-            raise InvalidParameter("probs", p, "entries must be non-negative")
-    total = math.fsum(values)
-    if abs(total - 1.0) > _PROB_SUM_TOL:
-        raise InvalidParameter("probs", tuple(values), f"must sum to 1 (got {total!r})")
-    return -math.fsum(p * math.log2(p) for p in values if p > 0.0)
+    return _entropy(_distribution("probs", probs))
+
+
+def _entropy(probs) -> float:
+    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
 
 
 def capacity(spec: ChannelSpec) -> float:
@@ -400,7 +395,7 @@ def transmissivity_to_db(eta: float) -> float:
     return -10.0 * math.log10(eta)
 
 
-def fiber_transmissivity(length_km: float, rate_db_per_km: float = 0.2) -> float:
+def fiber_transmissivity(length_km: float, rate_db_per_km: float = FIBER_DB_PER_KM) -> float:
     """Transmissivity of a fiber span at the given attenuation rate."""
     length_km = _non_negative("length_km", length_km)
     rate_db_per_km = _require_positive("rate_db_per_km", rate_db_per_km)

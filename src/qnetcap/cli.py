@@ -15,14 +15,8 @@ import sys
 
 from . import channels
 from .chains import chain_capacity, equidistant_lossy_capacity
-from .errors import (
-    InvalidParameter,
-    NoRoute,
-    ParseError,
-    TooLarge,
-    UnknownEdge,
-    ValidationError,
-)
+from .channels import FIBER_DB_PER_KM
+from .errors import InvalidParameter, NoRoute, QnetcapError, ValidationError
 from .multi_path import max_flow
 from .network import _load_json, channel_from_json, parse_network
 from .single_path import widest_path
@@ -44,11 +38,10 @@ def _format_grid_value(value: float) -> str:
     return f"{value:g}"
 
 
-#: argparse type of each channel parameter type; lists arrive as text.
-_FLAG_TYPES = {channels.NUMBER: float, channels.INTEGER: int, channels.NUMBERS: str}
-#: Every channel parameter by name, each flag once (``dim`` serves two kinds).
+#: argparse type of every channel parameter's flag, each flag once (``dim``
+#: serves two kinds); a tuple arrives as comma-separated text.
 _CHANNEL_FLAGS = {
-    param.name: param.type for kind in channels.KINDS.values() for param in kind.params
+    p.name: str if p.type is tuple else p.type for k in channels.KINDS.values() for p in k.params
 }
 
 
@@ -58,7 +51,7 @@ def _channel_from_args(args) -> channels.ChannelSpec:
     for name, type_ in _CHANNEL_FLAGS.items():
         value = getattr(args, name)
         if value is not None:
-            if type_ == channels.NUMBERS:
+            if type_ is str:
                 value = _parse_list(value, f"--{name}")
             obj[name] = value
     return channel_from_json(obj)
@@ -80,11 +73,16 @@ def cmd_channel(args) -> int:
     return EXIT_OK
 
 
+def _read(path: str) -> bytes:
+    """The bytes of a JSON input file, decoded by ``network._load_json``."""
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def _load_chain_links(args):
     if args.lossy is not None:
         return [channels.lossy(eta) for eta in _parse_list(args.lossy, "--lossy")]
-    with open(args.file, encoding="utf-8") as handle:
-        data = _load_json(handle.read())
+    data = _load_json(_read(args.file))
     if not isinstance(data, list) or not data:
         raise ValidationError("chain file must be a non-empty JSON array of channels")
     return [
@@ -100,8 +98,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_network(args) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        net = parse_network(handle.read())
+    net = parse_network(_read(args.file))
     if args.mode == "single":
         report = widest_path(net)
         print(f"capacity: {format_bits(report.capacity)} bits/use")
@@ -159,7 +156,7 @@ def sweep_rows(start: float, stop: float, step: float, repeater_counts):
     return header, rows
 
 
-def compare_rows(start, stop, step, bands, repeater_counts, rate_db_per_km=0.2):
+def compare_rows(start, stop, step, bands, repeater_counts, rate_db_per_km=FIBER_DB_PER_KM):
     """Header and rows comparing multiband point-to-point use with repeaters."""
     bands = [channels._require_int("bands", m, 1) for m in bands]
     repeater_counts = [channels._require_int("repeaters", n, 0) for n in repeater_counts]
@@ -221,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_channel = sub.add_parser("channel", help="capacity of a single channel")
     p_channel.add_argument("--kind", required=True, choices=channels.CHANNEL_KINDS)
     for name, type_ in _CHANNEL_FLAGS.items():
-        list_help = "comma-separated numbers" if type_ == channels.NUMBERS else None
-        p_channel.add_argument(f"--{name}", type=_FLAG_TYPES[type_], help=list_help)
+        list_help = "comma-separated numbers" if type_ is str else None
+        p_channel.add_argument(f"--{name}", type=type_, help=list_help)
     p_channel.set_defaults(func=cmd_channel)
 
     p_chain = sub.add_parser("chain", help="capacity and bottleneck of a chain")
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--bands", required=True, help="comma-separated band counts")
     p_cmp.add_argument("--repeaters", required=True, help="comma-separated repeater counts")
-    p_cmp.add_argument("--rate-db-per-km", type=float, default=0.2)
+    p_cmp.add_argument("--rate-db-per-km", type=float, default=FIBER_DB_PER_KM)
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_compare_multiband)
     return parser
@@ -268,9 +265,7 @@ def main(argv=None) -> int:
     except NoRoute as exc:
         print(f"no route: {exc}", file=sys.stderr)
         return EXIT_NO_ROUTE
-    except (
-        InvalidParameter, ParseError, ValidationError, UnknownEdge, TooLarge, OSError
-    ) as exc:
+    except (QnetcapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

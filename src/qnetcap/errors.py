@@ -20,7 +20,7 @@ class InvalidParameter(QnetcapError, ValueError):
 
 
 class ParseError(QnetcapError, ValueError):
-    """Input document is not valid JSON; message includes the position."""
+    """Input document does not decode as JSON; for malformed JSON, with position."""
 
 
 class ValidationError(QnetcapError, ValueError):

@@ -12,6 +12,7 @@ document that round-trips byte-identically.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,12 +198,31 @@ def _reject_duplicate_keys(pairs):
     return obj
 
 
-def _load_json(document: str):
-    """Decode a JSON document; duplicate keys are an error, not last-wins."""
+def _load_json(document):
+    """Decode a JSON document, text or the bytes of a UTF-8 text file: a duplicate
+    key raises ValidationError (not last-wins), a document that won't decode ParseError."""
     try:
+        if isinstance(document, bytes):  # universal newlines, as open() reads text
+            document = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8").read()
         return json.loads(document, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValidationError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested too deep, or an integer past int()'s digit limit
+        raise ParseError(str(exc)) from exc
+
+
+def _reject_fields(obj, allowed, required, where, field="field", suffix=""):
+    """Name the first key of ``obj`` not in ``allowed``, else the first of
+    ``required`` (ordered) it lacks; called once a quick key check failed."""
+    for key in obj:
+        if key not in allowed:
+            raise ValidationError(f"{where}unknown {field} {key!r}{suffix}")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(f"{where}missing {field} {key!r}{suffix}")
 
 
 def channel_from_json(obj, where: str = "channel") -> ChannelSpec:
@@ -214,11 +234,8 @@ def channel_from_json(obj, where: str = "channel") -> ChannelSpec:
     if kind is None:
         raise ValidationError(f"{where}: unknown channel kind {name!r}")
     if not kind.required_fields <= obj.keys() <= kind.fields:
-        for param in kind.params:
-            if param.required and param.name not in obj:
-                raise ValidationError(f"{where}: missing field {param.name!r} for kind {name!r}")
-        extra = next(key for key in obj if key not in kind.fields)
-        raise ValidationError(f"{where}: unknown field {extra!r} for kind {name!r}")
+        required = [p.name for p in kind.params if p.required]
+        _reject_fields(obj, kind.fields, required, f"{where}: ", suffix=f" for kind {name!r}")
     if None in obj.values():
         raise ValidationError(f"{where}: fields of kind {name!r} must not be null")
     try:
@@ -233,31 +250,28 @@ def channel_to_json(spec: ChannelSpec) -> dict:
     """Normalized JSON object for a channel, fields in canonical order."""
     obj = {"kind": spec.kind}
     for param in channels.KINDS[spec.kind].params:
-        value = getattr(spec, param.attr)
-        obj[param.name] = list(value) if param.type == channels.NUMBERS else value
+        value = getattr(spec, param.name)
+        obj[param.name] = list(value) if param.type is tuple else value
     return obj
 
 
-_EDGE_FIELDS = frozenset(("id", "u", "v", "channel"))
+# Ordered, and compared with a dict's keys as a set in one step.
+_TOP_FIELDS = dict.fromkeys(("points", "alice", "bob", "edges")).keys()
+_EDGE_FIELDS = dict.fromkeys(("id", "u", "v", "channel")).keys()
 
 
-def parse_network(document: str) -> QNetwork:
+def parse_network(document: str | bytes) -> QNetwork:
     """Parse and validate a network document in the JSON format.
 
-    Raises :class:`ParseError` for malformed JSON (with position) and
-    :class:`ValidationError` for any invariant violation, naming the
-    offending element.
+    Raises :class:`ParseError` for a document that does not decode (with
+    the position of malformed JSON) and :class:`ValidationError` for any
+    invariant violation, naming the offending element.
     """
     data = _load_json(document)
     if not isinstance(data, dict):
         raise ValidationError("top-level document must be an object")
-    expected = ("points", "alice", "bob", "edges")
-    for key in data:
-        if key not in expected:
-            raise ValidationError(f"unknown top-level field {key!r}")
-    for key in expected:
-        if key not in data:
-            raise ValidationError(f"missing top-level field {key!r}")
+    if data.keys() != _TOP_FIELDS:
+        _reject_fields(data, _TOP_FIELDS, _TOP_FIELDS, "", "top-level field")
     points = data["points"]
     if not isinstance(points, list):
         raise ValidationError("'points' must be an array of names")
@@ -268,12 +282,7 @@ def parse_network(document: str) -> QNetwork:
         if not isinstance(obj, dict):
             raise ValidationError(f"edge #{i}: must be an object")
         if obj.keys() != _EDGE_FIELDS:
-            for key in obj:
-                if key not in _EDGE_FIELDS:
-                    raise ValidationError(f"edge #{i}: unknown field {key!r}")
-            for key in ("id", "u", "v", "channel"):
-                if key not in obj:
-                    raise ValidationError(f"edge #{i}: missing field {key!r}")
+            _reject_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")
         spec = channel_from_json(obj["channel"], where=f"edge {obj['id']!r}")
         edges.append(Edge(obj["id"], obj["u"], obj["v"], spec))
     return QNetwork(

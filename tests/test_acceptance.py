@@ -277,7 +277,7 @@ def test_criterion_8_homogeneous_formula_suite():
 
     check(
         erasure_channel,
-        lambda spec: spec.p_erase,
+        lambda spec: spec.p,
         erasure_single,
         erasure_multi,
         seed=804,

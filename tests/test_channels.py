@@ -110,6 +110,17 @@ class TestEntropies:
         with pytest.raises(InvalidParameter):
             binary_entropy(bad)
 
+    def test_dephasing_capacity_runs_no_probability_check(self, monkeypatch):
+        spec = dephasing((0.7, 0.2, 0.1))
+        expected = capacity(spec)
+
+        def checked_again(*args):
+            raise AssertionError("a checked distribution was checked again")
+
+        monkeypatch.setattr(channels, "_distribution", checked_again)
+        monkeypatch.setattr(channels, "_require_finite", checked_again)
+        assert capacity(spec) == expected
+
     def test_shannon_rejects_negative(self):
         with pytest.raises(InvalidParameter):
             shannon_entropy((0.5, 0.6, -0.1))
@@ -138,6 +149,12 @@ class TestConversions:
         assert eta == pytest.approx(0.5012, abs=1e-4)
         assert transmissivity_to_db(eta) == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("eta", [0.0, 1.5])
+    def test_transmissivity_to_db_rejects(self, eta):
+        with pytest.raises(InvalidParameter) as err:
+            transmissivity_to_db(eta)
+        assert str(err.value) == f"eta={eta!r}: must lie in (0, 1]"
+
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameter):
             db_to_transmissivity(-1.0)
@@ -148,6 +165,19 @@ class TestConversions:
 
 
 class TestValidation:
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidParameter) as err:
+            ChannelSpec("bogus")
+        assert str(err.value) == (
+            "kind='bogus': must be one of lossy, amplifier, dephasing, erasure, multiband_lossy"
+        )
+
+    def test_erasure_object_without_dim_is_a_qubit(self):
+        spec = channel_from_json({"kind": "erasure", "p": 0.25})
+        assert spec.dim == 2
+        assert spec == erasure(0.25) == erasure(0.25, dim=2)
+        assert capacity(spec) == 0.75
+
     @pytest.mark.parametrize("eta", [0.0, 1.0, -0.2, 1.5, float("inf"), float("nan")])
     def test_lossy_eta_open_interval(self, eta):
         with pytest.raises(InvalidParameter) as err:
@@ -214,7 +244,7 @@ class TestValidation:
     def test_erasure_probability_range(self, p):
         with pytest.raises(InvalidParameter) as err:
             erasure(p)
-        assert err.value.field == "p_erase"
+        assert err.value.field == "p"
 
     def test_erasure_closed_interval_endpoints_ok(self):
         assert capacity(erasure(0.0)) == 1.0
@@ -306,15 +336,8 @@ BUILDER_CASES = {
         {"eta": [0.0, 1.0, "x"], "bands": [0, -1, 2.5, "3", False]},
     ),
 }
-#: JSON field name of every ``ChannelSpec`` attribute.
-FIELD_OF = {p.attr: p.name for kind in channels.KINDS.values() for p in kind.params}
 #: Parameter type of every JSON field name, for the ``qnetcap channel`` flags.
 TYPE_OF = {p.name: p.type for kind in channels.KINDS.values() for p in kind.params}
-
-
-def attrs_of(kind, args):
-    """``args`` keyed by ``ChannelSpec`` attribute instead of parameter name."""
-    return {p.attr: args[p.name] for p in channels.KINDS[kind].params if p.name in args}
 
 
 def message(call):
@@ -340,8 +363,8 @@ def cli_message(obj, capsys):
     for name, value in obj.items():
         if name == "kind":
             continue
-        values = value if TYPE_OF[name] == channels.NUMBERS else [value]
-        number = int if TYPE_OF[name] == channels.INTEGER else (int, float)
+        values = value if TYPE_OF[name] is tuple else [value]
+        number = int if TYPE_OF[name] is int else (int, float)
         if not isinstance(values, list) or not all(
             isinstance(v, number) and not isinstance(v, bool) for v in values
         ):
@@ -360,7 +383,7 @@ class TestOneBuilderPerKind:
         args, _ = BUILDER_CASES[kind]
         obj = {"kind": kind, **args}
         specs = [
-            ChannelSpec(kind, **attrs_of(kind, args)),
+            ChannelSpec(kind, **args),
             getattr(channels, kind)(**args),
             channel_from_json(obj),
             parse_network(one_edge_network(obj)).edges[0].channel,
@@ -377,7 +400,7 @@ class TestOneBuilderPerKind:
             for value in values:
                 wrong = {**args, name: value}
                 expected = message(lambda: getattr(channels, kind)(**wrong))
-                assert message(lambda: ChannelSpec(kind, **attrs_of(kind, wrong))) == expected
+                assert message(lambda: ChannelSpec(kind, **wrong)) == expected
                 obj = {"kind": kind, **wrong}
                 assert message(lambda: channel_from_json(obj)) == f"channel: {expected}"
                 assert network_message(obj) == f"edge 'e0': {expected}"
@@ -392,9 +415,9 @@ class TestOneBuilderPerKind:
                 continue
             rest = {k: v for k, v in args.items() if k != param.name}
             unset = {**rest, param.name: None}
-            expected = f"{param.attr}=None: is required for a {kind} channel"
+            expected = f"{param.name}=None: is required for a {kind} channel"
             assert message(lambda: getattr(channels, kind)(**unset)) == expected
-            assert message(lambda: ChannelSpec(kind, **attrs_of(kind, rest))) == expected
+            assert message(lambda: ChannelSpec(kind, **rest)) == expected
             obj = {"kind": kind, **rest}
             expected = f"missing field {param.name!r} for kind {kind!r}"
             assert message(lambda: channel_from_json(obj)) == f"channel: {expected}"
@@ -404,12 +427,11 @@ class TestOneBuilderPerKind:
     @pytest.mark.parametrize("kind", CHANNEL_KINDS)
     def test_foreign_field_same_message_on_every_route(self, kind, capsys):
         args, _ = BUILDER_CASES[kind]
-        for attr in channels.KINDS[kind].forbidden:
-            foreign = {**attrs_of(kind, args), attr: 7}
-            expected = f"{attr}=7: does not apply to a {kind} channel"
+        for name in channels.KINDS[kind].forbidden:
+            foreign = {**args, name: 7}
+            expected = f"{name}=7: does not apply to a {kind} channel"
             assert message(lambda: ChannelSpec(kind, **foreign)) == expected
-            name = FIELD_OF[attr]
-            value = [7] if TYPE_OF[name] == channels.NUMBERS else 7
+            value = [7] if TYPE_OF[name] is tuple else 7
             # The extra field is named wherever it stands among the others.
             for obj in (
                 {"kind": kind, **args, name: value},

@@ -7,12 +7,14 @@ import pytest
 from conftest import DUPLICATE_KEY_DOCS, diamond
 from qnetcap import (
     CHANNEL_KINDS,
+    ParseError,
     amplifier,
     capacity,
     dephasing,
     erasure,
     lossy,
     multiband_lossy,
+    parse_network,
     serialize_network,
 )
 from qnetcap.cli import (
@@ -25,6 +27,13 @@ from qnetcap.cli import (
 from qnetcap.network import channel_from_json, channel_to_json
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+#: File contents that no JSON decoder call should turn into a traceback.
+HOSTILE_FILES = {
+    "not-utf8": b"\xff\xfe{}",
+    "nested-too-deep": b"[" * 100_000,
+    "integer-too-long": b"1" * 5000,
+}
 
 SAMPLE_SPECS = {
     "lossy": lossy(0.3),
@@ -138,6 +147,22 @@ class TestChainCommand:
         path.write_text('[{"kind": "lossy", "eta": 0.5, "eta": 0.9}]', encoding="utf-8")
         assert main(["chain", str(path)]) == 2
         assert "duplicate key 'eta'" in capsys.readouterr().err
+
+
+class TestHostileFiles:
+    @pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES)
+    @pytest.mark.parametrize("command", ["network", "chain"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, content):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES)
+    def test_parse_network_raises_parse_error(self, content):
+        with pytest.raises(ParseError):
+            parse_network(content)
 
 
 class TestNetworkCommand:
@@ -261,6 +286,13 @@ class TestSweep:
         for line, row in zip(lines[1:], rows):
             cells = line.split(",")
             assert cells[1:] == [format_bits(x) for x in row[1:]]
+
+    def test_out_dash_writes_the_file_text_to_stdout(self, tmp_path, capsys):
+        argv = ["sweep", "--start", "0", "--stop", "3", "--step", "1", "--repeaters", "0,1"]
+        out = tmp_path / "sweep.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     def test_bad_range_exits_2(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -30,6 +30,7 @@ from qnetcap import (
     serialize_network,
     widest_path,
 )
+from qnetcap.cli import main as cli_main
 
 DIAMOND_DOC = """
 { "points": ["a", "p1", "p2", "b"],
@@ -54,6 +55,60 @@ MIXED_DOC = """
     {"id": "e5", "u": "p2", "v": "b",  "channel": {"kind": "multiband_lossy", "eta": 0.5, "bands": 3}}
   ] }
 """
+
+def diamond_with(edit):
+    """DIAMOND_DOC as JSON text once ``edit`` has changed it in place."""
+    doc = json.loads(DIAMOND_DOC)
+    edit(doc)
+    return json.dumps(doc)
+
+
+#: Documents and the exact message ``parse_network`` and ``qnetcap network``
+#: give for each.
+REJECTIONS = {
+    "document-not-object": ("[]", "top-level document must be an object"),
+    "unknown-top-level": (
+        diamond_with(lambda doc: doc.update(comment="hi")), "unknown top-level field 'comment'"
+    ),
+    "missing-top-level": (
+        diamond_with(lambda doc: doc.pop("bob")), "missing top-level field 'bob'"
+    ),
+    "points-not-array": (
+        diamond_with(lambda doc: doc.update(points="a,b")),
+        "'points' must be an array of names",
+    ),
+    "edges-not-array": (
+        diamond_with(lambda doc: doc.update(edges={})), "'edges' must be an array"
+    ),
+    "edge-not-object": (
+        diamond_with(lambda doc: doc["edges"].insert(0, "e0")), "edge #0: must be an object"
+    ),
+    "edge-unknown-field": (
+        diamond_with(lambda doc: doc["edges"][1].update(w=1)), "edge #1: unknown field 'w'"
+    ),
+    "edge-missing-field": (
+        diamond_with(lambda doc: doc["edges"][2].pop("u")), "edge #2: missing field 'u'"
+    ),
+    "edge-missing-and-unknown-field": (
+        diamond_with(lambda doc: doc["edges"][2].update(w=doc["edges"][2].pop("channel"))),
+        "edge #2: unknown field 'w'",
+    ),
+    "channel-not-object": (
+        diamond_with(lambda doc: doc["edges"][3].update(channel=0.5)),
+        "edge 'e4': channel must be an object",
+    ),
+    "channel-missing-and-unknown-field": (
+        diamond_with(lambda doc: doc["edges"][0].update(channel={"kind": "lossy", "x": 1})),
+        "edge 'e1': unknown field 'x' for kind 'lossy'",
+    ),
+    "point-duplicated": (
+        diamond_with(lambda doc: doc["points"].append("p1")), "duplicate point name 'p1'"
+    ),
+    "point-empty": (
+        diamond_with(lambda doc: doc["points"].append("")),
+        "point name '' must be a non-empty string",
+    ),
+}
 
 
 class TestParse:
@@ -154,6 +209,16 @@ class TestParse:
     def test_duplicate_key(self, document):
         with pytest.raises(ValidationError, match="duplicate key"):
             parse_network(document)
+
+    @pytest.mark.parametrize("document, expected", REJECTIONS.values(), ids=REJECTIONS)
+    def test_rejection_message(self, document, expected, tmp_path, capsys):
+        with pytest.raises(ValidationError) as err:
+            parse_network(document)
+        assert str(err.value) == expected
+        path = tmp_path / "net.json"
+        path.write_text(document, encoding="utf-8")
+        assert cli_main(["network", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     @pytest.mark.parametrize("value", [["a"], 7, None], ids=["list", "number", "null"])
     @pytest.mark.parametrize("field", ["id", "u", "v", "alice", "bob"])
