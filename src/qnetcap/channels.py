@@ -260,6 +260,25 @@ def _caller_stacklevel() -> int:
     return level
 
 
+#: Pure loss is at most 53 bits, so fewer bands than this keep a multiband
+#: capacity far inside float range.
+_SAFE_BANDS = 10**306
+
+
+def _multiband(spec: ChannelSpec) -> float:
+    return spec.bands * _pure_loss(spec.eta)
+
+
+def _check_multiband(spec: ChannelSpec):
+    if spec.bands > _SAFE_BANDS:
+        try:
+            finite = math.isfinite(_multiband(spec))
+        except OverflowError:  # the band count itself is beyond float range
+            finite = False
+        if not finite:
+            raise InvalidParameter("bands", spec.bands, "too many bands for a float capacity")
+
+
 def _amplifier(spec: ChannelSpec) -> float:
     """-log2(1 - 1/g), accurate to a few ulps at any gain g > 1."""
     gain = spec.gain
@@ -307,7 +326,8 @@ KINDS = {
         ChannelKind(
             MULTIBAND_LOSSY,
             (_ETA, Param("bands", int, partial(_require_int, minimum=1))),
-            lambda s: s.bands * _pure_loss(s.eta),
+            _multiband,
+            check=_check_multiband,
         ),
     )
 }
@@ -348,7 +368,8 @@ def multiband_lossy(eta: float, bands: int) -> ChannelSpec:
     """``bands`` independent pure-loss channels of equal transmissivity.
 
     Heterogeneous bands are modeled as parallel edges at the graph level,
-    not here.
+    not here.  A band count whose capacity is not a finite float is
+    rejected.
     """
     return KINDS[MULTIBAND_LOSSY].build((eta, bands))
 
@@ -368,7 +389,8 @@ def shannon_entropy(probs) -> float:
 
 
 def _entropy(probs) -> float:
-    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+    # 0.0 - x, not -x: a point mass sums to 0.0 and must not read -0.0.
+    return 0.0 - math.fsum(p * math.log2(p) for p in probs if p > 0.0)
 
 
 def capacity(spec: ChannelSpec) -> float:

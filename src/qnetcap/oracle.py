@@ -8,6 +8,10 @@ implementations and a direct check of the route/cut dualities themselves:
   crossing set is a bit mask over the edges, the XOR of its points' incidence
   masks, so the cut values do not depend on ``make_cut``; only the winning
   cut of :func:`brute_single_path_capacity` is built with it.
+  :func:`brute_multi_path_capacity` first approximates every bipartition's
+  total crossing capacity from per-point totals, one list step each, and
+  sums exactly, in edge order, only the bipartitions that a rounding bound
+  cannot rule out; its answer is the exhaustive minimum bit for bit.
 - The route side is :func:`enumerate_simple_routes`, every simple alice-bob
   route outright, and for the widest route an exhaustive depth-first search
   in the same order with a bound: it drops any partial route no wider than
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
+from operator import add
 
 from .errors import NoRoute, TooLarge
 from .network import Cut, QNetwork, Route, make_cut
@@ -123,7 +128,7 @@ def enumerate_cuts(net: QNetwork) -> CutEnumeration:
                     cut_set=tuple(_selected(edge_ids, mask)),
                 ),
                 single_edge_value=max(crossing, default=None),
-                multi_edge_value=sum(crossing),
+                multi_edge_value=sum(crossing, 0.0),
             )
         )
     return CutEnumeration(cuts=tuple(records))
@@ -241,9 +246,70 @@ def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:
 def brute_multi_path_capacity(net: QNetwork) -> float:
     """Minimum over enumerated cuts of the total crossing capacity.
 
-    Returns 0.0 when alice and bob are disconnected (some bipartition has an
-    empty crossing set), matching the 0-flow convention of ``max_flow``.
+    The answer is, bit for bit, the smallest edge-order float sum of a
+    crossing set over all 2^(|P|-2) bipartitions; 0.0 when alice and bob are
+    disconnected (some bipartition has an empty crossing set), matching the
+    0-flow convention of ``max_flow``.
+
+    Method.  A side A holding alice is crossed by d(A) - 2 w(A) of capacity,
+    where d(A) sums its points' incident capacities and w(A) the capacities
+    of the edges inside A.  One pass over the edges gives each point's d,
+    the capacity w between each pair of points and the total T.  The
+    approximate values V_i then follow in :func:`_crossing_masks`' index
+    order by the same doubling: interior point k adds D_k[i] = d(p_k) -
+    2 W_k[i] to V_i, where W_k[i] is the capacity between p_k and alice's
+    side of bipartition i.  D_k doubles the same way, from d(p_k) -
+    2 w(p_k, alice) down by 2 w(p_k, p_j) for each earlier interior point
+    p_j on that side.  Only the bipartitions with V_i <= min V + tol get an
+    exact edge-order sum S_i.
+
+    Bound.  Let u = 2^-53, n = |P| - 2, m = |E|, C_i the real cut value and
+    g_j = j u / (1 - j u).  Capacities are non-negative, so
+    - B = g_m T bounds |S_i - C_i|: a sum of at most m terms, all <= T;
+    - A = (4 g_m + 3 n u) T bounds |V_i - C_i|: each d and w sums at most
+      m capacities, and on one side the d's add up to <= 2T and the doubled
+      w's to <= 2T; each D_k[i] takes <= n roundings of values in
+      [-d(p_k), d(p_k)], <= 2 n u T on one side; and each of the <= n
+      steps V + D rounds once on a value <= T.
+    If S_j is the minimum, V_j <= S_j + A + B and every V_i >= S_i - A - B
+    >= S_j - A - B, so V_j - min V <= 2 (A + B), about (10 m + 6 n) u T.
+    tol = 32 (|P| + |E|) ulp(T) >= 32 (|P| + |E|) u T covers that, the
+    second-order terms and the rounding of min V + tol, and is itself exact
+    (a power of two times an integer).  A bipartition left out has
+    S_i >= V_i - A - B > min V + tol - A - B >= S_j.  No intermediate
+    exceeds 2T; should 4T overflow, every bipartition is summed exactly.
     """
     _check_size(net)
     caps = list(net.capacities.values())
-    return min(sum(_selected(caps, mask)) for mask in _crossing_masks(net, net.edges))
+    interior = _interior(net)
+    # Slot 0 is alice and slot k > 0 the interior point of bit k - 1; bob has none.
+    slot = {point: k for k, point in enumerate([net.alice, *interior])}
+    degree = [0.0] * len(slot)
+    between = [[0.0] * len(slot) for _ in slot]
+    for edge, cap in zip(net.edges, caps):
+        ku, kv = slot.get(edge.u), slot.get(edge.v)
+        if ku is not None:
+            degree[ku] += cap
+        if kv is not None:
+            degree[kv] += cap
+            if ku is not None:
+                between[ku][kv] += cap
+                between[kv][ku] += cap
+    approx = [degree[0]]
+    for k in range(1, len(slot)):
+        step = [degree[k] - 2.0 * between[k][0]]
+        for w in between[k][1:k]:
+            step += list(map((-2.0 * w).__add__, step)) if w else step
+        approx += list(map(add, approx, step))
+
+    total = sum(caps, 0.0)
+    if math.isfinite(4.0 * total):
+        bound = min(approx) + 32 * (len(net.points) + len(caps)) * math.ulp(total)
+        candidates = compress(count(), map(bound.__ge__, approx))  # approx[i] <= bound
+    else:
+        candidates = range(len(approx))
+    sides = ({net.alice, *_selected(interior, index)} for index in candidates)
+    return min(
+        sum(compress(caps, [(e.u in side) != (e.v in side) for e in net.edges]), 0.0)
+        for side in sides
+    )

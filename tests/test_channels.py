@@ -95,7 +95,9 @@ class TestEntropies:
         assert math.isclose(binary_entropy(p), expected, rel_tol=1e-13)
 
     def test_shannon_point_mass(self):
-        assert shannon_entropy((1.0, 0.0, 0.0, 0.0)) == 0.0
+        for probs in [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]:
+            value = shannon_entropy(probs)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0  # not -0.0
 
     def test_shannon_uniform_d4(self):
         assert shannon_entropy((0.25,) * 4) == 2.0
@@ -255,6 +257,16 @@ class TestValidation:
             multiband_lossy(0.5, 0)
         with pytest.raises(InvalidParameter):
             multiband_lossy(0.5, 2.5)
+
+    @pytest.mark.parametrize("bands", [10**308, 10**309], ids=["1e308", "1e309"])
+    def test_multiband_capacity_beyond_float_range(self, bands):
+        # 10**308 bands of 0.9 give inf; 10**309 is beyond float range itself.
+        with pytest.raises(InvalidParameter) as err:
+            multiband_lossy(0.9, bands)
+        assert err.value.field == "bands"
+
+    def test_multiband_huge_but_finite(self):
+        assert capacity(multiband_lossy(0.5, 10**307)) == 1e307
 
     def test_dim_minimum(self):
         with pytest.raises(InvalidParameter):

@@ -96,6 +96,12 @@ class TestChannelCommand:
     def test_missing_required_field_exits_2(self, capsys):
         assert main(["channel", "--kind", "lossy"]) == 2
 
+    @pytest.mark.parametrize("bands", [10**308, 10**309], ids=["1e308", "1e309"])
+    def test_capacity_beyond_float_range_exits_2(self, bands, capsys):
+        argv = ["channel", "--kind", "multiband_lossy", "--eta", "0.9", "--bands", str(bands)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: channel: bands=")
+
     @pytest.mark.parametrize("kind", CHANNEL_KINDS)
     def test_constructor_json_and_flags_agree(self, kind, capsys):
         spec = SAMPLE_SPECS[kind]
@@ -222,6 +228,21 @@ class TestNetworkCommand:
         path.write_text(document, encoding="utf-8")
         assert main(["network", str(path)]) == 2
         assert "duplicate key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    @pytest.mark.parametrize("bands", [10**308, 10**309], ids=["1e308", "1e309"])
+    def test_capacity_beyond_float_range_exits_2(self, tmp_path, capsys, mode, bands):
+        channel = {"kind": "multiband_lossy", "eta": 0.9, "bands": bands}
+        doc = {
+            "points": ["a", "b"],
+            "alice": "a",
+            "bob": "b",
+            "edges": [{"id": "e0", "u": "a", "v": "b", "channel": channel}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["network", str(path), "--mode", mode]) == 2
+        assert capsys.readouterr().err.startswith("error: edge 'e0': bands=")
 
     @pytest.mark.parametrize("mode", ["single", "multi"])
     def test_5000_hop_chain(self, tmp_path, capsys, mode):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,14 +15,94 @@ from qnetcap import (
     cut_single_edge_value,
     enumerate_cuts,
     enumerate_simple_routes,
+    erasure,
     lossy,
     make_cut,
+    multiband_lossy,
     oracle,
 )
 
 
 def lossy_for_bits(bits):
     return lossy(1.0 - 2.0 ** (-bits))
+
+
+def naive_multi(net):
+    """The plain enumeration: each crossing set summed in edge order."""
+    caps = list(net.capacities.values())
+    masks = oracle._crossing_masks(net, net.edges)
+    return min(sum(oracle._selected(caps, mask), 0.0) for mask in masks)
+
+
+def three_point(p1, p2, p3):
+    """a-b at 0 bits, a-x at 1 - p1 and x-b twice, at 1 - p2 and 1 - p3:
+    cut {a} sums to 1 - p1 and cut {a, x} to (1 - p2) + (1 - p3)."""
+    return build_network(
+        ("a", "x", "b"),
+        [
+            ("e0", "a", "b", erasure(1.0)),
+            ("e1", "a", "x", erasure(p1)),
+            ("e2", "x", "b", erasure(p2)),
+            ("e3", "x", "b", erasure(p3)),
+        ],
+    )
+
+
+def complete_network(n_points, spec):
+    names = ["a", "b"] + [f"p{i}" for i in range(n_points - 2)]
+    edges = [
+        (f"e{i}{j}", names[i], names[j], spec)
+        for i in range(n_points)
+        for j in range(i + 1, n_points)
+    ]
+    return build_network(names, edges)
+
+
+#: Networks that defeat an approximate minimum: two cuts whose edge-order
+#: sums are one ulp apart (the first or the second one smaller; in the
+#: 4-point one, cuts {a, p1} at 1.4 and {a, p0, p1} at 1.4000000000000001,
+#: the approximate values rank the two the wrong way round), zero
+#: capacities, a 200 dB link beside multiband ones, disconnected pairs and
+#: a 12-point network where every edge is equally wide.
+CRAFTED = {
+    "ulp-first-smaller": three_point(0.05, 0.1, 0.95),
+    "ulp-second-smaller": three_point(0.1, 0.3, 0.8),
+    "ulp-4-points": build_network(
+        ("a", "b", "p0", "p1"),
+        [
+            (f"e{i}", u, v, erasure(p))
+            for i, (u, v, p) in enumerate(
+                [
+                    ("a", "b", 0.6),
+                    ("a", "p0", 0.7),
+                    ("a", "p1", 0.8),
+                    ("b", "p0", 0.3),
+                    ("b", "p1", 0.7),
+                    ("p0", "p1", 0.6),
+                    ("a", "p1", 0.1),
+                ]
+            )
+        ],
+    ),
+    "all-zero": build_network(
+        ("a", "x", "b"),
+        [("e0", "a", "x", erasure(1.0)), ("e1", "x", "b", erasure(1.0))],
+    ),
+    "200dB-beside-multiband": build_network(
+        ("a", "x", "y", "b"),
+        [
+            ("e0", "a", "b", lossy(1e-20)),
+            ("e1", "a", "x", multiband_lossy(0.5, 4)),
+            ("e2", "x", "y", lossy(1e-20)),
+            ("e3", "x", "b", multiband_lossy(0.5, 4)),
+            ("e4", "y", "b", multiband_lossy(0.9, 3)),
+            ("e5", "a", "y", lossy(1e-20)),
+        ],
+    ),
+    "disconnected": build_network(("a", "b", "c"), [("e0", "a", "c", lossy(0.5))]),
+    "no-edges": build_network(("a", "x", "b"), []),
+    "12-points-all-equal": complete_network(12, erasure(0.5)),
+}
 
 
 class TestEnumerateRoutes:
@@ -135,6 +216,34 @@ class TestBruteMultiPath:
         net = build_network(("a", "b", "c"), [("e0", "a", "c", lossy(0.5))])
         assert brute_multi_path_capacity(net) == 0.0
 
+    def test_empty_crossing_set_is_float_zero(self):
+        net = CRAFTED["disconnected"]
+        assert repr(brute_multi_path_capacity(net)) == "0.0"
+        empty = [rec for rec in enumerate_cuts(net).cuts if not rec.cut.cut_set]
+        assert empty and all(repr(rec.multi_edge_value) == "0.0" for rec in empty)
+
+    @pytest.mark.parametrize("name", ["ulp-first-smaller", "ulp-second-smaller", "ulp-4-points"])
+    def test_ulp_networks_hold_two_cuts_one_ulp_apart(self, name):
+        values = sorted(rec.multi_edge_value for rec in enumerate_cuts(CRAFTED[name]).cuts)
+        assert math.nextafter(values[0], math.inf) == values[1]
+
+    @pytest.mark.parametrize("name", CRAFTED)
+    def test_crafted_networks_match_the_naive_minimum(self, name):
+        net = CRAFTED[name]
+        assert repr(brute_multi_path_capacity(net)) == repr(naive_multi(net))
+
+    def test_capacities_near_float_max_sum_every_bipartition(self):
+        # 4T overflows, so no approximation is trusted.
+        net = build_network(
+            ("a", "x", "b"),
+            [
+                ("e0", "a", "x", multiband_lossy(0.5, 10**308)),
+                ("e1", "x", "b", multiband_lossy(0.5, 10**308)),
+                ("e2", "a", "b", multiband_lossy(0.75, 10**307)),
+            ],
+        )
+        assert repr(brute_multi_path_capacity(net)) == repr(naive_multi(net))
+
 
 class TestSizeCap:
     def _big_network(self, n_points):
@@ -198,6 +307,10 @@ class TestAgainstNaiveReferences:
             assert result.min_cut == records[singles.index(min(singles))].cut
             assert brute_multi_path_capacity(net) == min(rec.multi_edge_value for rec in records)
 
+    def test_multi_path_value_is_the_naive_minimum_bit_for_bit(self, referee_networks):
+        for net in referee_networks:
+            assert repr(brute_multi_path_capacity(net)) == repr(naive_multi(net))
+
     def test_enumerated_cuts_match_make_cut(self, referee_networks):
         for net in referee_networks:
             for rec in enumerate_cuts(net).cuts:
@@ -235,3 +348,18 @@ class TestOracleWork:
         assert make_cut_calls[0] == 0
         brute_single_path_capacity(net)
         assert make_cut_calls[0] == 1
+
+    def test_exact_sums_only_near_the_minimum(self, monkeypatch):
+        net = random_connected_network(random.Random(12), 12, 12)
+        values = sorted(rec.multi_edge_value for rec in enumerate_cuts(net).cuts)
+        assert values[1] - values[0] > 1e-6 * values[-1]  # cut values well apart
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return selected(*args)
+
+        selected = oracle._selected
+        monkeypatch.setattr(oracle, "_selected", counting)
+        assert brute_multi_path_capacity(net) == values[0]
+        assert 0 < calls[0] <= 2  # naively one sum per bipartition: 2**10
