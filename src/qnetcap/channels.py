@@ -58,6 +58,8 @@ def _require_finite(field, value):
 
 
 def _require_int(field, value, minimum):
+    if type(value) is int and value >= minimum:
+        return value
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidParameter(field, value, "must be an integer")
     if value < minimum:
@@ -66,6 +68,9 @@ def _require_int(field, value, minimum):
 
 
 def _open_unit(field, value):
+    # An exact float in range, the usual value, skips the general checks.
+    if type(value) is float and 0.0 < value < 1.0:
+        return value
     value = _require_finite(field, value)
     if not 0.0 < value < 1.0:
         raise InvalidParameter(field, value, "must lie strictly inside (0, 1)")

@@ -101,25 +101,36 @@ def cmd_network(args) -> int:
     net = parse_network(_read(args.file))
     if args.mode == "single":
         report = widest_path(net)
-        print(f"capacity: {format_bits(report.capacity)} bits/use")
-        print(f"route: {' -> '.join(report.route.point_sequence)}")
-        print(f"route_edges: {','.join(report.route.edge_sequence)}")
-        print(f"bottleneck_edge: {report.bottleneck_edge}")
-        print(f"dual_cut_side_a: {','.join(report.dual_cut.side_a)}")
-        print(f"dual_cut_edges: {','.join(report.dual_cut.cut_set)}")
+        lines = [
+            f"capacity: {format_bits(report.capacity)} bits/use",
+            f"route: {' -> '.join(report.route.point_sequence)}",
+            f"route_edges: {','.join(report.route.edge_sequence)}",
+            f"bottleneck_edge: {report.bottleneck_edge}",
+            f"dual_cut_side_a: {','.join(report.dual_cut.side_a)}",
+            f"dual_cut_edges: {','.join(report.dual_cut.cut_set)}",
+        ]
     else:
         report = max_flow(net)
-        print(f"capacity: {format_bits(report.value)} bits/use")
-        for edge in net.edges:
-            rate = report.effective_rates[edge.edge_id]
-            print(f"rate {edge.edge_id} {edge.u}->{edge.v}: {format_bits(rate)}")
-        for edge in net.edges:
-            oriented = report.orientation.get(edge.edge_id)
-            if oriented is not None:
-                print(f"orientation {edge.edge_id}: {oriented[0]}->{oriented[1]}")
-        print(f"min_cut_side_a: {','.join(report.min_cut.side_a)}")
-        print(f"min_cut_edges: {','.join(report.min_cut.cut_set)}")
+        rates, orientation = report.effective_rates, report.orientation
+        lines = [f"capacity: {format_bits(report.value)} bits/use"]
+        lines += [
+            f"rate {e.edge_id} {e.u}->{e.v}: {format_bits(rates[e.edge_id])}" for e in net.edges
+        ]
+        lines += [
+            f"orientation {e.edge_id}: {'->'.join(orientation[e.edge_id])}"
+            for e in net.edges
+            if e.edge_id in orientation
+        ]
+        lines.append(f"min_cut_side_a: {','.join(report.min_cut.side_a)}")
+        lines.append(f"min_cut_edges: {','.join(report.min_cut.cut_set)}")
+    # One write: a large network has two lines per edge.
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
+
+
+#: Most rows a loss grid may have: every row is built before the CSV is
+#: written (loss-sweep's 0-200 dB at 0.01 dB is 20,001).
+_MAX_GRID_ROWS = 10**7
 
 
 def db_grid(start: float, stop: float, step: float) -> list[float]:
@@ -128,10 +139,11 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
     stop = channels._require_finite("stop", stop)
     if stop < start:
         raise InvalidParameter("stop", stop, "must be >= start")
-    intervals = (stop - start) / step
-    if not math.isfinite(intervals):
-        raise InvalidParameter("step", step, "leaves more grid rows than a float can count")
-    return [start + i * step for i in range(int(intervals + 1e-9) + 1)]
+    # Whole steps, one within 1e-9 of the stop counted; checked before any row is built.
+    intervals = (stop - start) / step + 1e-9
+    if not intervals < _MAX_GRID_ROWS:  # an infinite count fails too
+        raise InvalidParameter("step", step, f"leaves more than {_MAX_GRID_ROWS} grid rows")
+    return [start + i * step for i in range(int(intervals) + 1)]
 
 
 def _capacities(loss_db: float, bands, repeater_counts) -> list[float]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import Cut, QNetwork, make_cut
+from .network import Cut, QNetwork, _finite_multi_edge_value, make_cut
 
 #: A residual arc holding at most this fraction of its edge's capacity counts
 #: as saturated.  The only epsilon inside an algorithm in the package, it
@@ -105,6 +105,8 @@ def max_flow(net: QNetwork) -> FlowReport:
     The min cut comes from the last level search, the one that no longer
     reaches bob: the points it reached are those still reachable in the
     residual graph, which form the alice side of a minimum cut (Dinic 1970).
+
+    Raises :class:`ValidationError` when the value is beyond float range.
     """
     caps = net.capacities
     # Edge k is arc 2k (u -> v) and arc 2k + 1 (v -> u), each the other's
@@ -138,6 +140,7 @@ def max_flow(net: QNetwork) -> FlowReport:
     value = 0.0
     for idx in adj[net.alice]:
         value += -flow[idx >> 1] if idx & 1 else flow[idx >> 1]
+    _finite_multi_edge_value(value)
     effective_rates = dict(zip(caps, flow))  # ``caps`` is in edge order
 
     # An augmenting path crosses an edge at most once, so the pushes through

@@ -12,8 +12,10 @@ document that round-trips byte-identically.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +24,9 @@ from .channels import ChannelSpec, capacity
 from .errors import InvalidParameter, NoRoute, ParseError, UnknownEdge, ValidationError
 
 
-@dataclass(frozen=True)
+# Slots, not an instance dict: an edge is smaller and stays one object for
+# the cyclic garbage collector to scan.
+@dataclass(frozen=True, slots=True)
 class Edge:
     """One channel between two distinct points; parallel edges are allowed."""
 
@@ -31,12 +35,25 @@ class Edge:
     v: str
     channel: ChannelSpec
 
+    def __init__(self, edge_id: str, u: str, v: str, channel: ChannelSpec):
+        # Each slot is set by its own descriptor, bound once below; the frozen
+        # dataclass __init__ goes through object.__setattr__ for each field.
+        _set_edge_id(self, edge_id)
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_channel(self, channel)
+
     def other(self, point: str) -> str:
         if point == self.u:
             return self.v
         if point == self.v:
             return self.u
         raise ValidationError(f"edge {self.edge_id!r} is not incident to {point!r}")
+
+
+_set_edge_id, _set_u, _set_v, _set_channel = (
+    vars(Edge)[name].__set__ for name in ("edge_id", "u", "v", "channel")
+)
 
 
 @dataclass(frozen=True)
@@ -69,18 +86,25 @@ class QNetwork:
                 raise ValidationError(f"{role} {name!r} is not a declared point")
         by_id = {}
         for edge in self.edges:
-            if not isinstance(edge.edge_id, str) or not edge.edge_id:
-                raise ValidationError(f"edge id {edge.edge_id!r} must be a non-empty string")
-            if edge.edge_id in by_id:
-                raise ValidationError(f"duplicate edge id {edge.edge_id!r}")
-            by_id[edge.edge_id] = edge
-            for endpoint in (edge.u, edge.v):
-                if not isinstance(endpoint, str) or endpoint not in seen:
-                    raise ValidationError(
-                        f"edge {edge.edge_id!r}: endpoint {endpoint!r} is not a declared point"
-                    )
-            if edge.u == edge.v:
-                raise ValidationError(f"edge {edge.edge_id!r}: self-loops are not allowed")
+            eid, u, v = edge.edge_id, edge.u, edge.v
+            # One test passes a well-formed edge; the exact types come first,
+            # so no unhashable name reaches a lookup.
+            if not (
+                type(eid) is type(u) is type(v) is str
+                and eid and u != v and eid not in by_id and u in seen and v in seen
+            ):
+                if not isinstance(eid, str) or not eid:
+                    raise ValidationError(f"edge id {eid!r} must be a non-empty string")
+                if eid in by_id:
+                    raise ValidationError(f"duplicate edge id {eid!r}")
+                for endpoint in (u, v):
+                    if not isinstance(endpoint, str) or endpoint not in seen:
+                        raise ValidationError(
+                            f"edge {eid!r}: endpoint {endpoint!r} is not a declared point"
+                        )
+                if u == v:
+                    raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
+            by_id[eid] = edge
         object.__setattr__(self, "point_set", frozenset(seen))
         object.__setattr__(self, "_edges_by_id", by_id)
 
@@ -162,6 +186,17 @@ def cut_multi_edge_value(net: QNetwork, cut: Cut) -> float:
     return sum(edge_capacity(net, eid) for eid in cut.cut_set)
 
 
+def _finite_multi_edge_value(value: float) -> float:
+    """The multi-path capacity ``value``, checked: ``inf`` means every
+    alice/bob cut sums beyond float range, and raises
+    :class:`ValidationError`, as one channel's capacity past it does."""
+    if value == math.inf:
+        raise ValidationError(
+            "multi-path capacity is beyond float range: every alice/bob cut sums past it"
+        )
+    return value
+
+
 def is_connected(net: QNetwork) -> bool:
     """True iff alice and bob sit in the same component."""
     adj = net.adjacency()
@@ -227,6 +262,27 @@ def _reject_fields(obj, allowed, required, where, field="field", suffix=""):
 
 def channel_from_json(obj, where: str = "channel") -> ChannelSpec:
     """Validate one channel object of the network JSON format."""
+    # One quick test passes a well-formed object of exact types.
+    name = obj.get("kind") if type(obj) is dict else None
+    kind = channels.KINDS.get(name) if type(name) is str else None
+    if (
+        kind is None
+        or not kind.required_fields <= obj.keys() <= kind.fields
+        or None in obj.values()
+    ):
+        kind = _channel_kind(obj, where)
+    try:
+        # Each kind's public constructor carries the kind's name and takes
+        # its parameters in order; an absent optional one is passed unset.
+        return getattr(channels, kind.name)(*map(obj.get, kind.names))
+    except InvalidParameter as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _channel_kind(obj, where: str) -> channels.ChannelKind:
+    """The kind of a channel object that failed ``channel_from_json``'s quick
+    test: raises the error that names its fault, or accepts a dict or str
+    subclass."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: channel must be an object")
     name = obj.get("kind")
@@ -238,12 +294,7 @@ def channel_from_json(obj, where: str = "channel") -> ChannelSpec:
         _reject_fields(obj, kind.fields, required, f"{where}: ", suffix=f" for kind {name!r}")
     if None in obj.values():
         raise ValidationError(f"{where}: fields of kind {name!r} must not be null")
-    try:
-        # Each kind's public constructor carries the kind's name and takes
-        # its parameters in order; an absent optional one is passed unset.
-        return getattr(channels, name)(*map(obj.get, kind.names))
-    except InvalidParameter as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    return kind
 
 
 def channel_to_json(spec: ChannelSpec) -> dict:
@@ -266,31 +317,46 @@ def parse_network(document: str | bytes) -> QNetwork:
     Raises :class:`ParseError` for a document that does not decode (with
     the position of malformed JSON) and :class:`ValidationError` for any
     invariant violation, naming the offending element.
+
+    The cyclic garbage collector is paused while the document is decoded
+    and the network built: a parse makes many objects and no reference
+    cycles, so a collection would find nothing.  The caller's setting is
+    restored on return and on every error.  The setting is process-wide:
+    threads parsing at once each restore the one they found on entry.
     """
-    data = _load_json(document)
-    if not isinstance(data, dict):
-        raise ValidationError("top-level document must be an object")
-    if data.keys() != _TOP_FIELDS:
-        _reject_fields(data, _TOP_FIELDS, _TOP_FIELDS, "", "top-level field")
-    points = data["points"]
-    if not isinstance(points, list):
-        raise ValidationError("'points' must be an array of names")
-    if not isinstance(data["edges"], list):
-        raise ValidationError("'edges' must be an array")
-    edges = []
-    for i, obj in enumerate(data["edges"]):
-        if not isinstance(obj, dict):
-            raise ValidationError(f"edge #{i}: must be an object")
-        if obj.keys() != _EDGE_FIELDS:
-            _reject_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")
-        spec = channel_from_json(obj["channel"], where=f"edge {obj['id']!r}")
-        edges.append(Edge(obj["id"], obj["u"], obj["v"], spec))
-    return QNetwork(
-        points=tuple(points),
-        edges=tuple(edges),
-        alice=data["alice"],
-        bob=data["bob"],
-    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        data = _load_json(document)
+        if not isinstance(data, dict):
+            raise ValidationError("top-level document must be an object")
+        if data.keys() != _TOP_FIELDS:
+            _reject_fields(data, _TOP_FIELDS, _TOP_FIELDS, "", "top-level field")
+        points = data["points"]
+        if not isinstance(points, list):
+            raise ValidationError("'points' must be an array of names")
+        if not isinstance(data["edges"], list):
+            raise ValidationError("'edges' must be an array")
+        edges = []
+        for i, obj in enumerate(data["edges"]):
+            if not isinstance(obj, dict):
+                raise ValidationError(f"edge #{i}: must be an object")
+            if obj.keys() != _EDGE_FIELDS:
+                _reject_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")
+            try:
+                spec = channel_from_json(obj["channel"])
+            except ValidationError:  # fails again, now naming the edge
+                spec = channel_from_json(obj["channel"], where=f"edge {obj['id']!r}")
+            edges.append(Edge(obj["id"], obj["u"], obj["v"], spec))
+        return QNetwork(
+            points=tuple(points),
+            edges=tuple(edges),
+            alice=data["alice"],
+            bob=data["bob"],
+        )
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def serialize_network(net: QNetwork) -> str:

@@ -26,7 +26,7 @@ from itertools import compress, count
 from operator import add
 
 from .errors import NoRoute, TooLarge
-from .network import Cut, QNetwork, Route, make_cut
+from .network import Cut, QNetwork, Route, _finite_multi_edge_value, make_cut
 
 #: Hard cap on |P|: 2^10 bipartitions of a few dozen edges, and a route
 #: search whose worst case grows like the count of simple routes.  The cap
@@ -276,8 +276,13 @@ def brute_multi_path_capacity(net: QNetwork) -> float:
     tol = 32 (|P| + |E|) ulp(T) >= 32 (|P| + |E|) u T covers that, the
     second-order terms and the rounding of min V + tol, and is itself exact
     (a power of two times an integer).  A bipartition left out has
-    S_i >= V_i - A - B > min V + tol - A - B >= S_j.  No intermediate
-    exceeds 2T; should 4T overflow, every bipartition is summed exactly.
+    S_i >= V_i - A - B > min V + tol - A - B >= S_j.
+
+    Range.  No intermediate exceeds 2T, and every capacity is finite, but T
+    need not be: should 4T overflow, no V_i is trusted and every bipartition
+    is summed exactly, so a minimum cut inside float range is still found
+    exactly.  A minimum that reads ``inf`` (every cut beyond float range)
+    raises :class:`ValidationError`, as in ``max_flow``.
     """
     _check_size(net)
     caps = list(net.capacities.values())
@@ -309,7 +314,8 @@ def brute_multi_path_capacity(net: QNetwork) -> float:
     else:
         candidates = range(len(approx))
     sides = ({net.alice, *_selected(interior, index)} for index in candidates)
-    return min(
+    value = min(
         sum(compress(caps, [(e.u in side) != (e.v in side) for e in net.edges]), 0.0)
         for side in sides
     )
+    return _finite_multi_edge_value(value)

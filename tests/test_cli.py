@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import pathlib
+import random
 
 import pytest
 
@@ -13,10 +15,12 @@ from qnetcap import (
     dephasing,
     erasure,
     lossy,
+    max_flow,
     multiband_lossy,
     parse_network,
     serialize_network,
 )
+from qnetcap import cli
 from qnetcap.cli import (
     compare_rows,
     db_grid,
@@ -24,6 +28,7 @@ from qnetcap.cli import (
     main,
     sweep_rows,
 )
+from qnetcap.errors import InvalidParameter
 from qnetcap.network import channel_from_json, channel_to_json
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -245,6 +250,73 @@ class TestNetworkCommand:
         assert capsys.readouterr().err.startswith("error: edge 'e0': bands=")
 
     @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_cuts_summing_past_float_range_exit_2_in_multi_mode(self, tmp_path, capsys, mode):
+        # a-x and x-b each twice in parallel at 1e308 bits: every cut sums to 2e308.
+        channel = {"kind": "multiband_lossy", "eta": 0.5, "bands": 10**308}
+        doc = {
+            "points": ["a", "x", "b"],
+            "alice": "a",
+            "bob": "b",
+            "edges": [
+                {"id": f"e{i}", "u": u, "v": v, "channel": channel}
+                for i, (u, v) in enumerate([("a", "x"), ("a", "x"), ("x", "b"), ("x", "b")])
+            ],
+        }
+        path = tmp_path / "huge_cuts.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["network", str(path), "--mode", mode])
+        out, err = capsys.readouterr()
+        if mode == "single":  # a maximum, not a sum
+            assert (code, err) == (0, "")
+            assert out.startswith(f"capacity: {format_bits(1e308)} bits/use\n")
+        else:
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: multi-path capacity is beyond float range: every alice/bob cut sums past it\n"
+            )
+
+    def test_multi_mode_text_is_the_line_by_line_text(self, tmp_path, capsys):
+        # 480 random edges among 100 points, each declared in a random
+        # direction, plus 20 leaves on one edge each, which carry no flow.
+        rng = random.Random(20261018)
+        names = [f"p{i}" for i in range(120)]
+        pairs = [rng.sample(names[:100], 2) for _ in range(480)]
+        pairs += [[leaf, rng.choice(names[:100])][:: rng.choice((1, -1))] for leaf in names[100:]]
+        doc = {
+            "points": names,
+            "alice": "p0",
+            "bob": "p1",
+            "edges": [
+                {"id": f"e{i}", "u": u, "v": v,
+                 "channel": {"kind": "lossy", "eta": rng.uniform(0.05, 0.95)}}
+                for i, (u, v) in enumerate(pairs)
+            ],
+        }
+        path = tmp_path / "net500.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        net = parse_network(path.read_bytes())
+        report = max_flow(net)
+        expected = io.StringIO()
+        print(f"capacity: {format_bits(report.value)} bits/use", file=expected)
+        for edge in net.edges:
+            rate = report.effective_rates[edge.edge_id]
+            print(f"rate {edge.edge_id} {edge.u}->{edge.v}: {format_bits(rate)}", file=expected)
+        for edge in net.edges:
+            oriented = report.orientation.get(edge.edge_id)
+            if oriented is not None:
+                print(f"orientation {edge.edge_id}: {oriented[0]}->{oriented[1]}", file=expected)
+        print(f"min_cut_side_a: {','.join(report.min_cut.side_a)}", file=expected)
+        print(f"min_cut_edges: {','.join(report.min_cut.cut_set)}", file=expected)
+
+        assert main(["network", str(path), "--mode", "multi"]) == 0
+        assert capsys.readouterr().out == expected.getvalue()
+        oriented = report.orientation
+        assert len(net.edges) == 500
+        assert any(oriented[e.edge_id] == (e.u, e.v) for e in net.edges if e.edge_id in oriented)
+        assert any(oriented[e.edge_id] == (e.v, e.u) for e in net.edges if e.edge_id in oriented)
+        assert sum(rate == 0.0 for rate in report.effective_rates.values()) >= 20
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
     def test_5000_hop_chain(self, tmp_path, capsys, mode):
         hops = 5000
         names = ["a"] + [f"r{i}" for i in range(1, hops)] + ["b"]
@@ -342,6 +414,24 @@ class TestSweep:
              "--repeaters", "0", "--out", "-"]
         ) == 2
         assert capsys.readouterr().err == "error: start=-1.0: must be non-negative\n"
+
+    def test_grid_row_limit_is_checked_before_any_row_is_built(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_ROWS", 5)
+        assert db_grid(0.0, 4.0, 1.0) == [0.0, 1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(InvalidParameter) as err:
+            db_grid(0.0, 5.0, 1.0)
+        assert err.value.field == "step"
+        assert str(err.value) == "step=1.0: leaves more than 5 grid rows"
+
+    def test_grid_of_2e14_rows_exits_2(self, capsys):
+        # 200 dB at 1e-12 dB would build ~2e14 rows before the first write.
+        assert main(
+            ["sweep", "--start", "0", "--stop", "200", "--step", "1e-12",
+             "--repeaters", "0", "--out", "-"]
+        ) == 2
+        assert capsys.readouterr() == (
+            "", "error: step=1e-12: leaves more than 10000000 grid rows\n"
+        )
 
     def test_uncountable_grid_exits_2(self, capsys):
         assert main(

@@ -13,8 +13,10 @@ from qnetcap import (
     lossy,
     max_flow,
     multi_path_capacity,
+    multiband_lossy,
     widest_path,
 )
+from qnetcap.errors import ValidationError
 
 
 class TestMaxFlow:
@@ -157,3 +159,32 @@ class TestLossyFormulas:
             for rec in enumerate_cuts(net).cuts
         )
         assert multi_path_capacity(net) == pytest.approx(-math.log2(best), abs=1e-9)
+
+
+def parallel_pairs(bands_x, bands_b):
+    """a-x and x-b, each twice in parallel: multiband_lossy(0.5, bands) has
+    capacity ``bands`` bits, so a cut crossing one pair sums to twice it."""
+    return build_network(
+        ("a", "x", "b"),
+        [
+            ("e0", "a", "x", multiband_lossy(0.5, bands_x)),
+            ("e1", "a", "x", multiband_lossy(0.5, bands_x)),
+            ("e2", "x", "b", multiband_lossy(0.5, bands_b)),
+            ("e3", "x", "b", multiband_lossy(0.5, bands_b)),
+        ],
+    )
+
+
+class TestFloatRange:
+    def test_every_cut_past_float_range_is_rejected(self):
+        net = parallel_pairs(10**308, 10**308)  # every cut sums to 2e308
+        for solve in (max_flow, multi_path_capacity, brute_multi_path_capacity):
+            with pytest.raises(ValidationError, match="beyond float range"):
+                solve(net)
+        assert widest_path(net).capacity == 1e308  # a maximum, not a sum
+
+    def test_finite_minimum_with_a_total_past_float_range(self):
+        # The edges total 2e308 + 2e306, but cut {a, x} sums to 2e306.
+        net = parallel_pairs(10**308, 10**306)
+        assert max_flow(net).value == 2e306
+        assert brute_multi_path_capacity(net) == 2e306

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import os
 import pathlib
@@ -16,16 +18,19 @@ from qnetcap import (
     QNetwork,
     UnknownEdge,
     ValidationError,
+    amplifier,
     brute_multi_path_capacity,
     capacity,
     cut_multi_edge_value,
     cut_single_edge_value,
+    dephasing,
     edge_capacity,
     enumerate_cuts,
     erasure,
     is_connected,
     lossy,
     make_cut,
+    multiband_lossy,
     parse_network,
     serialize_network,
     widest_path,
@@ -229,6 +234,66 @@ class TestParse:
             parse_network(json.dumps(doc))
 
 
+class TestParseGcPause:
+    """``parse_network`` pauses the cyclic collector and hands the caller's
+    setting back, however the parse ends."""
+
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            (DIAMOND_DOC, None),
+            ('{"points": [', ParseError),
+            (diamond_with(lambda doc: doc["edges"][2]["channel"].update(eta=1.5)), ValidationError),
+            (diamond_with(lambda doc: doc["edges"][3].update(u="zz")), ValidationError),
+        ],
+        ids=["parsed", "parse-error", "bad-channel", "bad-endpoint"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_caller_state_restored(self, document, error, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                parse_network(document)
+            else:
+                with pytest.raises(error):
+                    parse_network(document)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_no_collection_during_a_parse(self):
+        # With a threshold of one allocation, any running collector would
+        # start many collections over a parse of a few hundred edges.
+        edges = [
+            {"id": f"e{i}", "u": "a", "v": "b", "channel": {"kind": "lossy", "eta": 0.5}}
+            for i in range(300)
+        ]
+        document = json.dumps({"points": ["a", "b"], "alice": "a", "bob": "b", "edges": edges})
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        threshold, was_enabled = gc.get_threshold(), gc.isenabled()
+        gc.enable()
+        gc.set_threshold(1)
+        gc.callbacks.append(count)
+        try:
+            before = len(starts)
+            net = parse_network(document)
+            during = len(starts) - before
+            [[] for _ in range(100)]  # the collector runs again afterwards
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+            (gc.enable if was_enabled else gc.disable)()
+        assert len(net.edges) == 300
+        assert during == 0
+        assert len(starts) > 0
+
+
 class TestConstruction:
     @pytest.mark.parametrize("role", ["u", "v", "alice", "bob"])
     def test_unhashable_name(self, role):
@@ -240,6 +305,37 @@ class TestConstruction:
                 alice=names["alice"],
                 bob=names["bob"],
             )
+
+
+class TestEdgeIdentity:
+    #: MIXED_DOC's five edges, one per kind, built by hand.
+    BUILT = (
+        Edge("e1", "a", "p1", lossy(0.5)),
+        Edge("e2", "a", "p2", erasure(0.1, 2)),
+        Edge("e3", "p1", "p2", dephasing([0.9, 0.1])),
+        Edge("e4", "p1", "b", amplifier(1.5)),
+        Edge("e5", "p2", "b", multiband_lossy(0.5, 3)),
+    )
+
+    @pytest.mark.parametrize("index", range(5), ids=[e.channel.kind for e in BUILT])
+    def test_parsed_edge_equals_built_edge(self, index):
+        parsed, built = parse_network(MIXED_DOC).edges[index], self.BUILT[index]
+        for a, b in ((parsed, built), (parsed.channel, built.channel)):
+            assert a == b
+            assert hash(a) == hash(b)
+            assert repr(a) == repr(b)
+
+    def test_edge_is_a_frozen_dataclass_of_four_fields(self):
+        edge = Edge(edge_id="e1", u="a", v="p1", channel=lossy(0.5))
+        assert edge == self.BUILT[0]
+        assert repr(edge) == (
+            "Edge(edge_id='e1', u='a', v='p1', channel=ChannelSpec(kind='lossy', eta=0.5,"
+            " gain=None, probs=None, p=None, dim=None, bands=None))"
+        )
+        assert dataclasses.astuple(edge)[:3] == ("e1", "a", "p1")
+        assert dataclasses.replace(edge, v="p2").v == "p2"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            edge.u = "b"
 
 
 class TestSerialize:
