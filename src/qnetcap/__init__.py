@@ -5,6 +5,8 @@ networks of distillable channels, closed-form repeater-chain figures of
 merit, and a brute-force oracle certifying the route/cut dualities.
 """
 
+from types import ModuleType as _ModuleType
+
 from .chains import (
     ChainCapacity,
     asymptotic_loss_dominant,
@@ -16,7 +18,6 @@ from .chains import (
     multiband_chain_capacity,
 )
 from .channels import (
-    CAPACITY_TOL,
     CHANNEL_KINDS,
     ChannelSpec,
     amplifier,
@@ -62,7 +63,6 @@ from .oracle import (
     brute_multi_path_capacity,
     brute_single_path_capacity,
     enumerate_cuts,
-    enumerate_simple_routes,
 )
 from .single_path import (
     RouteReport,
@@ -74,61 +74,9 @@ from .single_path import (
 
 __version__ = "0.1.0"
 
+#: Every name imported above, and no module: each public name is written once.
 __all__ = [
-    "ChainCapacity",
-    "ChannelSpec",
-    "CAPACITY_TOL",
-    "CHANNEL_KINDS",
-    "BruteForceSinglePath",
-    "Cut",
-    "CutEnumeration",
-    "CutRecord",
-    "Edge",
-    "FlowReport",
-    "InvalidParameter",
-    "NoRoute",
-    "ParameterRegimeWarning",
-    "ParseError",
-    "QNetwork",
-    "QnetcapError",
-    "Route",
-    "RouteReport",
-    "TooLarge",
-    "UnknownEdge",
-    "ValidationError",
-    "amplifier",
-    "asymptotic_loss_dominant",
-    "asymptotic_repeater_dominant",
-    "binary_entropy",
-    "brute_multi_path_capacity",
-    "brute_single_path_capacity",
-    "capacity",
-    "chain_capacity",
-    "cut_multi_edge_value",
-    "cut_single_edge_value",
-    "db_to_transmissivity",
-    "dephasing",
-    "edge_capacity",
-    "enumerate_cuts",
-    "enumerate_simple_routes",
-    "equidistant_lossy_capacity",
-    "erasure",
-    "fiber_transmissivity",
-    "is_connected",
-    "lossy",
-    "make_cut",
-    "max_flow",
-    "max_link_loss_for_rate",
-    "max_spanning_tree",
-    "min_repeaters_for_rate",
-    "min_single_edge_cut",
-    "multi_path_capacity",
-    "multiband_chain_capacity",
-    "multiband_lossy",
-    "parse_network",
-    "serialize_network",
-    "shannon_entropy",
-    "transmissivity_to_db",
-    "tree_route_capacity",
-    "widest_path",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -37,11 +37,6 @@ DEPHASING = "dephasing"
 ERASURE = "erasure"
 MULTIBAND_LOSSY = "multiband_lossy"
 
-#: Absolute tolerance for capacity comparisons everywhere in the package.
-#: Far above accumulated rounding of the few transcendental calls involved,
-#: far below any physically meaningful distinction.
-CAPACITY_TOL = 1e-9
-
 #: Fiber attenuation in dB/km assumed wherever a rate is not given.
 FIBER_DB_PER_KM = 0.2
 

@@ -181,19 +181,26 @@ def cut_single_edge_value(net: QNetwork, cut: Cut) -> float:
     return max(edge_capacity(net, eid) for eid in cut.cut_set)
 
 
+#: Why a multi-edge value reads ``inf``: one cut's sum, or every cut's.
+_ONE_CUT = "multi-edge cut value is beyond float range: its crossing capacities sum past it"
+_EVERY_CUT = "multi-path capacity is beyond float range: every alice/bob cut sums past it"
+
+
 def cut_multi_edge_value(net: QNetwork, cut: Cut) -> float:
-    """Total capacity crossing the cut (the multi-edge cut value)."""
-    return sum(edge_capacity(net, eid) for eid in cut.cut_set)
+    """Total capacity crossing the cut (the multi-edge cut value), summed in
+    cut-set order; ``0.0`` for an empty cut-set.  Raises
+    :class:`ValidationError` when the total is beyond float range."""
+    value = sum((edge_capacity(net, eid) for eid in cut.cut_set), 0.0)
+    return _finite_multi_edge_value(value, _ONE_CUT)
 
 
-def _finite_multi_edge_value(value: float) -> float:
-    """The multi-path capacity ``value``, checked: ``inf`` means every
-    alice/bob cut sums beyond float range, and raises
-    :class:`ValidationError`, as one channel's capacity past it does."""
+def _finite_multi_edge_value(value: float, message: str = _EVERY_CUT) -> float:
+    """One cut's multi-edge value, or the minimum over all cuts, checked:
+    ``inf`` means it sums beyond float range, and raises
+    :class:`ValidationError` with ``message``, as one channel's capacity past
+    it does."""
     if value == math.inf:
-        raise ValidationError(
-            "multi-path capacity is beyond float range: every alice/bob cut sums past it"
-        )
+        raise ValidationError(message)
     return value
 
 

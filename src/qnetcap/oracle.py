@@ -12,10 +12,10 @@ implementations and a direct check of the route/cut dualities themselves:
   total crossing capacity from per-point totals, one list step each, and
   sums exactly, in edge order, only the bipartitions that a rounding bound
   cannot rule out; its answer is the exhaustive minimum bit for bit.
-- The route side is :func:`enumerate_simple_routes`, every simple alice-bob
-  route outright, and for the widest route an exhaustive depth-first search
-  in the same order with a bound: it drops any partial route no wider than
-  the best complete one found so far.
+- The route side is an exhaustive depth-first search over the simple
+  alice-bob routes, each point's ``(neighbour, edge id)`` pairs taken in
+  sorted order, with a bound: it drops any partial route no wider than the
+  best complete one found so far, so no route list is ever built.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import compress, count
 from operator import add
 
 from .errors import NoRoute, TooLarge
-from .network import Cut, QNetwork, Route, _finite_multi_edge_value, make_cut
+from .network import _ONE_CUT, Cut, QNetwork, Route, _finite_multi_edge_value, make_cut
 
 #: Hard cap on |P|: 2^10 bipartitions of a few dozen edges, and a route
 #: search whose worst case grows like the count of simple routes.  The cap
@@ -110,7 +110,11 @@ def _selected(items, mask: int):
 
 
 def enumerate_cuts(net: QNetwork) -> CutEnumeration:
-    """Every alice/bob bipartition with its single- and multi-edge values."""
+    """Every alice/bob bipartition with its single- and multi-edge values.
+
+    Raises :class:`ValidationError` if any cut's multi-edge value is beyond
+    float range, as :func:`~qnetcap.network.cut_multi_edge_value` does.
+    """
     _check_size(net)
     caps = list(net.capacities.values())
     edge_ids = [e.edge_id for e in net.edges]
@@ -128,7 +132,7 @@ def enumerate_cuts(net: QNetwork) -> CutEnumeration:
                     cut_set=tuple(_selected(edge_ids, mask)),
                 ),
                 single_edge_value=max(crossing, default=None),
-                multi_edge_value=sum(crossing, 0.0),
+                multi_edge_value=_finite_multi_edge_value(sum(crossing, 0.0), _ONE_CUT),
             )
         )
     return CutEnumeration(cuts=tuple(records))
@@ -142,50 +146,14 @@ def _sorted_adjacency(net: QNetwork) -> dict[str, list[tuple[str, str]]]:
     }
 
 
-def enumerate_simple_routes(net: QNetwork) -> list[Route]:
-    """All simple alice-bob paths, in lexicographic depth-first order.
-
-    Parallel edges yield distinct routes (same points, different edges).
-    Non-simple walks are excluded: restricting to cycle-free routes loses
-    nothing for bottleneck or flow values.
-    """
-    _check_size(net)
-    adj = _sorted_adjacency(net)
-    routes: list[Route] = []
-    point_stack = [net.alice]
-    edge_stack: list[str] = []
-    on_path = {net.alice}
-
-    def descend(point: str):
-        for other, eid in adj[point]:
-            if other in on_path:
-                continue
-            if other == net.bob:
-                routes.append(
-                    Route(
-                        point_sequence=tuple(point_stack) + (net.bob,),
-                        edge_sequence=tuple(edge_stack) + (eid,),
-                    )
-                )
-                continue
-            point_stack.append(other)
-            edge_stack.append(eid)
-            on_path.add(other)
-            descend(other)
-            point_stack.pop()
-            edge_stack.pop()
-            on_path.remove(other)
-
-    descend(net.alice)
-    return routes
-
-
 def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:
     """Widest-path value from both sides of the duality, by exhaustive search.
 
-    ``best_route`` is the first route of :func:`enumerate_simple_routes` with
-    the largest bottleneck, and ``min_cut`` the first bipartition of
-    :func:`enumerate_cuts` with the smallest largest crossing capacity.
+    ``best_route`` is, of the simple alice-bob routes with the largest
+    bottleneck, the first in lexicographic depth-first order over sorted
+    ``(neighbour, edge id)`` pairs (parallel edges are distinct routes), and
+    ``min_cut`` the first bipartition of :func:`enumerate_cuts` with the
+    smallest largest crossing capacity.
     """
     _check_size(net)
     caps = net.capacities

@@ -8,9 +8,11 @@ from qnetcap import (
     chain_capacity,
     cut_multi_edge_value,
     edge_capacity,
+    enumerate_cuts,
     erasure,
     is_connected,
     lossy,
+    make_cut,
     max_flow,
     multi_path_capacity,
     multiband_lossy,
@@ -49,6 +51,11 @@ class TestMaxFlow:
         assert report.orientation == {}
         assert report.min_cut.cut_set == ()
         assert multi_path_capacity(net) == 0.0
+
+    def test_disconnected_min_cut_sums_to_float_zero(self):
+        net = build_network(("a", "x", "b"), [("e0", "a", "x", lossy(0.5))])
+        report = max_flow(net)
+        assert repr(cut_multi_edge_value(net, report.min_cut)) == repr(report.value) == "0.0"
 
     def test_erasure_network_formula(self):
         # multi-path value is min over cuts of the summed (1 - p) weights
@@ -152,8 +159,6 @@ class TestLossyFormulas:
     def test_network_loss_product_form(self):
         net = diamond(0.3)
         # min over cuts of summed capacities equals -log2(max cut loss product)
-        from qnetcap import enumerate_cuts
-
         best = max(
             math.prod((1.0 - 0.3) for _ in rec.cut.cut_set)
             for rec in enumerate_cuts(net).cuts
@@ -182,6 +187,21 @@ class TestFloatRange:
             with pytest.raises(ValidationError, match="beyond float range"):
                 solve(net)
         assert widest_path(net).capacity == 1e308  # a maximum, not a sum
+
+    def test_one_cut_past_float_range_is_rejected(self):
+        message = "multi-edge cut value is beyond float range"
+        net = parallel_pairs(10**308, 10**308)
+        with pytest.raises(ValidationError, match=message):
+            cut_multi_edge_value(net, make_cut(net, ["a"]))
+        with pytest.raises(ValidationError, match=message):
+            enumerate_cuts(net)
+        # Cut {a} sums to 2e308, but cut {a, x} to 2e306.
+        net = parallel_pairs(10**308, 10**306)
+        assert cut_multi_edge_value(net, make_cut(net, ["a", "x"])) == 2e306
+        with pytest.raises(ValidationError, match=message):
+            cut_multi_edge_value(net, make_cut(net, ["a"]))
+        with pytest.raises(ValidationError, match=message):
+            enumerate_cuts(net)
 
     def test_finite_minimum_with_a_total_past_float_range(self):
         # The edges total 2e308 + 2e306, but cut {a, x} sums to 2e306.

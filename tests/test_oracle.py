@@ -8,13 +8,13 @@ from qnetcap import (
     Edge,
     NoRoute,
     QNetwork,
+    Route,
     TooLarge,
     brute_multi_path_capacity,
     brute_single_path_capacity,
     cut_multi_edge_value,
     cut_single_edge_value,
     enumerate_cuts,
-    enumerate_simple_routes,
     erasure,
     lossy,
     make_cut,
@@ -25,6 +25,29 @@ from qnetcap import (
 
 def lossy_for_bits(bits):
     return lossy(1.0 - 2.0 ** (-bits))
+
+
+def enumerate_simple_routes(net):
+    """All simple alice-bob routes, in lexicographic depth-first order over
+    each point's sorted ``(neighbour, edge id)`` pairs; parallel edges give
+    distinct routes.  The plain enumeration, with its own adjacency."""
+    adj = {point: [] for point in net.points}
+    for e in net.edges:
+        adj[e.u].append((e.v, e.edge_id))
+        adj[e.v].append((e.u, e.edge_id))
+    for pairs in adj.values():
+        pairs.sort()
+    routes = []
+
+    def descend(points, edges):
+        for other, eid in adj[points[-1]]:
+            if other == net.bob:
+                routes.append(Route(points + (other,), edges + (eid,)))
+            elif other not in points:
+                descend(points + (other,), edges + (eid,))
+
+    descend((net.alice,), ())
+    return routes
 
 
 def naive_multi(net):
@@ -264,8 +287,6 @@ class TestSizeCap:
             brute_single_path_capacity(net13)
         with pytest.raises(TooLarge):
             brute_multi_path_capacity(net13)
-        with pytest.raises(TooLarge):
-            enumerate_simple_routes(net13)
         with pytest.raises(TooLarge):
             enumerate_cuts(net13)
 
