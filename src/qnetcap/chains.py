@@ -56,7 +56,15 @@ def equidistant_lossy_capacity(eta_total: float, n_repeaters: int) -> float:
     n_repeaters = _require_int("n_repeaters", n_repeaters, 0)
     if n_repeaters == 0:
         return _pure_loss(eta_total)
-    log_root = math.log(eta_total) / (n_repeaters + 1)
+    return _link_capacity(math.log(eta_total) / (n_repeaters + 1))
+
+
+def _link_capacity(log_root: float) -> float:
+    """-log2(1 - root) of one link of transmissivity root = exp(log_root) < 1.
+
+    The CSV commands call this with ``log(eta) / (N + 1)`` for each N >= 1,
+    so :func:`equidistant_lossy_capacity` and the CSV cells share one formula.
+    """
     if log_root < -_LN2:
         # A root below 1/2: log1p keeps the digits 1 - root rounds away.
         return _pure_loss(math.exp(log_root))

@@ -1,8 +1,11 @@
 """Command-line surface: qnetcap {channel|chain|network|sweep|compare-multiband}.
 
-The CLI performs no capacity arithmetic of its own; every printed number is a
-library value passed through one fixed formatter (9 decimal places, '.'
-separator, LF line endings), so cells and lines are re-derivable bit-for-bit.
+The CLI performs no capacity arithmetic of its own.  Every printed capacity
+is a library value; the CSV commands evaluate the library's formulas once
+per grid row instead of once per cell.  A capacity is printed with one format spec (9 decimal places),
+shared by :func:`format_bits` and the CSV row template; the CSV grid columns
+(loss, distance) carry 12 significant digits.  Output uses '.' separators
+and LF line endings, so cells and lines are re-derivable bit-for-bit.
 
 Exit codes: 0 success, 2 invalid input, 3 no route between the end-points.
 """
@@ -14,7 +17,7 @@ import math
 import sys
 
 from . import channels
-from .chains import chain_capacity, equidistant_lossy_capacity
+from .chains import _link_capacity, chain_capacity
 from .channels import FIBER_DB_PER_KM
 from .errors import InvalidParameter, NoRoute, QnetcapError, ValidationError
 from .multi_path import max_flow
@@ -26,16 +29,15 @@ EXIT_INVALID = 2
 EXIT_NO_ROUTE = 3
 
 
+#: Format specs of a capacity in bits and of a CSV grid value (loss, distance).
+_BITS_SPEC = ".9f"
+_GRID_SPEC = ".12g"
+
+
 def format_bits(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
     if value == 0.0:
         value = 0.0  # never print -0
-    return f"{value:.9f}"
-
-
-def _format_grid_value(value: float) -> str:
-    return f"{value:g}"
+    return format(value, _BITS_SPEC)
 
 
 #: argparse type of every channel parameter's flag, each flag once (``dim``
@@ -128,8 +130,9 @@ def cmd_network(args) -> int:
     return EXIT_OK
 
 
-#: Most rows a loss grid may have: every row is built before the CSV is
-#: written (loss-sweep's 0-200 dB at 0.01 dB is 20,001).
+#: Most rows a loss grid may have: every row is computed before the CSV file
+#: is opened, then its lines are streamed (loss-sweep's 0-200 dB at 0.01 dB
+#: is 20,001 rows).
 _MAX_GRID_ROWS = 10**7
 
 
@@ -146,24 +149,44 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(int(intervals) + 1)]
 
 
-def _capacities(loss_db: float, bands, repeater_counts) -> list[float]:
-    """Multiband cells, then equidistant-repeater cells, at one grid loss."""
-    eta = channels.db_to_transmissivity(loss_db)
-    if eta >= 1.0:
-        # zero loss: the point-to-point bound diverges
-        return [math.inf] * (len(bands) + len(repeater_counts))
-    return [channels.capacity(channels.multiband_lossy(eta, m)) for m in bands] + [
-        equidistant_lossy_capacity(eta, n) for n in repeater_counts
-    ]
+def _capacities(losses, bands, repeater_counts):
+    """Multiband cells, then equidistant-repeater cells, one list per loss.
+
+    The caller checks the counts once.  Per row only what depends on eta is
+    computed: ``point = -log2(1 - eta)`` and ``log(eta)``.  Each cell is then
+    the library's own formula, equal to the library call: ``m * point`` as
+    in ``capacity(multiband_lossy(eta, m))``, and ``point`` at N = 0 or
+    ``_link_capacity(log(eta) / (N + 1))`` as in
+    ``equidistant_lossy_capacity(eta, N)``.
+    """
+    n_cells = len(bands) + len(repeater_counts)
+    # eta underflows to 0.0 beyond ~3,237 dB.  The check of a row's first
+    # cell fails first: multiband_lossy names eta, the repeater chain eta_total.
+    eta_field = "eta" if bands else "eta_total"
+    huge_bands = [m for m in bands if m > channels._SAFE_BANDS]
+    for loss_db in losses:
+        eta = channels.db_to_transmissivity(loss_db)
+        if eta >= 1.0 or not n_cells:
+            # zero loss: the point-to-point bound diverges; no cells: no check
+            yield [math.inf] * n_cells
+            continue
+        channels._open_unit(eta_field, eta)
+        for m in huge_bands:  # the spec rejects a capacity beyond float range
+            channels.multiband_lossy(eta, m)
+        point, log_eta = channels._pure_loss(eta), math.log(eta)
+        yield [m * point for m in bands] + [
+            _link_capacity(log_eta / (n + 1)) if n else point for n in repeater_counts
+        ]
 
 
 def sweep_rows(start: float, stop: float, step: float, repeater_counts):
     """Header and rows of the equidistant-repeater sweep CSV."""
     repeater_counts = [channels._require_int("repeaters", n, 0) for n in repeater_counts]
     header = ["loss_db"] + [f"N{n}" for n in repeater_counts]
+    losses = db_grid(start, stop, step)
     rows = [
-        [loss_db, *_capacities(loss_db, (), repeater_counts)]
-        for loss_db in db_grid(start, stop, step)
+        [loss_db, *cells]
+        for loss_db, cells in zip(losses, _capacities(losses, (), repeater_counts))
     ]
     return header, rows
 
@@ -178,25 +201,32 @@ def compare_rows(start, stop, step, bands, repeater_counts, rate_db_per_km=FIBER
         + [f"M{m}" for m in bands]
         + [f"N{n}" for n in repeater_counts]
     )
+    losses = db_grid(start, stop, step)
     rows = [
-        [loss_db, loss_db / rate_db_per_km, *_capacities(loss_db, bands, repeater_counts)]
-        for loss_db in db_grid(start, stop, step)
+        [loss_db, loss_db / rate_db_per_km, *cells]
+        for loss_db, cells in zip(losses, _capacities(losses, bands, repeater_counts))
     ]
     return header, rows
 
 
 def _write_csv(path: str, header, rows, n_grid_columns: int):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [_format_grid_value(x) for x in row[:n_grid_columns]]
-        cells += [format_bits(x) for x in row[n_grid_columns:]]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+    """Stream the CSV lines, each row formatted by one template.
+
+    No cell needs :func:`format_bits`' -0 guard: for eta in (0, 1) every
+    capacity is > 0, and a grid value is >= +0.0.
+    """
+    specs = [_GRID_SPEC] * n_grid_columns + [_BITS_SPEC] * (len(header) - n_grid_columns)
+    template = ",".join("%" + spec for spec in specs) + "\n"
+
+    def write(handle):
+        handle.write(",".join(header) + "\n")
+        handle.writelines(template % tuple(row) for row in rows)
+
     if path == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            write(handle)
 
 
 def cmd_sweep(args) -> int:

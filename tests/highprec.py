@@ -28,6 +28,16 @@ def hp_equidistant(loss_db, n_repeaters) -> Decimal:
     return -hp_log2(1 - root)
 
 
+def hp_equidistant_eta(eta, n_repeaters) -> Decimal:
+    """-log2(1 - eta**(1/(N+1))), a float ``eta`` taken at its exact binary value."""
+    eta = Decimal(eta)
+    # Enough digits that 1 - root keeps all of the root, which is >= eta.
+    with localcontext() as ctx:
+        ctx.prec += max(0, -eta.adjusted())
+        root = eta if n_repeaters == 0 else (eta.ln() / (n_repeaters + 1)).exp()
+        return -hp_log2(1 - root)
+
+
 def hp_max_link_loss(target_bits) -> Decimal:
     """Loss in dB at which -log2(1 - eta) = target: eta = 1 - 2**-target."""
     eta = 1 - Decimal(2) ** -Decimal(repr(target_bits))

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from highprec import hp_equidistant, hp_max_link_loss, hp_plob
+from highprec import hp_equidistant, hp_equidistant_eta, hp_max_link_loss, hp_plob
 from qnetcap import (
     InvalidParameter,
     asymptotic_loss_dominant,
@@ -117,6 +119,21 @@ class TestEquidistant:
                 assert split < best
         even = chain_capacity([lossy(math.sqrt(eta)), lossy(eta / math.sqrt(eta))]).value
         assert even == pytest.approx(best, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        eta=st.one_of(
+            # log-uniform over (0, 1), from the subnormals up ...
+            st.floats(-320.0, math.log10(1.0 - 1e-15)).map(lambda x: 10.0**x),
+            # ... and log-uniform in 1 - eta, to within 1e-15 of 1.
+            st.floats(-15.0, -0.5).map(lambda x: 1.0 - 10.0**x),
+        ),
+        n=st.integers(0, 10**6),
+    )
+    def test_exact_over_the_whole_domain(self, eta, n):
+        assert math.isclose(
+            equidistant_lossy_capacity(eta, n), float(hp_equidistant_eta(eta, n)), rel_tol=1e-13
+        )
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,9 @@ from qnetcap import (
     ParseError,
     amplifier,
     capacity,
+    db_to_transmissivity,
     dephasing,
+    equidistant_lossy_capacity,
     erasure,
     lossy,
     max_flow,
@@ -28,6 +31,7 @@ from qnetcap.cli import (
     main,
     sweep_rows,
 )
+from qnetcap.channels import FIBER_DB_PER_KM
 from qnetcap.errors import InvalidParameter
 from qnetcap.network import channel_from_json, channel_to_json
 
@@ -488,6 +492,108 @@ class TestCompareMultiband:
     def test_distance_column_uses_fiber_rate(self):
         header, rows = compare_rows(3.0, 3.0, 1.0, bands=[1], repeater_counts=[])
         assert rows[0][header.index("distance_km")] == pytest.approx(15.0, abs=1e-12)
+
+
+#: Grid rows whose transmissivity underflows to 0.0 (beyond ~3,237 dB).
+UNDERFLOW_GRID = ["--start", "3000", "--stop", "4000", "--step", "100"]
+
+
+class TestCsvErrorPaths:
+    """Exact stderr and exit code of the CSV commands' per-row failures."""
+
+    def test_underflow_names_eta_total_with_only_repeaters(self, capsys):
+        argv = ["sweep", *UNDERFLOW_GRID, "--repeaters", "0,1", "--out", "-"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: eta_total=0.0: must lie strictly inside (0, 1)\n"
+        )
+
+    def test_underflow_names_eta_with_bands(self, capsys):
+        argv = ["compare-multiband", *UNDERFLOW_GRID, "--bands", "1", "--repeaters", "1",
+                "--out", "-"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: eta=0.0: must lie strictly inside (0, 1)\n")
+
+    def test_underflow_without_capacity_columns_exits_0(self, capsys):
+        argv = ["compare-multiband", *UNDERFLOW_GRID, "--bands=", "--repeaters=", "--out", "-"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "loss_db,distance_km"
+        assert len(lines[1:]) == 11
+
+    @pytest.mark.parametrize("zeros", [308, 309])
+    def test_band_count_beyond_float_range_exits_2(self, capsys, zeros):
+        bands = "1" + "0" * zeros
+        argv = ["compare-multiband", "--start", "0", "--stop", "1", "--step", "0.5",
+                "--bands", bands, "--repeaters=", "--out", "-"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: bands={bands}: too many bands for a float capacity\n"
+        )
+
+    def test_band_count_beyond_float_range_at_zero_loss_reads_inf(self, capsys):
+        argv = ["compare-multiband", "--start", "0", "--stop", "0", "--step", "1",
+                "--bands", "1" + "0" * 309, "--repeaters=", "--out", "-"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0,0,inf"
+
+
+#: The benchmark's two 0-200 dB @0.01 CSVs: argv without --out, and the
+#: SHA-256 of the file each command must write.
+BENCHMARK_GRID = ["--start", "0", "--stop", "200", "--step", "0.01"]
+BENCHMARK_CSVS = {
+    "sweep": (
+        ["sweep", *BENCHMARK_GRID, "--repeaters", "0,1,2,5,10,20,50,100,1000"],
+        "dd1439eb7f35ed45a6c9a4159b6ae4fb92049ba72d882c31f132cf480859bcc7",
+    ),
+    "compare": (
+        ["compare-multiband", *BENCHMARK_GRID, "--bands", "1,10,100", "--repeaters", "1,2,10"],
+        "153479ce4652edd18ddde2455886df82186fe6e656f67fbc2e29005f72f52033",
+    ),
+}
+
+
+class TestBenchmarkGrid:
+    @pytest.mark.parametrize("name", BENCHMARK_CSVS)
+    def test_csv_bytes_unchanged(self, tmp_path, name):
+        argv, digest = BENCHMARK_CSVS[name]
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_every_cell_is_the_library_value(self):
+        bands, counts = [1, 10, 100], [0, 1, 2, 5, 10, 20, 50, 100, 1000]
+        _, sweep = sweep_rows(0.0, 200.0, 0.01, counts)
+        _, compare = compare_rows(0.0, 200.0, 0.01, bands, counts)
+        assert len(sweep) == len(compare) == 20_001
+        for sweep_row, compare_row in zip(sweep, compare):
+            loss_db = sweep_row[0]
+            eta = db_to_transmissivity(loss_db)
+            if eta >= 1.0:
+                expected = [math.inf] * (len(bands) + len(counts))
+            else:
+                expected = [capacity(multiband_lossy(eta, m)) for m in bands]
+                expected += [equidistant_lossy_capacity(eta, n) for n in counts]
+            assert sweep_row == [loss_db, *expected[len(bands):]]
+            assert compare_row == [loss_db, loss_db / FIBER_DB_PER_KM, *expected]
+
+
+class TestGridColumns:
+    def test_loss_keeps_twelve_significant_digits(self, capsys):
+        argv = ["sweep", "--start", "100", "--stop", "100.0004", "--step", "0.0001",
+                "--repeaters", "0", "--out", "-"]
+        assert main(argv) == 0
+        losses = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert losses == ["100", "100.0001", "100.0002", "100.0003", "100.0004"]
+
+    def test_distance_is_not_printed_in_exponent_form(self, capsys):
+        argv = ["compare-multiband", "--start", "199", "--stop", "200", "--step", "1",
+                "--bands", "1", "--repeaters=", "--rate-db-per-km", "0.00017", "--out", "-"]
+        assert main(argv) == 0
+        distances = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert distances == ["1170588.23529", "1176470.58824"]
 
 
 class TestFormatting:
