@@ -21,9 +21,10 @@ from .channels import (
     _require_positive,
     capacity,
     multiband_lossy,
-    transmissivity_to_db,
 )
 from .errors import InvalidParameter
+
+_LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -56,18 +57,28 @@ def equidistant_lossy_capacity(eta_total: float, n_repeaters: int) -> float:
     n_repeaters = _require_int("n_repeaters", n_repeaters, 0)
     if n_repeaters == 0:
         return _pure_loss(eta_total)
-    return _link_capacity(math.log(eta_total) / (n_repeaters + 1))
+    return _link_capacity(math.log(eta_total), n_repeaters + 1)
 
 
-def _link_capacity(log_root: float) -> float:
-    """-log2(1 - root) of one link of transmissivity root = exp(log_root) < 1.
+def _link_capacity(log_eta: float, links: int) -> float:
+    """-log2(1 - root) of one of ``links`` equal links, root = eta**(1/links) < 1.
 
-    The CSV commands call this with ``log(eta) / (N + 1)`` for each N >= 1,
-    so :func:`equidistant_lossy_capacity` and the CSV cells share one formula.
+    ``log_eta`` is ln(eta).  The CSV commands call this for each N >= 1 with
+    ``links = N + 1``, so :func:`equidistant_lossy_capacity` and the CSV
+    cells share one formula.  ``links`` may be an int beyond float range.
     """
+    try:
+        log_root = log_eta / links
+    except OverflowError:  # links is beyond float range: ln(root) rounds to -0
+        log_root = -0.0
     if log_root < -_LN2:
         # A root below 1/2: log1p keeps the digits 1 - root rounds away.
         return _pure_loss(math.exp(log_root))
+    if log_root > -(2.0**-50):
+        # x = -ln(root) = |ln eta| / links < 2**-50, where 1 - root = x to
+        # first order but x may be subnormal or not a float at all: -log2(x),
+        # to an ulp, from the logs of its two factors.
+        return math.log2(links) - math.log2(-log_eta)
     # 1 - eta**(1/(N+1)) via expm1 keeps precision when the root nears 1.
     return -math.log2(-math.expm1(log_root))
 
@@ -75,12 +86,23 @@ def _link_capacity(log_root: float) -> float:
 def max_link_loss_for_rate(target_bits: float) -> float:
     """Largest per-link loss (dB) at which one link still reaches the target.
 
-    Inverts -log2(1 - eta) = target; at 1 bit/use this is the 3 dB rule
-    (3.0103 dB per link, about 15 km of standard fiber at 0.2 dB/km).
+    Inverts -log2(1 - eta) = target: the loss is -10 log10(1 - 2**-t), from
+    ln(1 - 2**-t), so it keeps its digits above 53 bits too, where 1 - 2**-t
+    rounds to 1.  At 1 bit/use this is the 3 dB rule (3.0103 dB per link,
+    about 15 km of standard fiber at 0.2 dB/km).
     """
     target_bits = _require_positive("target_bits", target_bits)
-    # 1 - 2**-t via expm1 keeps its digits and stays positive for every t > 0.
-    return transmissivity_to_db(-math.expm1(-target_bits * _LN2))
+    return -10.0 * _log_keep(target_bits) / _LN10
+
+
+def _log_keep(target_bits: float) -> float:
+    """ln(1 - 2**-t): expm1 keeps small targets' digits, log1p large ones'.
+
+    -0.0 once 2**-t underflows (t > 1074), so a loss from it reads 0.0.
+    """
+    if target_bits < 1.0:
+        return math.log(-math.expm1(-target_bits * _LN2))
+    return math.log1p(-(2.0**-target_bits))
 
 
 def min_repeaters_for_rate(eta_total: float, target_bits: float) -> int:
@@ -101,13 +123,8 @@ def min_repeaters_for_rate(eta_total: float, target_bits: float) -> int:
     def meets(n):
         return equidistant_lossy_capacity(eta_total, n) >= target_bits
 
-    # log(1 - 2**-t): expm1 keeps small targets' digits, log1p large ones'.
-    if target_bits < 1.0:
-        log_keep = math.log(-math.expm1(-target_bits * _LN2))
-    else:
-        log_keep = math.log1p(-(2.0**-target_bits))
     try:
-        estimate = math.ceil(math.log(eta_total) / log_keep) - 1
+        estimate = math.ceil(math.log(eta_total) / _log_keep(target_bits)) - 1
         # ``low`` misses the target (-1 stands for no count), ``high`` meets it.
         low, high, step = -1, max(0, estimate), 1
         while not meets(high):
@@ -146,7 +163,8 @@ def asymptotic_loss_dominant(eta_total: float, n_repeaters: int) -> float:
     """
     eta_total = _open_unit("eta_total", eta_total)
     n_repeaters = _require_int("n_repeaters", n_repeaters, 0)
-    return eta_total ** (1.0 / (n_repeaters + 1)) / math.log(2.0)
+    # int / int rounds once, also when N + 1 is beyond float range.
+    return eta_total ** (1 / (n_repeaters + 1)) / math.log(2.0)
 
 
 def multiband_chain_capacity(links: Sequence[tuple[float, int]]) -> float:

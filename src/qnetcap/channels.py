@@ -27,7 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, KeysView
 
 from .errors import InvalidParameter, ParameterRegimeWarning
 
@@ -42,12 +42,17 @@ FIBER_DB_PER_KM = 0.2
 
 _PROB_SUM_TOL = 1e-12
 _LN2 = math.log(2.0)
+#: The smallest positive float and the largest float.
+_TINY = math.ulp(0.0)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _require_finite(field, value):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidParameter(field, value, "must be a real number")
-    if not math.isfinite(value):
+    # A comparison, not math.isfinite: an int beyond float range fails here
+    # instead of raising OverflowError.
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise InvalidParameter(field, value, "must be finite")
     return float(value)
 
@@ -62,42 +67,33 @@ def _require_int(field, value, minimum):
     return value
 
 
-def _open_unit(field, value):
-    # An exact float in range, the usual value, skips the general checks.
-    if type(value) is float and 0.0 < value < 1.0:
+def _interval(low, high, requirement):
+    """The check ``check(field, value)`` of a finite real number in [low, high].
+
+    ``low`` and ``high`` are floats.  An open end is the adjacent float, so
+    (0, 1) is [ulp(0), 1 - 2**-53]; an unbounded end is the largest float,
+    so inf fails as "must be finite".  The value is returned as a float;
+    out of range, :class:`InvalidParameter` carries ``requirement``.
+    """
+
+    def check(field, value):
+        # An exact float in range, the usual value, skips the general checks.
+        if type(value) is float and low <= value <= high:
+            return value
+        value = _require_finite(field, value)
+        if not low <= value <= high:
+            raise InvalidParameter(field, value, requirement)
         return value
-    value = _require_finite(field, value)
-    if not 0.0 < value < 1.0:
-        raise InvalidParameter(field, value, "must lie strictly inside (0, 1)")
-    return value
+
+    return check
 
 
-def _unit(field, value):
-    value = _require_finite(field, value)
-    if not 0.0 <= value <= 1.0:
-        raise InvalidParameter(field, value, "must lie in [0, 1]")
-    return value
-
-
-def _above_one(field, value):
-    value = _require_finite(field, value)
-    if not value > 1.0:
-        raise InvalidParameter(field, value, "must be strictly greater than 1")
-    return value
-
-
-def _require_positive(field, value):
-    value = _require_finite(field, value)
-    if not value > 0.0:
-        raise InvalidParameter(field, value, "must be positive")
-    return value
-
-
-def _non_negative(field, value):
-    value = _require_finite(field, value)
-    if value < 0.0:
-        raise InvalidParameter(field, value, "must be non-negative")
-    return value
+_open_unit = _interval(_TINY, 1.0 - 2.0**-53, "must lie strictly inside (0, 1)")
+_unit = _interval(0.0, 1.0, "must lie in [0, 1]")
+_above_one = _interval(1.0 + 2.0**-52, _FLOAT_MAX, "must be strictly greater than 1")
+_require_positive = _interval(_TINY, _FLOAT_MAX, "must be positive")
+_non_negative = _interval(0.0, _FLOAT_MAX, "must be non-negative")
+_transmissivity = _interval(_TINY, 1.0, "must lie in (0, 1]")
 
 
 def _distribution(field, values):
@@ -182,6 +178,10 @@ class ChannelKind:
     which must stay unset.  ``names`` lists the kind's parameter names in
     order; ``fields`` and ``required_fields`` are the JSON field names a
     channel object of the kind may and must carry, ``"kind"`` included.
+    ``required_fields`` is a dict's key view, ``"kind"`` first: ordered, so
+    a missing field is named in parameter order, and compared with a dict's
+    keys as a set in one step.  A view has no hash, so it stays out of the
+    kind's ``==`` and hash.
     """
 
     name: str
@@ -191,7 +191,7 @@ class ChannelKind:
     forbidden: tuple[str, ...] = field(init=False)
     names: tuple[str, ...] = field(init=False)
     fields: frozenset[str] = field(init=False)
-    required_fields: frozenset[str] = field(init=False)
+    required_fields: KeysView[str] = field(init=False, compare=False)
 
     def __post_init__(self):
         names = tuple(p.name for p in self.params)
@@ -200,7 +200,7 @@ class ChannelKind:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "fields", frozenset(["kind", *names]))
         required = [p.name for p in self.params if p.required]
-        object.__setattr__(self, "required_fields", frozenset(["kind", *required]))
+        object.__setattr__(self, "required_fields", dict.fromkeys(["kind", *required]).keys())
 
     def build(self, values, spec: ChannelSpec | None = None) -> ChannelSpec:
         """The spec of this kind holding ``values``, checked once each.
@@ -411,10 +411,8 @@ def db_to_transmissivity(loss_db: float) -> float:
 
 def transmissivity_to_db(eta: float) -> float:
     """Convert a transmissivity in (0, 1] to its loss in dB."""
-    eta = _require_finite("eta", eta)
-    if not 0.0 < eta <= 1.0:
-        raise InvalidParameter("eta", eta, "must lie in (0, 1]")
-    return -10.0 * math.log10(eta)
+    # 0.0 - x, not -x: no loss reads 0.0, not -0.0.
+    return 0.0 - 10.0 * math.log10(_transmissivity("eta", eta))
 
 
 def fiber_transmissivity(length_km: float, rate_db_per_km: float = FIBER_DB_PER_KM) -> float:

@@ -156,7 +156,7 @@ def _capacities(losses, bands, repeater_counts):
     computed: ``point = -log2(1 - eta)`` and ``log(eta)``.  Each cell is then
     the library's own formula, equal to the library call: ``m * point`` as
     in ``capacity(multiband_lossy(eta, m))``, and ``point`` at N = 0 or
-    ``_link_capacity(log(eta) / (N + 1))`` as in
+    ``_link_capacity(log(eta), N + 1)`` as in
     ``equidistant_lossy_capacity(eta, N)``.
     """
     n_cells = len(bands) + len(repeater_counts)
@@ -175,7 +175,7 @@ def _capacities(losses, bands, repeater_counts):
             channels.multiband_lossy(eta, m)
         point, log_eta = channels._pure_loss(eta), math.log(eta)
         yield [m * point for m in bands] + [
-            _link_capacity(log_eta / (n + 1)) if n else point for n in repeater_counts
+            _link_capacity(log_eta, n + 1) if n else point for n in repeater_counts
         ]
 
 
@@ -202,6 +202,8 @@ def compare_rows(start, stop, step, bands, repeater_counts, rate_db_per_km=FIBER
         + [f"N{n}" for n in repeater_counts]
     )
     losses = db_grid(start, stop, step)
+    if losses[-1] / rate_db_per_km == math.inf:  # the last distance is the largest
+        raise InvalidParameter("rate_db_per_km", rate_db_per_km, "puts a distance beyond float range")
     rows = [
         [loss_db, loss_db / rate_db_per_km, *cells]
         for loss_db, cells in zip(losses, _capacities(losses, bands, repeater_counts))

@@ -223,8 +223,10 @@ def is_connected(net: QNetwork) -> bool:
 
 def edge_capacity(net: QNetwork, edge_id: str) -> float:
     """Capacity in bits/use of the channel on the named edge."""
-    net.edge(edge_id)  # raises UnknownEdge
-    return net.capacities[edge_id]
+    try:
+        return net.capacities[edge_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise UnknownEdge(edge_id) from None
 
 
 # --- JSON ingestion / serialization ---------------------------------------
@@ -268,28 +270,12 @@ def _reject_fields(obj, allowed, required, where, field="field", suffix=""):
 
 
 def channel_from_json(obj, where: str = "channel") -> ChannelSpec:
-    """Validate one channel object of the network JSON format."""
-    # One quick test passes a well-formed object of exact types.
-    name = obj.get("kind") if type(obj) is dict else None
-    kind = channels.KINDS.get(name) if type(name) is str else None
-    if (
-        kind is None
-        or not kind.required_fields <= obj.keys() <= kind.fields
-        or None in obj.values()
-    ):
-        kind = _channel_kind(obj, where)
-    try:
-        # Each kind's public constructor carries the kind's name and takes
-        # its parameters in order; an absent optional one is passed unset.
-        return getattr(channels, kind.name)(*map(obj.get, kind.names))
-    except InvalidParameter as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    """Validate one channel object of the network JSON format.
 
-
-def _channel_kind(obj, where: str) -> channels.ChannelKind:
-    """The kind of a channel object that failed ``channel_from_json``'s quick
-    test: raises the error that names its fault, or accepts a dict or str
-    subclass."""
+    The checks run in one order: an object, a known kind, its fields, no
+    null; then the kind's public constructor checks each value.  A dict or
+    str subclass is accepted.
+    """
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: channel must be an object")
     name = obj.get("kind")
@@ -297,11 +283,16 @@ def _channel_kind(obj, where: str) -> channels.ChannelKind:
     if kind is None:
         raise ValidationError(f"{where}: unknown channel kind {name!r}")
     if not kind.required_fields <= obj.keys() <= kind.fields:
-        required = [p.name for p in kind.params if p.required]
-        _reject_fields(obj, kind.fields, required, f"{where}: ", suffix=f" for kind {name!r}")
+        suffix = f" for kind {name!r}"
+        _reject_fields(obj, kind.fields, kind.required_fields, f"{where}: ", suffix=suffix)
     if None in obj.values():
         raise ValidationError(f"{where}: fields of kind {name!r} must not be null")
-    return kind
+    try:
+        # Each kind's public constructor carries the kind's name and takes
+        # its parameters in order; an absent optional one is passed unset.
+        return getattr(channels, kind.name)(*map(obj.get, kind.names))
+    except InvalidParameter as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def channel_to_json(spec: ChannelSpec) -> dict:

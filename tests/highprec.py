@@ -31,17 +31,21 @@ def hp_equidistant(loss_db, n_repeaters) -> Decimal:
 def hp_equidistant_eta(eta, n_repeaters) -> Decimal:
     """-log2(1 - eta**(1/(N+1))), a float ``eta`` taken at its exact binary value."""
     eta = Decimal(eta)
-    # Enough digits that 1 - root keeps all of the root, which is >= eta.
+    # Enough digits that 1 - root keeps all of the root, which is >= eta,
+    # and that a root as near 1 as |ln eta| / (N + 1) keeps all of 1 - root.
     with localcontext() as ctx:
-        ctx.prec += max(0, -eta.adjusted())
+        ctx.prec += max(0, -eta.adjusted()) + len(str(n_repeaters))
         root = eta if n_repeaters == 0 else (eta.ln() / (n_repeaters + 1)).exp()
         return -hp_log2(1 - root)
 
 
 def hp_max_link_loss(target_bits) -> Decimal:
     """Loss in dB at which -log2(1 - eta) = target: eta = 1 - 2**-target."""
-    eta = 1 - Decimal(2) ** -Decimal(repr(target_bits))
-    return -10 * eta.log10()
+    # Enough digits that eta keeps all of 2**-target, however small.
+    with localcontext() as ctx:
+        ctx.prec += int(target_bits * 0.302) + 1
+        eta = 1 - Decimal(2) ** -Decimal(repr(target_bits))
+        return -10 * eta.log10()
 
 
 def hp_binary_entropy(p) -> Decimal:

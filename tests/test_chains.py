@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -128,12 +129,29 @@ class TestEquidistant:
             # ... and log-uniform in 1 - eta, to within 1e-15 of 1.
             st.floats(-15.0, -0.5).map(lambda x: 1.0 - 10.0**x),
         ),
-        n=st.integers(0, 10**6),
+        n=st.one_of(
+            st.integers(0, 10**6),
+            # log-uniform up to 10**400, far past float range, where
+            # |ln eta| / (N + 1) is subnormal or not a float at all.
+            st.floats(0.0, 400.0).map(lambda x: int(Decimal(10) ** Decimal(x))),
+        ),
     )
     def test_exact_over_the_whole_domain(self, eta, n):
         assert math.isclose(
             equidistant_lossy_capacity(eta, n), float(hp_equidistant_eta(eta, n)), rel_tol=1e-13
         )
+
+    @pytest.mark.parametrize(
+        "n",
+        [10**300, 10**305, 3 * 10**307, 10**308, 2 * 10**308, 10**400],
+        ids=["1e300", "1e305", "3e307", "1e308", "2e308", "1e400"],
+    )
+    @pytest.mark.parametrize("eta", [1.0 - 2.0**-53, 0.5, 5e-324])
+    def test_exact_past_float_range(self, eta, n):
+        # |ln eta| / (N + 1) is subnormal from ~10**292 and N + 1 is not a
+        # float from ~1.8e308; the answer grows like log2(N) throughout.
+        expected = float(hp_equidistant_eta(eta, n))
+        assert math.isclose(equidistant_lossy_capacity(eta, n), expected, rel_tol=1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):
@@ -150,11 +168,17 @@ class TestRateBudgeting:
     def test_3db_rule(self):
         assert max_link_loss_for_rate(1.0) == pytest.approx(3.0103, abs=1e-3)
 
-    @pytest.mark.parametrize("target", [1e-17, 1e-10, 1e-6, 0.5, 1.0])
+    @pytest.mark.parametrize("target", [1e-17, 1e-10, 1e-6, 0.5, 1.0, 54, 60, 200, 1000])
     def test_exact_for_small_targets(self, target):
-        # 1 - 2**-t rounds to 0 below t ~ 1e-16 and loses digits above it.
+        # 1 - 2**-t rounds to 0 below t ~ 1e-16 and loses digits above it;
+        # it rounds to 1 above 53 bits, where the loss is still > 0.
         exact = float(hp_max_link_loss(target))
         assert math.isclose(max_link_loss_for_rate(target), exact, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("target", [1100.0, 1e300])
+    def test_loss_below_the_smallest_float_reads_zero(self, target):
+        loss = max_link_loss_for_rate(target)
+        assert loss == 0.0 and math.copysign(1.0, loss) == 1.0  # not -0.0
 
     def test_smallest_target_resolves(self):
         assert max_link_loss_for_rate(5e-324) == pytest.approx(3233.06, abs=0.01)
@@ -240,6 +264,13 @@ class TestAsymptotics:
         approx = asymptotic_loss_dominant(0.5, 0)
         assert approx == pytest.approx(0.7213475204, abs=1e-9)
         assert abs(approx - 1.0) > 0.25
+
+    @pytest.mark.parametrize("n", [10**308, 10**400], ids=["1e308", "1e400"])
+    def test_asymptotics_past_float_range(self, n):
+        # eta**(1/(N+1)) rounds to 1 long before N + 1 leaves float range.
+        assert asymptotic_loss_dominant(0.5, n) == 1.0 / math.log(2.0)
+        expected = math.log2(n) - math.log2(math.log(2.0))
+        assert asymptotic_repeater_dominant(0.5, n) == expected
 
     def test_repeater_dominant_rejects_zero_repeaters(self):
         with pytest.raises(InvalidParameter):

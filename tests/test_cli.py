@@ -539,6 +539,27 @@ class TestCsvErrorPaths:
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines()[1] == "0,0,inf"
 
+    @pytest.mark.parametrize("rate", ["1e-320", "1e-308"])
+    def test_distance_beyond_float_range_exits_2(self, capsys, rate):
+        argv = ["compare-multiband", "--start", "0", "--stop", "2", "--step", "1",
+                "--bands", "1", "--repeaters", "1", "--rate-db-per-km", rate, "--out", "-"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: rate_db_per_km={float(rate)!r}: puts a distance beyond float range\n"
+        )
+
+    @pytest.mark.parametrize("zeros", [300, 308, 309, 400])
+    def test_repeater_count_beyond_float_range_exits_0(self, capsys, zeros):
+        n = 10**zeros
+        argv = ["sweep", "--start", "1", "--stop", "1", "--step", "1",
+                "--repeaters", f"1,{n}", "--out", "-"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        eta = db_to_transmissivity(1.0)
+        cells = [equidistant_lossy_capacity(eta, 1), equidistant_lossy_capacity(eta, n)]
+        assert out == f"loss_db,N1,N{n}\n1,{','.join(map(format_bits, cells))}\n"
+
 
 #: The benchmark's two 0-200 dB @0.01 CSVs: argv without --out, and the
 #: SHA-256 of the file each command must write.

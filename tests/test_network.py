@@ -190,6 +190,14 @@ class TestParse:
         with pytest.raises(ValidationError, match="eta"):
             parse_network(json.dumps(doc))
 
+    def test_integer_parameter_beyond_float_range(self):
+        # Not an OverflowError from float(): 10**400 is an accepted JSON number.
+        doc = json.loads(DIAMOND_DOC)
+        doc["edges"][0]["channel"]["eta"] = 10**400
+        with pytest.raises(ValidationError) as err:
+            parse_network(json.dumps(doc))
+        assert str(err.value) == f"edge 'e1': eta={10**400}: must be finite"
+
     @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
     def test_missing_top_level_field_is_named_alike_under_every_hash_seed(self, seed):
         code = (
@@ -377,6 +385,11 @@ class TestQueries:
     def test_edge_capacity_unknown_edge(self):
         with pytest.raises(UnknownEdge):
             edge_capacity(diamond(), "e99")
+
+    @pytest.mark.parametrize("edge_id", [None, 3, ["e1"], {"e1"}])
+    def test_edge_capacity_unknown_or_unhashable_id(self, edge_id):
+        with pytest.raises(UnknownEdge):
+            edge_capacity(diamond(), edge_id)
 
     def test_edge_lookup_by_id(self):
         net = diamond()

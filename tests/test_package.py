@@ -11,6 +11,10 @@ import qnetcap
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: Most code lines ``src/`` may hold (see :func:`code_lines`).  A change that
+#: adds a capability may raise it, and says why in CHANGES.md.
+SRC_CODE_LINES_CEILING = 1211
+
 PUBLIC = [
     "BruteForceSinglePath",
     "CHANNEL_KINDS",
@@ -106,3 +110,43 @@ def test_version_is_written_once():
     assert "version" not in config["project"]
     assert config["project"]["dynamic"] == ["version"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "qnetcap.__version__"}
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that are not blank, not comments and not docstrings.
+
+    A docstring is the first statement of a module, class or function when
+    it is a string constant, as the AST sees it.
+    """
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and ast.get_docstring(node) is not None:
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(
+        1
+        for number, line in enumerate(source.splitlines(), 1)
+        if line.strip() and not line.lstrip().startswith("#") and number not in docstrings
+    )
+
+
+def test_code_lines_rule():
+    source = '''"""Module."""
+
+# a comment
+def f(x):
+    """Docstring
+    over two lines."""
+    y = x  # counted
+
+    return y
+'''
+    assert code_lines(source) == 3
+
+
+def test_src_code_lines_stay_under_the_ceiling():
+    sources = sorted((ROOT / "src" / "qnetcap").glob("*.py"))
+    total = sum(code_lines(path.read_text(encoding="utf-8")) for path in sources)
+    assert total <= SRC_CODE_LINES_CEILING
