@@ -25,6 +25,7 @@ from .channels import (
 from .errors import InvalidParameter
 
 _LN10 = math.log(10.0)
+_LN_LN2 = math.log(_LN2)
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,12 @@ def max_link_loss_for_rate(target_bits: float) -> float:
 def _log_keep(target_bits: float) -> float:
     """ln(1 - 2**-t): expm1 keeps small targets' digits, log1p large ones'.
 
-    -0.0 once 2**-t underflows (t > 1074), so a loss from it reads 0.0.
+    Below 2**-60 it is ln(t ln 2), exact to first order: t ln 2 itself can
+    be subnormal and lose digits, so ln t is taken instead.  -0.0 once
+    2**-t underflows (t > 1074), so a loss from it reads 0.0.
     """
+    if target_bits < 2.0**-60:
+        return math.log(target_bits) + _LN_LN2
     if target_bits < 1.0:
         return math.log(-math.expm1(-target_bits * _LN2))
     return math.log1p(-(2.0**-target_bits))

@@ -404,7 +404,11 @@ def capacity(spec: ChannelSpec) -> float:
 
 
 def db_to_transmissivity(loss_db: float) -> float:
-    """Convert a non-negative loss in dB to a transmissivity."""
+    """Convert a non-negative loss in dB to a transmissivity.
+
+    Beyond ~3,236 dB the transmissivity underflows to ``0.0``, which no
+    channel accepts: a channel built from it names its own parameter.
+    """
     loss_db = _non_negative("loss_db", loss_db)
     return 10.0 ** (-loss_db / 10.0)
 
@@ -416,7 +420,15 @@ def transmissivity_to_db(eta: float) -> float:
 
 
 def fiber_transmissivity(length_km: float, rate_db_per_km: float = FIBER_DB_PER_KM) -> float:
-    """Transmissivity of a fiber span at the given attenuation rate."""
+    """Transmissivity of a fiber span at the given attenuation rate.
+
+    A span whose loss in dB is beyond float range is rejected naming
+    ``length_km``.  As in :func:`db_to_transmissivity`, a loss beyond
+    ~3,236 dB reads ``0.0``, which no channel accepts.
+    """
     length_km = _non_negative("length_km", length_km)
     rate_db_per_km = _require_positive("rate_db_per_km", rate_db_per_km)
-    return db_to_transmissivity(length_km * rate_db_per_km)
+    loss_db = length_km * rate_db_per_km
+    if loss_db == math.inf:
+        raise InvalidParameter("length_km", length_km, "puts the loss beyond float range")
+    return db_to_transmissivity(loss_db)

@@ -160,9 +160,11 @@ def make_cut(net: QNetwork, side_a) -> Cut:
         raise ValidationError("side_a must contain alice")
     if net.bob in side_a:
         raise ValidationError("side_a must not contain bob")
-    for name in side_a:
-        if name not in net.point_set:
-            raise ValidationError(f"side_a point {name!r} is not a declared point")
+    if not side_a <= net.point_set:
+        # The smallest by repr, not the first a set yields: one message
+        # whatever the hash seed.
+        name = min(side_a - net.point_set, key=repr)
+        raise ValidationError(f"side_a point {name!r} is not a declared point")
     side_b = [p for p in net.points if p not in side_a]
     crossing = tuple(
         e.edge_id for e in net.edges if (e.u in side_a) != (e.v in side_a)

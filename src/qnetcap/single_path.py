@@ -6,7 +6,10 @@ equals the minimum over alice/bob cuts of the largest crossing capacity.
 Two independent algorithms are provided (a width-maximizing Dijkstra variant
 and a maximum-spanning-tree extraction).  Both hand their per-point widths to
 one report builder, so both report the same certifying cut: the threshold
-cut whose alice side is every point wider than the capacity.
+cut whose alice side is every point wider than the capacity.  The Dijkstra
+search reads every edge once, parallel edges included: no pre-pass reduces a
+bundle to its best edge, since the relaxation settles ties between parallel
+edges itself (see :func:`_widths`).
 
 Comparisons inside the algorithms are exact double comparisons: both sides of
 the duality select among the same floating-point capacities, so equality is
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoRoute, ValidationError
-from .network import Cut, Edge, QNetwork, Route, make_cut
+from .network import Cut, QNetwork, Route, make_cut
 
 
 @dataclass(frozen=True)
@@ -36,30 +39,6 @@ class RouteReport:
     route: Route
     bottleneck_edge: str
     dual_cut: Cut
-
-
-def _reduced_adjacency(net: QNetwork) -> dict[str, list[Edge]]:
-    """Adjacency with parallel bundles reduced to their best edge.
-
-    Only the highest-capacity edge of a parallel bundle can matter on a
-    widest path; ties keep the lexicographically smallest edge id so routes
-    are reproducible.
-    """
-    caps = net.capacities
-    best: dict[tuple[str, str], Edge] = {}
-    for edge in net.edges:
-        key = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
-        incumbent = best.get(key)
-        if (
-            incumbent is None
-            or caps[edge.edge_id] > caps[incumbent.edge_id]
-            or (
-                caps[edge.edge_id] == caps[incumbent.edge_id]
-                and edge.edge_id < incumbent.edge_id
-            )
-        ):
-            best[key] = edge
-    return net.adjacency(best.values())
 
 
 def _route_report(
@@ -110,13 +89,16 @@ def _widths(net: QNetwork):
 
     ``width[p]`` is the best achievable bottleneck capacity of an alice-to-p
     path (infinite at alice).  The priority queue prefers larger widths and
-    breaks ties by point name, so predecessors are deterministic.  Declaration
-    order does not matter: bundles are reduced by (capacity, id), so a point
-    lists at most one edge per neighbour and the order of that list cannot
-    change which relaxation wins, and pops follow (width, name) alone.
+    breaks ties by point name, so predecessors are deterministic.  Parallel
+    edges are settled in the relaxation: when an edge from the point being
+    finished reaches a neighbour at exactly the width that same point set,
+    the wider edge is kept, then the smaller id.  So of the edges from one
+    point that give a neighbour its width, the kept one is the best by
+    (capacity, id) whatever order they are listed in, and pops follow
+    (width, name) alone: declaration order does not change the answer.
     """
     caps = net.capacities
-    adj = _reduced_adjacency(net)
+    adj = net.adjacency()
     width: dict[str, float] = {net.alice: math.inf}
     pred: dict[str, tuple[str, str]] = {}
     done: set[str] = set()
@@ -130,11 +112,17 @@ def _widths(net: QNetwork):
             other = edge.other(point)
             if other in done:
                 continue
-            reach = min(width[point], caps[edge.edge_id])
-            if reach > width.get(other, -math.inf):
+            eid = edge.edge_id
+            reach = min(width[point], caps[eid])
+            held = width.get(other, -math.inf)
+            if reach > held:
                 width[other] = reach
-                pred[other] = (point, edge.edge_id)
+                pred[other] = (point, eid)
                 heapq.heappush(heap, (-reach, other))
+            elif reach == held and pred[other][0] == point:
+                kept = pred[other][1]
+                if (-caps[eid], eid) < (-caps[kept], kept):
+                    pred[other] = (point, eid)
     return width, pred
 
 

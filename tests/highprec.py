@@ -5,6 +5,7 @@ digits, from the defining formulas directly, so the values are independent
 of the float paths in the package.
 """
 
+import math
 from decimal import Decimal, getcontext, localcontext
 
 getcontext().prec = 50
@@ -40,11 +41,15 @@ def hp_equidistant_eta(eta, n_repeaters) -> Decimal:
 
 
 def hp_max_link_loss(target_bits) -> Decimal:
-    """Loss in dB at which -log2(1 - eta) = target: eta = 1 - 2**-target."""
-    # Enough digits that eta keeps all of 2**-target, however small.
+    """Loss in dB at which -log2(1 - eta) = target: eta = 1 - 2**-target,
+    a float target taken at its exact binary value."""
+    target = Decimal(target_bits)
+    # Enough digits that eta keeps all of 2**-t while the loss is a float
+    # (t below ~1,080; beyond 1,100 the loss is below half the smallest
+    # subnormal and reads 0), and all of eta ~ t ln 2 when t is small.
     with localcontext() as ctx:
-        ctx.prec += int(target_bits * 0.302) + 1
-        eta = 1 - Decimal(2) ** -Decimal(repr(target_bits))
+        ctx.prec += int(min(target, 1100) * Decimal("0.302")) + 1 + max(0, -target.adjusted())
+        eta = 1 - Decimal(2) ** -target
         return -10 * eta.log10()
 
 
@@ -64,7 +69,11 @@ def hp_binary_entropy(p) -> Decimal:
 def hp_amplifier(gain) -> Decimal:
     """Amplifier capacity log2(g / (g - 1)) = -log2(1 - 1/g), g exact."""
     gain = Decimal(gain)
-    return hp_log2(gain / (gain - 1))
+    # Enough digits that g / (g - 1) keeps all of its 1/(g - 1), however
+    # large g is.
+    with localcontext() as ctx:
+        ctx.prec += max(0, gain.adjusted())
+        return hp_log2(gain / (gain - 1))
 
 
 def hp_shannon_entropy(probs) -> Decimal:
@@ -74,3 +83,9 @@ def hp_shannon_entropy(probs) -> Decimal:
         if p > 0:
             total -= p * hp_log2(p)
     return total
+
+
+def agrees(value: float, exact: Decimal, rel_tol: float = 1e-13) -> bool:
+    """``value`` is within ``rel_tol`` of ``exact``, or within a few ulps of
+    0.0 where the answer is subnormal: a subnormal holds fewer digits."""
+    return math.isclose(value, float(exact), rel_tol=rel_tol, abs_tol=4 * math.ulp(0.0))

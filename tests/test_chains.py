@@ -1,11 +1,12 @@
 import math
+import sys
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from highprec import hp_equidistant, hp_equidistant_eta, hp_max_link_loss, hp_plob
+from highprec import agrees, hp_equidistant, hp_equidistant_eta, hp_max_link_loss, hp_plob
 from qnetcap import (
     InvalidParameter,
     asymptotic_loss_dominant,
@@ -175,13 +176,28 @@ class TestRateBudgeting:
         exact = float(hp_max_link_loss(target))
         assert math.isclose(max_link_loss_for_rate(target), exact, rel_tol=1e-14)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        target=st.one_of(
+            st.floats(5e-324, sys.float_info.max),
+            # log-uniform from the smallest subnormal to near the largest float ...
+            st.floats(-323.3, 308.25).map(lambda x: 10.0**x),
+            # ... and where the loss turns subnormal, then 0.0.
+            st.floats(1000.0, 1100.0),
+        )
+    )
+    def test_exact_over_the_whole_domain(self, target):
+        assert agrees(max_link_loss_for_rate(target), hp_max_link_loss(target))
+
     @pytest.mark.parametrize("target", [1100.0, 1e300])
     def test_loss_below_the_smallest_float_reads_zero(self, target):
         loss = max_link_loss_for_rate(target)
         assert loss == 0.0 and math.copysign(1.0, loss) == 1.0  # not -0.0
 
     def test_smallest_target_resolves(self):
-        assert max_link_loss_for_rate(5e-324) == pytest.approx(3233.06, abs=0.01)
+        # The loss is -10 log10(5e-324 ln 2); 5e-324 * ln 2 is subnormal and
+        # rounds back up to 5e-324, whose loss is 3233.06 dB.
+        assert max_link_loss_for_rate(5e-324) == pytest.approx(3234.654, abs=1e-3)
 
     def test_single_link_meets_target_at_3db_total(self):
         assert min_repeaters_for_rate(db_to_transmissivity(3.0), 1.0) == 0

@@ -1,10 +1,20 @@
 import json
 import math
+import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from highprec import hp_amplifier, hp_binary_entropy, hp_plob, hp_shannon_entropy
+from highprec import (
+    agrees,
+    hp_amplifier,
+    hp_binary_entropy,
+    hp_equidistant_eta,
+    hp_plob,
+    hp_shannon_entropy,
+)
 from qnetcap import (
     CHANNEL_KINDS,
     ChannelSpec,
@@ -74,6 +84,32 @@ class TestCapacityValues:
         expected = float(hp_amplifier(gain))
         assert math.isclose(capacity(amplifier(gain)), expected, rel_tol=1e-13)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        eta=st.one_of(
+            st.floats(5e-324, 1.0 - 2.0**-53),
+            # log-uniform over (0, 1), from the subnormals up ...
+            st.floats(-323.3, -1e-16).map(lambda x: 10.0**x),
+            # ... and log-uniform in 1 - eta, to the float below 1.
+            st.floats(-15.9, -0.3).map(lambda x: 1.0 - 10.0**x),
+        )
+    )
+    def test_lossy_exact_over_the_whole_domain(self, eta):
+        assert agrees(capacity(lossy(eta)), hp_equidistant_eta(eta, 0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        gain=st.one_of(
+            st.floats(1.0 + 2.0**-52, sys.float_info.max),
+            # log-uniform in g - 1, to the float above 1 ...
+            st.floats(-15.6, 0.0).map(lambda x: 1.0 + 10.0**x),
+            # ... and log-uniform in g, to near the largest float.
+            st.floats(0.3, 308.25).map(lambda x: 10.0**x),
+        )
+    )
+    def test_amplifier_exact_over_the_whole_domain(self, gain):
+        assert agrees(capacity(amplifier(gain)), hp_amplifier(gain))
+
 
 class TestEntropies:
     def test_binary_entropy_max(self):
@@ -93,6 +129,19 @@ class TestEntropies:
         # 1 - p rounds to 1 below p ~ 1e-16, dropping the p/ln 2 term.
         expected = float(hp_binary_entropy(p))
         assert math.isclose(binary_entropy(p), expected, rel_tol=1e-13)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.one_of(
+            st.floats(0.0, 1.0),
+            # log-uniform over (0, 1], from the subnormals up ...
+            st.floats(-323.3, 0.0).map(lambda x: 10.0**x),
+            # ... and log-uniform in 1 - p, up to 1.
+            st.floats(-16.0, 0.0).map(lambda x: 1.0 - 10.0**x),
+        )
+    )
+    def test_binary_entropy_exact_over_the_whole_domain(self, p):
+        assert agrees(binary_entropy(p), hp_binary_entropy(p))
 
     def test_shannon_point_mass(self):
         for probs in [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]:
@@ -150,6 +199,20 @@ class TestConversions:
         eta = fiber_transmissivity(15.0, 0.2)
         assert eta == pytest.approx(0.5012, abs=1e-4)
         assert transmissivity_to_db(eta) == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "length_km, rate", [(1e300, 1e10), (1e308, 2.0), (10**308, 10)], ids=["1e300", "1e308", "int"]
+    )
+    def test_fiber_loss_beyond_float_range_names_the_length(self, length_km, rate):
+        with pytest.raises(InvalidParameter) as err:
+            fiber_transmissivity(length_km, rate)
+        assert str(err.value) == f"length_km={float(length_km)!r}: puts the loss beyond float range"
+
+    def test_loss_past_underflow_reads_zero_which_no_channel_accepts(self):
+        assert db_to_transmissivity(1e5) == 0.0
+        assert fiber_transmissivity(1e300, 1e8) == 0.0
+        with pytest.raises(InvalidParameter, match=r"^eta=0\.0: "):
+            lossy(fiber_transmissivity(1e300, 1e8))
 
     @pytest.mark.parametrize("eta", [0.0, 1.5])
     def test_transmissivity_to_db_rejects(self, eta):

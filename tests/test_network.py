@@ -37,6 +37,17 @@ from qnetcap import (
 )
 from qnetcap.cli import main as cli_main
 
+
+def stdout_under_hash_seed(code: str, seed: str) -> str:
+    """What ``code`` prints in a fresh interpreter under ``PYTHONHASHSEED=seed``."""
+    src = pathlib.Path(qnetcap.__file__).parent.parent
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
+
+
 DIAMOND_DOC = """
 { "points": ["a", "p1", "p2", "b"],
   "alice": "a", "bob": "b",
@@ -207,12 +218,7 @@ class TestParse:
             "except Exception as exc:\n"
             "    print(exc)\n"
         )
-        src = pathlib.Path(qnetcap.__file__).parent.parent
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout == "missing top-level field 'alice'\n"
+        assert stdout_under_hash_seed(code, seed) == "missing top-level field 'alice'\n"
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -434,6 +440,20 @@ class TestQueries:
     def test_make_cut_rejects_undeclared_point(self):
         with pytest.raises(ValidationError, match="'ghost' is not a declared point"):
             make_cut(diamond(), {"a", "ghost"})
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5", "6"])
+    def test_make_cut_names_one_undeclared_point_under_every_hash_seed(self, seed):
+        # Several undeclared points: the one named is the smallest by repr,
+        # not the first that the set happens to yield.
+        code = (
+            "from qnetcap import Edge, QNetwork, lossy, make_cut\n"
+            "net = QNetwork(('a', 'x', 'b'), (Edge('e', 'a', 'b', lossy(0.5)),), 'a', 'b')\n"
+            "try:\n"
+            "    make_cut(net, ['a', 'q1', 'q2', 'q3', 'q4'])\n"
+            "except Exception as exc:\n"
+            "    print(exc)\n"
+        )
+        assert stdout_under_hash_seed(code, seed) == "side_a point 'q1' is not a declared point\n"
 
     def test_empty_cut_set_single_value_is_no_route(self):
         net = build_network(("a", "b"), [])

@@ -128,7 +128,7 @@ def route_answer(report):
 @given(networks, st.integers(0, 2**32 - 1))
 def test_route_answers_do_not_depend_on_declaration_order(net, seed):
     rng = random.Random(seed)
-    # Equal-capacity parallel twins, so reduced bundles hold exact ties.
+    # Equal-capacity parallel twins, so parallel edges tie exactly.
     twins = [(f"d{i}", e.u, e.v, e.channel) for i, e in enumerate(rng.choices(net.edges, k=5))]
     net = build_network(
         net.points, [(e.edge_id, e.u, e.v, e.channel) for e in net.edges] + twins

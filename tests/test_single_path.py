@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -140,6 +141,25 @@ class TestWidestPath:
         assert report.capacity == 5.0
         assert cut_single_edge_value(net, report.dual_cut) == 5.0
         assert brute_single_path_capacity(net).cut_value == 5.0
+
+    @pytest.mark.parametrize(
+        "bundle, kept",
+        [({"e2": 2, "e3": 3, "e4": 2}, "e3"), ({"e2": 2, "e3": 2, "e4": 2}, "e2")],
+        ids=["wider", "equal"],
+    )
+    def test_parallel_edges_of_equal_reach_keep_the_wider_then_the_smaller_id(self, bundle, kept):
+        # Every x-b edge is wider than x's width of 1 bit, so each reaches b
+        # at 1 bit; the route keeps the widest, then the smallest id, in
+        # whatever order the bundle is declared.
+        for order in itertools.permutations(bundle):
+            net = build_network(
+                ("a", "x", "b"),
+                [("e1", "a", "x", lossy_for_bits(1))]
+                + [(eid, "x", "b", lossy_for_bits(bundle[eid])) for eid in order],
+            )
+            report = widest_path(net)
+            assert (report.capacity, report.bottleneck_edge) == (1.0, "e1")
+            assert report.route.edge_sequence == ("e1", kept)
 
     def test_monotone_under_capacity_raise(self, network_suite):
         boost = multiband_lossy(0.99, 64)  # dominates every generated capacity
