@@ -4,9 +4,10 @@ The undirected network is turned into a residual graph with alice as the
 source and bob as the sink: every edge is two opposite arcs, each starting at
 the edge's capacity and each the other's reverse, so pushing along one frees
 the same amount on the other (as in networkx's undirected residual graphs).
-The arcs live in flat lists built in one pass over the edges.  The maximum
-flow equals the minimum over alice/bob cuts of the total crossing capacity,
-which is the multi-path capacity of a distillable network.
+The arcs are those of the network's shared integer index; only the residual
+capacities, tolerances and pushes are this solver's own flat lists.  The
+maximum flow equals the minimum over alice/bob cuts of the total crossing
+capacity, which is the multi-path capacity of a distillable network.
 
 Dinic's blocking-flow algorithm is used because its phase count depends only
 on the graph size, so it terminates on real-valued (irrational) capacities
@@ -16,6 +17,7 @@ where naive augmenting-path schemes need not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .network import Cut, QNetwork, _finite_multi_edge_value, make_cut
 
@@ -48,21 +50,23 @@ class FlowReport:
     min_cut: Cut
 
 
-def _bfs_levels(adj, to, cap, tol, source: str) -> dict[str, int]:
-    """Level of every point reachable from ``source`` over unsaturated arcs."""
-    level = {source: 0}
+def _bfs_levels(arcs, to, cap, tol, source: int) -> list[int]:
+    """Level of every point reachable from ``source`` over unsaturated arcs;
+    -1 for the others."""
+    level = [-1] * len(arcs)
+    level[source] = 0
     queue = [source]
     for point in queue:
         next_level = level[point] + 1
-        for idx in adj[point]:
+        for idx in arcs[point]:
             other = to[idx]
-            if other not in level and cap[idx] > tol[idx >> 1]:
+            if level[other] < 0 and cap[idx] > tol[idx >> 1]:
                 level[other] = next_level
                 queue.append(other)
     return level
 
 
-def _blocking_flow(adj, to, cap, tol, flow, level, ptr, source: str, sink: str) -> float:
+def _blocking_flow(arcs, to, cap, tol, flow, level, ptr, source: int, sink: int) -> float:
     """Push flow along one source-sink path of the level graph; 0.0 if none.
 
     Depth-first with an explicit stack, so path length is not bounded by the
@@ -73,17 +77,17 @@ def _blocking_flow(adj, to, cap, tol, flow, level, ptr, source: str, sink: str) 
     path: list[int] = []  # arcs from source to ``point``
     point = source
     while point != sink:
-        arcs = adj[point]
+        out = arcs[point]
         next_level = level[point] + 1
-        for i in range(ptr[point], len(arcs)):
-            idx = arcs[i]
-            if cap[idx] > tol[idx >> 1] and level.get(to[idx]) == next_level:
+        for i in range(ptr[point], len(out)):
+            idx = out[i]
+            if cap[idx] > tol[idx >> 1] and level[to[idx]] == next_level:
                 ptr[point] = i
                 path.append(idx)
                 point = to[idx]
                 break
         else:
-            ptr[point] = len(arcs)
+            ptr[point] = len(out)
             if not path:
                 return 0.0
             point = to[path.pop() ^ 1]  # back to the arc's tail
@@ -108,56 +112,45 @@ def max_flow(net: QNetwork) -> FlowReport:
 
     Raises :class:`ValidationError` when the value is beyond float range.
     """
-    caps = net.capacities
-    # Edge k is arc 2k (u -> v) and arc 2k + 1 (v -> u), each the other's
-    # reverse and both starting at the edge's capacity; ``tol[k]`` is the
-    # edge's saturation tolerance and ``flow[k]`` its signed pushes u -> v.
-    to: list[str] = []
-    cap: list[float] = []
-    tol: list[float] = []
-    adj: dict[str, list[int]] = {p: [] for p in net.points}
-    for k, edge in enumerate(net.edges):
-        c = caps[edge.edge_id]
-        to += (edge.v, edge.u)
-        cap += (c, c)
-        tol.append(RESIDUAL_EPS * c)
-        adj[edge.u].append(2 * k)
-        adj[edge.v].append(2 * k + 1)
-    flow = [0.0] * len(tol)
+    index = net._index
+    to, arcs, caps, names, alice = index.to, index.arcs, index.caps, index.names, index.alice
+    # The index's arcs 2k and 2k + 1 of edge k both start at the edge's
+    # capacity in ``cap``; ``tol[k]`` is the edge's saturation tolerance and
+    # ``flow[k]`` its signed pushes u -> v.
+    cap = list(chain.from_iterable(zip(caps, caps)))
+    tol = [RESIDUAL_EPS * c for c in caps]
+    flow = [0.0] * len(caps)
 
-    while True:
-        level = _bfs_levels(adj, to, cap, tol, net.alice)
-        if net.bob not in level:
-            break
-        ptr = {p: 0 for p in net.points}
-        while _blocking_flow(adj, to, cap, tol, flow, level, ptr, net.alice, net.bob) > 0.0:
+    level = _bfs_levels(arcs, to, cap, tol, alice)
+    while level[index.bob] >= 0:
+        ptr = [0] * len(arcs)
+        while _blocking_flow(arcs, to, cap, tol, flow, level, ptr, alice, index.bob) > 0.0:
             pass
+        level = _bfs_levels(arcs, to, cap, tol, alice)
 
     # A sum of pushes is exact even where a residual would cancel a small
     # flow against a large capacity.  No arc enters alice in a level graph,
     # so her edges carry flow out of her only and the value is her net
     # outflow, summed in edge order.
     value = 0.0
-    for idx in adj[net.alice]:
+    for idx in arcs[alice]:
         value += -flow[idx >> 1] if idx & 1 else flow[idx >> 1]
     _finite_multi_edge_value(value)
-    effective_rates = dict(zip(caps, flow))  # ``caps`` is in edge order
 
     # An augmenting path crosses an edge at most once, so the pushes through
     # any edge total at most ``value`` and its drift stays within ulps of it.
     eps = RESIDUAL_EPS * value
     orientation: dict[str, tuple[str, str]] = {}
-    for edge, rate in zip(net.edges, flow):
-        if rate > eps:
-            orientation[edge.edge_id] = (edge.u, edge.v)
-        elif rate < -eps:
-            orientation[edge.edge_id] = (edge.v, edge.u)
+    for k, rate in enumerate(flow):
+        if abs(rate) > eps:
+            arc = 2 * k + (rate < 0)  # the arc the net flow runs along
+            orientation[index.edge_ids[k]] = (names[to[arc ^ 1]], names[to[arc]])
 
     return FlowReport(
         value=value,
-        effective_rates=effective_rates,
+        effective_rates=dict(zip(index.edge_ids, flow)),
         orientation=orientation,
-        min_cut=make_cut(net, level),
+        min_cut=make_cut(net, (name for name, lv in zip(names, level) if lv >= 0)),
     )
 
 

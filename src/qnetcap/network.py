@@ -18,6 +18,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
+from operator import ne, not_
 
 from . import channels
 from .channels import ChannelSpec, capacity
@@ -43,25 +45,45 @@ class Edge:
         _set_v(self, v)
         _set_channel(self, channel)
 
-    def other(self, point: str) -> str:
-        if point == self.u:
-            return self.v
-        if point == self.v:
-            return self.u
-        raise ValidationError(f"edge {self.edge_id!r} is not incident to {point!r}")
-
 
 _set_edge_id, _set_u, _set_v, _set_channel = (
     vars(Edge)[name].__set__ for name in ("edge_id", "u", "v", "channel")
 )
 
 
+class _Index:
+    """A network as integers, the one graph every solver and :func:`make_cut` read.
+
+    Point k is ``names[k]``, the points numbered in sorted-name order, so an
+    integer tie breaks as a name tie would; ``ids`` maps a name to its id,
+    and ``alice`` and ``bob`` are the end-points' ids.  Edge k is arc 2k
+    (u -> v) and arc 2k + 1 (v -> u): ``to[arc]`` is the arc's head and
+    ``arc ^ 1`` its reverse.  ``arcs[p]`` lists the arcs out of point p in
+    edge order, and ``caps`` and ``edge_ids`` are in edge order too.  Built
+    in one pass over the points and one over the edges.
+    """
+
+    def __init__(self, net: QNetwork):
+        self.names = names = sorted(net.points)
+        self.ids = ids = {name: k for k, name in enumerate(names)}
+        self.to = to = []
+        self.arcs = arcs = [[] for _ in names]
+        for arc, edge in zip(count(0, 2), net.edges):
+            u, v = ids[edge.u], ids[edge.v]
+            to += (v, u)
+            arcs[u].append(arc)
+            arcs[v].append(arc + 1)
+        self.caps, self.edge_ids = list(net.capacities.values()), list(net.capacities)
+        self.alice, self.bob = ids[net.alice], ids[net.bob]
+
+
 @dataclass(frozen=True)
 class QNetwork:
     """Immutable network of named points with two designated end-points.
 
-    Indexed once (``point_set``, the ids behind :meth:`edge`, and
-    :attr:`capacities` on first read), so no lookup rescans the network.
+    Indexed once: the ids behind :meth:`edge` on construction, and
+    :attr:`capacities` and the solvers' integer graph on first read, each in
+    one pass over the network.  No solver or cut rescans it.
     """
 
     points: tuple[str, ...]
@@ -105,7 +127,6 @@ class QNetwork:
                 if u == v:
                     raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
             by_id[eid] = edge
-        object.__setattr__(self, "point_set", frozenset(seen))
         object.__setattr__(self, "_edges_by_id", by_id)
 
     def edge(self, edge_id: str) -> Edge:
@@ -119,17 +140,8 @@ class QNetwork:
         """Edge id -> channel capacity, in edge order; shared, so read only."""
         return {e.edge_id: capacity(e.channel) for e in self.edges}
 
-    def adjacency(self, edges=None) -> dict[str, list[Edge]]:
-        """Incidence lists of ``edges`` (default: every edge of the network).
-
-        Each point lists its incident edges in the order ``edges`` gives
-        them; rebuilt per call, never cached.
-        """
-        adj: dict[str, list[Edge]] = {p: [] for p in self.points}
-        for edge in self.edges if edges is None else edges:
-            adj[edge.u].append(edge)
-            adj[edge.v].append(edge)
-        return adj
+    #: The network's integer graph, built on first read; shared, so read only.
+    _index = cached_property(_Index)
 
 
 @dataclass(frozen=True)
@@ -150,29 +162,37 @@ class Cut:
 
 
 def make_cut(net: QNetwork, side_a) -> Cut:
-    """Build the cut induced by the given alice-side point set.
+    """Build the cut induced by the given alice-side point names.
 
-    Runs in O(|E| + |P| log |P|): one pass over the edges for the crossing
-    set, set lookups for the point checks, and a sort of each side.
+    ``side_a`` is any iterable of names but a string.  Runs in
+    O(|E| + |P| + len(side_a)): one flag per point, set by id, then one pass
+    over the arcs for the crossing set.  The index numbers points in name
+    order, so both sides come out sorted without a sort.
     """
-    side_a = set(side_a)
-    if net.alice not in side_a:
+    if isinstance(side_a, str):
+        raise ValidationError(f"side_a {side_a!r} is a string, not a collection of point names")
+    index = net._index
+    ids = index.ids
+    on_a = bytearray(len(ids))
+    unknown = []
+    for name in side_a:
+        try:
+            on_a[ids[name]] = 1
+        except (KeyError, TypeError):  # TypeError: an unhashable member
+            unknown.append(name)
+    if not on_a[index.alice]:
         raise ValidationError("side_a must contain alice")
-    if net.bob in side_a:
+    if on_a[index.bob]:
         raise ValidationError("side_a must not contain bob")
-    if not side_a <= net.point_set:
-        # The smallest by repr, not the first a set yields: one message
-        # whatever the hash seed.
-        name = min(side_a - net.point_set, key=repr)
-        raise ValidationError(f"side_a point {name!r} is not a declared point")
-    side_b = [p for p in net.points if p not in side_a]
-    crossing = tuple(
-        e.edge_id for e in net.edges if (e.u in side_a) != (e.v in side_a)
-    )
+    if unknown:
+        # The smallest by repr, not the first given: one message whatever
+        # the order (or hash seed) of ``side_a``.
+        raise ValidationError(f"side_a point {min(unknown, key=repr)!r} is not a declared point")
+    heads = bytes(map(on_a.__getitem__, index.to))  # edge k's v at 2k, its u at 2k + 1
     return Cut(
-        side_a=tuple(sorted(side_a)),
-        side_b=tuple(sorted(side_b)),
-        cut_set=crossing,
+        side_a=tuple(compress(index.names, on_a)),
+        side_b=tuple(compress(index.names, map(not_, on_a))),
+        cut_set=tuple(compress(index.edge_ids, map(ne, heads[::2], heads[1::2]))),
     )
 
 
@@ -208,19 +228,16 @@ def _finite_multi_edge_value(value: float, message: str = _EVERY_CUT) -> float:
 
 def is_connected(net: QNetwork) -> bool:
     """True iff alice and bob sit in the same component."""
-    adj = net.adjacency()
-    stack = [net.alice]
-    seen = {net.alice}
-    while stack:
-        point = stack.pop()
-        if point == net.bob:
-            return True
-        for edge in adj[point]:
-            other = edge.other(point)
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return False
+    index = net._index
+    reached = bytearray(len(index.arcs))
+    reached[index.alice] = 1
+    queue = [index.alice]
+    for point in queue:
+        for other in map(index.to.__getitem__, index.arcs[point]):
+            if not reached[other]:
+                reached[other] = 1
+                queue.append(other)
+    return bool(reached[index.bob])
 
 
 def edge_capacity(net: QNetwork, edge_id: str) -> float:

@@ -139,11 +139,16 @@ def enumerate_cuts(net: QNetwork) -> CutEnumeration:
 
 
 def _sorted_adjacency(net: QNetwork) -> dict[str, list[tuple[str, str]]]:
-    """Each point's ``(neighbour, edge id)`` pairs, sorted: the route order."""
-    return {
-        point: sorted((edge.other(point), edge.edge_id) for edge in incident)
-        for point, incident in net.adjacency().items()
-    }
+    """Each point's ``(neighbour, edge id)`` pairs, sorted: the route order.
+
+    Built here from the edges, not from the solvers' index, so the referee
+    shares no graph code with what it checks.
+    """
+    adj: dict[str, list[tuple[str, str]]] = {p: [] for p in net.points}
+    for edge in net.edges:
+        adj[edge.u].append((edge.v, edge.edge_id))
+        adj[edge.v].append((edge.u, edge.edge_id))
+    return {point: sorted(pairs) for point, pairs in adj.items()}
 
 
 def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:

@@ -441,6 +441,25 @@ class TestQueries:
         with pytest.raises(ValidationError, match="'ghost' is not a declared point"):
             make_cut(diamond(), {"a", "ghost"})
 
+    def test_make_cut_rejects_a_bare_string(self):
+        # Iterated, the string "a" would read as the side {"a"}.
+        with pytest.raises(ValidationError, match="side_a 'a' is a string"):
+            make_cut(diamond(), "a")
+
+    def test_make_cut_rejects_an_unhashable_member(self):
+        with pytest.raises(ValidationError, match=r"side_a point \['x'\] is not a declared point"):
+            make_cut(diamond(), ["a", ["x"]])
+
+    def test_make_cut_checks_alice_then_bob_then_undeclared_points(self):
+        net = diamond()
+        with pytest.raises(ValidationError, match="must contain alice"):
+            make_cut(net, ["b", ["x"], "ghost"])
+        with pytest.raises(ValidationError, match="must not contain bob"):
+            make_cut(net, ["a", "b", ["x"], "ghost"])
+        # repr "'ghost'" sorts before "['x']"
+        with pytest.raises(ValidationError, match="'ghost' is not a declared point"):
+            make_cut(net, ["a", ["x"], "ghost"])
+
     @pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5", "6"])
     def test_make_cut_names_one_undeclared_point_under_every_hash_seed(self, seed):
         # Several undeclared points: the one named is the smallest by repr,

@@ -12,7 +12,8 @@ span up to twenty orders of magnitude.  Tolerances are therefore relative to
 the quantity being checked, never to the network's largest capacity.
 
 The last property reorders a network's points and edges, with parallel
-twins of equal capacity added: route answers must not depend on that order.
+twins of equal capacity added: route answers must not depend on that order,
+and a max-flow report, rates included, not on the order of the points.
 """
 
 import random
@@ -137,9 +138,11 @@ def test_route_answers_do_not_depend_on_declaration_order(net, seed):
         route_answer(widest_path(net)),
         route_answer(tree_route_capacity(net, max_spanning_tree(net))),
     ]
+    flow = repr(max_flow(net))
     for _ in range(3):
         points, edges = list(net.points), list(net.edges)
         rng.shuffle(points)
+        assert repr(max_flow(QNetwork(tuple(points), net.edges, net.alice, net.bob))) == flow
         rng.shuffle(edges)
         shuffled = QNetwork(tuple(points), tuple(edges), net.alice, net.bob)
         assert [

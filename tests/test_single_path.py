@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from qnetcap import (
     edge_capacity,
     erasure,
     lossy,
+    make_cut,
     max_flow,
     max_spanning_tree,
     min_single_edge_cut,
@@ -53,20 +55,24 @@ def grid_behind_access_span(side, rng):
 
 def count_scans(net):
     """Make every scan of ``net.points`` or ``net.edges`` (iteration or ``in``)
-    add the tuple's length to the returned counter."""
-    visits = [0]
+    add the tuple's length to the returned counter, under ``"points"`` or
+    ``"edges"``.  Building the network's index is one scan of each."""
+    visits = Counter()
 
-    class Counting(tuple):
-        def __iter__(self):
-            visits[0] += len(self)
-            return tuple.__iter__(self)
+    def counting(name):
+        class Counting(tuple):
+            def __iter__(self):
+                visits[name] += len(self)
+                return tuple.__iter__(self)
 
-        def __contains__(self, item):
-            visits[0] += len(self)
-            return tuple.__contains__(self, item)
+            def __contains__(self, item):
+                visits[name] += len(self)
+                return tuple.__contains__(self, item)
 
-    object.__setattr__(net, "points", Counting(net.points))
-    object.__setattr__(net, "edges", Counting(net.edges))
+        object.__setattr__(net, name, Counting(getattr(net, name)))
+
+    counting("points")
+    counting("edges")
     return visits
 
 
@@ -189,7 +195,7 @@ class TestLinearWork:
         assert tree_route_capacity(net, tree).capacity == wide.capacity
         # A few passes each; one scan per point or edge lookup, as in a
         # quadratic layer, visits about |P| * |E| elements.
-        assert visits[0] <= 10 * (len(net.points) + len(net.edges))
+        assert visits.total() <= 10 * (len(net.points) + len(net.edges))
 
     @pytest.mark.parametrize("side", [30, 95])
     def test_max_flow_scans_the_network_a_bounded_number_of_times(self, side):
@@ -198,7 +204,26 @@ class TestLinearWork:
         flow = max_flow(net)
         assert flow.min_cut.cut_set == ("access",)
         assert flow.value == widest_path(net).capacity
-        assert visits[0] <= 10 * (len(net.points) + len(net.edges))
+        assert visits.total() <= 10 * (len(net.points) + len(net.edges))
+
+    @pytest.mark.parametrize("side", [30, 95])
+    def test_solvers_and_cuts_share_one_index(self, side):
+        net = grid_behind_access_span(side, random.Random(side))
+        visits = count_scans(net)
+        wide = widest_path(net)
+        # The first call evaluates the capacities and builds the index.
+        assert visits["points"] <= len(net.points)
+        assert visits["edges"] <= 2 * len(net.edges)
+        for solve in (
+            lambda: widest_path(net),
+            lambda: tree_route_capacity(net, max_spanning_tree(net)),
+            lambda: max_flow(net),
+            lambda: make_cut(net, wide.dual_cut.side_a),
+        ):
+            visits.clear()
+            solve()
+            assert visits["points"] <= len(net.points)
+            assert visits["edges"] <= len(net.edges)
 
 
 class TestMinSingleEdgeCut:
@@ -263,6 +288,11 @@ class TestSpanningTree:
     def test_unknown_tree_edge(self):
         with pytest.raises(UnknownEdge):
             tree_route_capacity(diamond(), {"e1", "nope"})
+
+    def test_tree_given_as_a_bare_string_is_rejected(self):
+        # Iterated, the string "e1" would read as the edge ids "e" and "1".
+        with pytest.raises(ValidationError, match="tree 'e1' is a string"):
+            tree_route_capacity(diamond(), "e1")
 
     def test_cycle_is_rejected_naming_the_closing_edge(self):
         # The search reaches p1 over e1 and p2 over e2, then meets p1 again
