@@ -7,6 +7,12 @@ shared by :func:`format_bits` and the CSV row template; the CSV grid columns
 (loss, distance) carry 12 significant digits.  Output uses '.' separators
 and LF line endings, so cells and lines are re-derivable bit-for-bit.
 
+The CSV commands make their text in chunks of the loss grid, all of it
+before the output file opens.  A grid of at least two chunks is shared
+between the CPUs the process may use, one forked child per CPU after the
+first; the output, every error and "no file on failure" are those of one
+process.
+
 Exit codes: 0 success, 2 invalid input, 3 no route between the end-points.
 """
 
@@ -14,7 +20,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import signal
 import sys
+import threading
 
 from . import channels
 from .chains import _link_capacity, chain_capacity
@@ -35,9 +44,7 @@ _GRID_SPEC = ".12g"
 
 
 def format_bits(value: float) -> str:
-    if value == 0.0:
-        value = 0.0  # never print -0
-    return format(value, _BITS_SPEC)
+    return format(value + 0.0, _BITS_SPEC)  # -0.0 + 0.0 is +0.0: never print -0
 
 
 #: argparse type of every channel parameter's flag, each flag once (``dim``
@@ -64,9 +71,7 @@ def _parse_list(text: str, flag: str, type_=float) -> list:
         return [type_(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         noun = "integers" if type_ is int else "numbers"
-        raise InvalidParameter(
-            flag, text, f"must be a comma-separated list of {noun}"
-        ) from exc
+        raise InvalidParameter(flag, text, f"must be a comma-separated list of {noun}") from exc
 
 
 def cmd_channel(args) -> int:
@@ -115,14 +120,8 @@ def cmd_network(args) -> int:
         report = max_flow(net)
         rates, orientation = report.effective_rates, report.orientation
         lines = [f"capacity: {format_bits(report.value)} bits/use"]
-        lines += [
-            f"rate {e.edge_id} {e.u}->{e.v}: {format_bits(rates[e.edge_id])}" for e in net.edges
-        ]
-        lines += [
-            f"orientation {e.edge_id}: {'->'.join(orientation[e.edge_id])}"
-            for e in net.edges
-            if e.edge_id in orientation
-        ]
+        lines += [f"rate {e.edge_id} {e.u}->{e.v}: {format_bits(rates[e.edge_id])}" for e in net.edges]
+        lines += [f"orientation {eid}: {'->'.join(ends)}" for eid, ends in orientation.items()]
         lines.append(f"min_cut_side_a: {','.join(report.min_cut.side_a)}")
         lines.append(f"min_cut_edges: {','.join(report.min_cut.cut_set)}")
     # One write: a large network has two lines per edge.
@@ -130,10 +129,14 @@ def cmd_network(args) -> int:
     return EXIT_OK
 
 
-#: Most rows a loss grid may have: every row is computed before the CSV file
-#: is opened, then its lines are streamed (loss-sweep's 0-200 dB at 0.01 dB
-#: is 20,001 rows).
+#: Most rows a loss grid may have: every row is computed and formatted, one
+#: chunk of rows at a time, before the CSV file is opened (loss-sweep's
+#: 0-200 dB at 0.01 dB is 20,001 rows).
 _MAX_GRID_ROWS = 10**7
+#: Rows computed and formatted at a time.  A grid of at least two chunks is
+#: shared between the CPUs the process may use; on a smaller one a fork
+#: costs about what it saves.
+_CHUNK_ROWS = 4000
 
 
 def db_grid(start: float, stop: float, step: float) -> list[float]:
@@ -179,76 +182,130 @@ def _capacities(losses, bands, repeater_counts):
         ]
 
 
+def _grid(n_grid_columns, start, stop, step, bands, repeater_counts, rate_db_per_km):
+    """Header, losses and row builder of a loss-grid CSV, every argument checked.
+
+    One grid column (loss) is the sweep, which has no bands; two add the
+    distance at ``rate_db_per_km``.  ``rows(part)`` builds the rows of any
+    run of the losses, each independent of the others.
+    """
+    bands = [channels._require_int("bands", m, 1) for m in bands]
+    repeater_counts = [channels._require_int("repeaters", n, 0) for n in repeater_counts]
+    distance = n_grid_columns == 2
+    if distance:
+        rate_db_per_km = channels._require_positive("rate_db_per_km", rate_db_per_km)
+    header = ["loss_db", "distance_km"][:n_grid_columns] + [f"M{m}" for m in bands]
+    header += [f"N{n}" for n in repeater_counts]
+    losses = db_grid(start, stop, step)
+    if distance and losses[-1] / rate_db_per_km == math.inf:  # the last distance is the largest
+        raise InvalidParameter("rate_db_per_km", rate_db_per_km, "puts a distance beyond float range")
+
+    def rows(part):
+        cells = _capacities(part, bands, repeater_counts)
+        if distance:
+            return [[loss_db, loss_db / rate_db_per_km, *c] for loss_db, c in zip(part, cells)]
+        return [[loss_db, *c] for loss_db, c in zip(part, cells)]
+
+    return header, losses, rows
+
+
 def sweep_rows(start: float, stop: float, step: float, repeater_counts):
     """Header and rows of the equidistant-repeater sweep CSV."""
-    repeater_counts = [channels._require_int("repeaters", n, 0) for n in repeater_counts]
-    header = ["loss_db"] + [f"N{n}" for n in repeater_counts]
-    losses = db_grid(start, stop, step)
-    rows = [
-        [loss_db, *cells]
-        for loss_db, cells in zip(losses, _capacities(losses, (), repeater_counts))
-    ]
-    return header, rows
+    header, losses, rows = _grid(1, start, stop, step, (), repeater_counts, None)
+    return header, rows(losses)
 
 
 def compare_rows(start, stop, step, bands, repeater_counts, rate_db_per_km=FIBER_DB_PER_KM):
     """Header and rows comparing multiband point-to-point use with repeaters."""
-    bands = [channels._require_int("bands", m, 1) for m in bands]
-    repeater_counts = [channels._require_int("repeaters", n, 0) for n in repeater_counts]
-    rate_db_per_km = channels._require_positive("rate_db_per_km", rate_db_per_km)
-    header = (
-        ["loss_db", "distance_km"]
-        + [f"M{m}" for m in bands]
-        + [f"N{n}" for n in repeater_counts]
-    )
-    losses = db_grid(start, stop, step)
-    if losses[-1] / rate_db_per_km == math.inf:  # the last distance is the largest
-        raise InvalidParameter("rate_db_per_km", rate_db_per_km, "puts a distance beyond float range")
-    rows = [
-        [loss_db, loss_db / rate_db_per_km, *cells]
-        for loss_db, cells in zip(losses, _capacities(losses, bands, repeater_counts))
-    ]
-    return header, rows
+    header, losses, rows = _grid(2, start, stop, step, bands, repeater_counts, rate_db_per_km)
+    return header, rows(losses)
 
 
-def _write_csv(path: str, header, rows, n_grid_columns: int):
-    """Stream the CSV lines, each row formatted by one template.
+def _chunk_texts(run, chunk_text) -> list[str]:
+    """The text of ``run``, one string per chunk of at most ``_CHUNK_ROWS`` rows."""
+    return [chunk_text(run[i:i + _CHUNK_ROWS]) for i in range(0, len(run), _CHUNK_ROWS)]
 
-    No cell needs :func:`format_bits`' -0 guard: for eta in (0, 1) every
-    capacity is > 0, and a grid value is >= +0.0.
+
+def _send(run, chunk_text, read_ends, out):
+    """In a forked child: send the text of ``run`` down ``out`` and exit 0, or exit 1.
+
+    The child closes every read end it inherited, so once the parent is gone
+    a write fails instead of blocking.  All of the text is made before the
+    first write: a full pipe blocks the child until the parent reads it.
+    ``os._exit`` runs none of the parent's clean-up and flushes none of its
+    buffers.
     """
-    specs = [_GRID_SPEC] * n_grid_columns + [_BITS_SPEC] * (len(header) - n_grid_columns)
-    template = ",".join("%" + spec for spec in specs) + "\n"
+    try:
+        for pipe in read_ends:
+            pipe.close()
+        out.writelines([text.encode() for text in _chunk_texts(run, chunk_text)])
+        out.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
 
-    def write(handle):
-        handle.write(",".join(header) + "\n")
-        handle.writelines(template % tuple(row) for row in rows)
 
-    if path == "-":
-        write(sys.stdout)
+def _grid_text(losses, chunk_text) -> list[str]:
+    """The text of every row of ``losses``, in order, one string per part.
+
+    The grid is cut into one contiguous run per process: as many processes
+    as the CPUs the process may use, at most one per chunk.  A fork copies
+    only the calling thread, and an ignored SIGCHLD reaps a child before its
+    exit status can be read, so a process running other threads or ignoring
+    SIGCHLD (or one without CPU affinity masks) stays one process.  Each run
+    after the first is made by a forked child that sends its text through a
+    pipe; the parent makes the first, then reads the others in order.  A run
+    whose child did not exit 0 is made again here, so a failing row raises
+    the error it raises in-process.  Every child is reaped before this
+    returns or raises.
+    """
+    n, procs = len(losses), 1
+    forkable = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    if forkable and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN:
+        procs = max(1, min(len(os.sched_getaffinity(0)), n // _CHUNK_ROWS))
+    runs = [losses[k * n // procs:(k + 1) * n // procs] for k in range(procs)]
+    pids, pipes = [], []
+    try:
+        for run in runs[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as out:  # the parent's copy closes right after the fork
+                pid = os.fork()
+                if pid == 0:
+                    _send(run, chunk_text, pipes, out)
+                pids.append(pid)
+        texts = _chunk_texts(runs[0], chunk_text)
+        for run, pipe in zip(runs[1:], pipes):
+            data, status = pipe.read(), os.waitpid(pids.pop(0), 0)[1]
+            texts += _chunk_texts(run, chunk_text) if status else [data.decode()]
+        return texts
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def cmd_csv(args) -> int:
+    """``sweep`` (one grid column: loss) or ``compare-multiband`` (loss, distance).
+
+    Each row is formatted by one template, and all of the text is made
+    before the file is opened.  No cell needs :func:`format_bits`' -0
+    guard: for eta in (0, 1) every capacity is > 0, and a grid value is >= +0.0.
+    """
+    bands = _parse_list(args.bands, "--bands", int)
+    counts = _parse_list(args.repeaters, "--repeaters", int)
+    n = args.grid_columns
+    header, losses, rows = _grid(n, args.start, args.stop, args.step, bands, counts, args.rate_db_per_km)
+    template = ",".join(["%" + _GRID_SPEC] * n + ["%" + _BITS_SPEC] * (len(header) - n)) + "\n"
+    texts = _grid_text(losses, lambda part: "".join([template % tuple(row) for row in rows(part)]))
+    texts.insert(0, ",".join(header) + "\n")
+    if args.out == "-":
+        sys.stdout.writelines(texts)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            write(handle)
-
-
-def cmd_sweep(args) -> int:
-    header, rows = sweep_rows(
-        args.start, args.stop, args.step, _parse_list(args.repeaters, "--repeaters", int)
-    )
-    _write_csv(args.out, header, rows, n_grid_columns=1)
-    return EXIT_OK
-
-
-def cmd_compare_multiband(args) -> int:
-    header, rows = compare_rows(
-        args.start,
-        args.stop,
-        args.step,
-        _parse_list(args.bands, "--bands", int),
-        _parse_list(args.repeaters, "--repeaters", int),
-        rate_db_per_km=args.rate_db_per_km,
-    )
-    _write_csv(args.out, header, rows, n_grid_columns=2)
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(texts)
     return EXIT_OK
 
 
@@ -286,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeaters", required=True, help="comma-separated repeater counts (N=0 is the point-to-point bound)"
     )
     p_sweep.add_argument("--out", required=True, help="output CSV path, or - for stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_csv, grid_columns=1, bands="", rate_db_per_km=None)
 
     p_cmp = sub.add_parser(
         "compare-multiband", parents=[grid], help="multiband point-to-point vs repeater chains CSV"
@@ -295,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--repeaters", required=True, help="comma-separated repeater counts")
     p_cmp.add_argument("--rate-db-per-km", type=float, default=FIBER_DB_PER_KM)
     p_cmp.add_argument("--out", required=True)
-    p_cmp.set_defaults(func=cmd_compare_multiband)
+    p_cmp.set_defaults(func=cmd_csv, grid_columns=2)
     return parser
 
 

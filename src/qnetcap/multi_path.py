@@ -39,7 +39,8 @@ class FlowReport:
     net flow u -> v.  Summing pushes keeps a small flow exact next to a
     large capacity, where capacity minus residual would cancel it.
     ``orientation`` holds the flow direction for edges actually
-    carrying flow; edges with zero net rate have no orientation.
+    carrying flow; edges with zero net rate have no orientation.  Both
+    dicts are in edge order.
     ``min_cut``'s alice side is the set of points still reachable in the
     final residual graph, and its total crossing capacity equals ``value``.
     """

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import NoRoute, ValidationError
+from .errors import NoRoute, UnknownEdge, ValidationError
 from .network import Cut, QNetwork, Route, make_cut
 
 
@@ -203,7 +203,14 @@ def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
     """
     if isinstance(tree, str):
         raise ValidationError(f"tree {tree!r} is a string, not a collection of edge ids")
-    tree = {net.edge(eid).edge_id for eid in tree}  # raises UnknownEdge
+    ids = list(tree)
+    try:
+        tree = {net.edge(eid).edge_id for eid in ids}
+    except UnknownEdge:
+        # Raised again for the smallest unknown id by repr, not the first
+        # given: one message whatever the order (or hash seed) of ``tree``.
+        for eid in sorted(ids, key=repr):
+            net.edge(eid)
     index = net._index
     to, arcs, caps, edge_ids = index.to, index.arcs, index.caps, index.edge_ids
     in_tree = bytes(map(tree.__contains__, edge_ids))

@@ -6,11 +6,16 @@ parallel edges, all drawn from one fixed seed so every run sees the same
 networks.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import qnetcap
 from qnetcap import (
     Edge,
     QNetwork,
@@ -35,6 +40,16 @@ DUPLICATE_KEY_DOCS = {
     "channel": '{"points": ["a", "b"], "alice": "a", "bob": "b", "edges": [{"id": "e0", "u": "a",'
     ' "v": "b", "channel": {"kind": "lossy", "eta": 0.5, "eta": 0.9}}]}',
 }
+
+
+def stdout_under_hash_seed(code: str, seed: str) -> str:
+    """What ``code`` prints in a fresh interpreter under ``PYTHONHASHSEED=seed``."""
+    src = pathlib.Path(qnetcap.__file__).parent.parent
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
 
 
 def build_network(point_names, edge_specs, alice="a", bob="b"):

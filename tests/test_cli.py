@@ -2,8 +2,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import random
+import signal
+import threading
 
 import pytest
 
@@ -599,6 +602,108 @@ class TestBenchmarkGrid:
                 expected += [equidistant_lossy_capacity(eta, n) for n in counts]
             assert sweep_row == [loss_db, *expected[len(bands):]]
             assert compare_row == [loss_db, loss_db / FIBER_DB_PER_KM, *expected]
+
+
+
+def force_cpus(monkeypatch, n):
+    """Make the CSV commands see ``n`` CPUs; returns the pids of the children they fork."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: 0-130 dB at 0.01 dB: 13,001 rows, three full chunks and an uneven fourth.
+FORK_GRID = ["--start", "0", "--stop", "130", "--step", "0.01"]
+FORK_COMMANDS = {
+    "sweep": ["sweep", *FORK_GRID, "--repeaters", "0,1,2,1000"],
+    "compare": ["compare-multiband", *FORK_GRID, "--bands", "1,100", "--repeaters", "1,10"],
+}
+
+
+class TestForkedGrid:
+    """Grids of two chunks or more are made in forked children: same bytes,
+    same errors, no file on failure and no child left behind."""
+
+    def test_grid_fills_three_chunks_and_part_of_a_fourth(self):
+        assert 3 * cli._CHUNK_ROWS < 13_001 < 4 * cli._CHUNK_ROWS
+
+    @pytest.mark.parametrize("name", FORK_COMMANDS)
+    def test_same_bytes_in_one_process_and_in_three(self, tmp_path, capsys, monkeypatch, name):
+        texts = {}
+        for n_cpus in (1, 3):
+            pids = force_cpus(monkeypatch, n_cpus)
+            out = tmp_path / f"{n_cpus}.csv"
+            assert main([*FORK_COMMANDS[name], "--out", str(out)]) == 0
+            assert main([*FORK_COMMANDS[name], "--out", "-"]) == 0
+            assert len(pids) == 2 * (n_cpus - 1)
+            texts[n_cpus] = out.read_bytes(), capsys.readouterr().out.encode()
+            assert_no_child_left()
+        file_bytes = texts[1][0]
+        assert file_bytes.count(b"\n") == 1 + 13_001
+        assert texts[1] == texts[3] == (file_bytes, file_bytes)
+
+    def test_one_process_while_sigchld_is_ignored_or_another_thread_runs(self, capsys, monkeypatch):
+        # An ignored SIGCHLD reaps a child before its exit status is read; a
+        # fork copies only the calling thread.
+        argv = [*FORK_COMMANDS["sweep"], "--out", "-"]
+        pids = force_cpus(monkeypatch, 3)
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert len(pids) == 2
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert main(argv) == 0
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert capsys.readouterr().out == expected
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert capsys.readouterr().out == expected
+        assert len(pids) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # eta underflows past ~3,237 dB: a row of the child's half fails.
+            (["sweep", "--start", "0", "--stop", "4000", "--step", "0.1", "--repeaters", "0,1"],
+             "error: eta_total=0.0: must lie strictly inside (0, 1)\n"),
+            # The first row, the parent's, fails while the child still runs.
+            (["compare-multiband", "--start", "0.01", "--stop", "400", "--step", "0.01",
+              "--repeaters=", "--bands", "1" + "0" * 308],
+             f"error: bands={10**308}: too many bands for a float capacity\n"),
+        ],
+        ids=["underflow-in-child", "bands-in-parent"],
+    )
+    def test_failing_row_gives_the_in_process_error(self, tmp_path, capsys, monkeypatch, n_cpus, argv, err):
+        pids = force_cpus(monkeypatch, n_cpus)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists()
+        assert len(pids) == n_cpus - 1
+        assert_no_child_left()
 
 
 class TestGridColumns:

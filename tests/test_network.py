@@ -1,16 +1,11 @@
 import dataclasses
 import gc
 import json
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
-import qnetcap
-
-from conftest import DUPLICATE_KEY_DOCS, build_network, diamond
+from conftest import DUPLICATE_KEY_DOCS, build_network, diamond, stdout_under_hash_seed
 from qnetcap import (
     Edge,
     NoRoute,
@@ -36,16 +31,6 @@ from qnetcap import (
     widest_path,
 )
 from qnetcap.cli import main as cli_main
-
-
-def stdout_under_hash_seed(code: str, seed: str) -> str:
-    """What ``code`` prints in a fresh interpreter under ``PYTHONHASHSEED=seed``."""
-    src = pathlib.Path(qnetcap.__file__).parent.parent
-    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return result.stdout
 
 
 DIAMOND_DOC = """

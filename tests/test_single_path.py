@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import build_network, diamond, path_network, random_connected_network
+from conftest import build_network, diamond, path_network, random_connected_network, stdout_under_hash_seed
 from qnetcap import (
     NoRoute,
     UnknownEdge,
@@ -288,6 +288,20 @@ class TestSpanningTree:
     def test_unknown_tree_edge(self):
         with pytest.raises(UnknownEdge):
             tree_route_capacity(diamond(), {"e1", "nope"})
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+    def test_unknown_tree_edge_named_alike_under_every_hash_seed(self, seed):
+        # Several unknown ids in a set: the one named is the smallest by
+        # repr, not the first that the set happens to yield.
+        code = (
+            "from qnetcap import Edge, QNetwork, lossy, tree_route_capacity\n"
+            "net = QNetwork(('a', 'b'), (Edge('e', 'a', 'b', lossy(0.5)),), 'a', 'b')\n"
+            "try:\n"
+            "    tree_route_capacity(net, {'e', 'x1', 'x2', 'x3', 'x4'})\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        assert stdout_under_hash_seed(code, seed) == "UnknownEdge 'x1'\n"
 
     def test_tree_given_as_a_bare_string_is_rejected(self):
         # Iterated, the string "e1" would read as the edge ids "e" and "1".
