@@ -1,11 +1,13 @@
 """Command-line surface: qnetcap {channel|chain|network|sweep|compare-multiband}.
 
 The CLI performs no capacity arithmetic of its own.  Every printed capacity
-is a library value; the CSV commands evaluate the library's formulas once
-per grid row instead of once per cell.  A capacity is printed with one format spec (9 decimal places),
-shared by :func:`format_bits` and the CSV row template; the CSV grid columns
-(loss, distance) carry 12 significant digits.  Output uses '.' separators
-and LF line endings, so cells and lines are re-derivable bit-for-bit.
+is a library value; the CSV commands check each grid row once, then build
+each capacity column in one pass of the library's formula over the rows'
+transmissivities and zip the columns into rows.  A capacity is printed with
+one format spec (9 decimal places), shared by :func:`format_bits` and the
+CSV row template; the CSV grid columns (loss, distance) carry 12
+significant digits.  Output uses '.' separators and LF line endings, so
+cells and lines are re-derivable bit-for-bit.
 
 The CSV commands make their text in chunks of the loss grid, all of it
 before the output file opens.  A grid of at least two chunks is shared
@@ -24,6 +26,7 @@ import os
 import signal
 import sys
 import threading
+from itertools import product, repeat
 
 from . import channels
 from .chains import _link_capacity, chain_capacity
@@ -134,8 +137,11 @@ def cmd_network(args) -> int:
 #: 0-200 dB at 0.01 dB is 20,001 rows).
 _MAX_GRID_ROWS = 10**7
 #: Rows computed and formatted at a time.  A grid of at least two chunks is
-#: shared between the CPUs the process may use; on a smaller one a fork
-#: costs about what it saves.
+#: shared between the CPUs the process may use.  On a shared 2-vCPU host
+#: (medians of 41 interleaved runs of each command) two processes saved
+#: 28-40% of the time from 8,000 rows up in every run; at 2,000-6,000
+#: rows, where a fork's fixed cost (~2 ms) weighs more, results ranged
+#: from a 43% loss to a 36% gain as the second CPU was busy or idle.
 _CHUNK_ROWS = 4000
 
 
@@ -153,41 +159,46 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def _capacities(losses, bands, repeater_counts):
-    """Multiband cells, then equidistant-repeater cells, one list per loss.
+    """The cell columns of the rows at ``losses``: multiband, then equidistant-repeater.
 
-    The caller checks the counts once.  Per row only what depends on eta is
-    computed: ``point = -log2(1 - eta)`` and ``log(eta)``.  Each cell is then
-    the library's own formula, equal to the library call: ``m * point`` as
-    in ``capacity(multiband_lossy(eta, m))``, and ``point`` at N = 0 or
-    ``_link_capacity(log(eta), N + 1)`` as in
+    The caller checks the counts once.  Each row is checked first, in row
+    order, as the library call of its first cell checks it: eta in (0, 1),
+    then each band count above ``_SAFE_BANDS``.  A row at eta >= 1 reads inf
+    and is not checked, and without cells no row is.  Each column is then
+    one pass of a library kernel over the checked eta values, equal cell by
+    cell to the library call: ``m * point`` as in
+    ``capacity(multiband_lossy(eta, m))``, with ``point = _pure_loss(eta)``,
+    and ``point`` at N = 0 or ``_link_capacity(log(eta), N + 1)`` as in
     ``equidistant_lossy_capacity(eta, N)``.
     """
-    n_cells = len(bands) + len(repeater_counts)
+    etas = list(map(channels.db_to_transmissivity, losses))
+    unit = [i for i, eta in enumerate(etas) if eta >= 1.0]  # zero loss: the bound diverges
+    # Without cells no row is checked.
+    etas = [eta for eta in etas if eta < 1.0] if bands or repeater_counts else []
     # eta underflows to 0.0 beyond ~3,237 dB.  The check of a row's first
     # cell fails first: multiband_lossy names eta, the repeater chain eta_total.
     eta_field = "eta" if bands else "eta_total"
     huge_bands = [m for m in bands if m > channels._SAFE_BANDS]
-    for loss_db in losses:
-        eta = channels.db_to_transmissivity(loss_db)
-        if eta >= 1.0 or not n_cells:
-            # zero loss: the point-to-point bound diverges; no cells: no check
-            yield [math.inf] * n_cells
-            continue
+    for eta in etas:
         channels._open_unit(eta_field, eta)
         for m in huge_bands:  # the spec rejects a capacity beyond float range
             channels.multiband_lossy(eta, m)
-        point, log_eta = channels._pure_loss(eta), math.log(eta)
-        yield [m * point for m in bands] + [
-            _link_capacity(log_eta, n + 1) if n else point for n in repeater_counts
-        ]
+    points, log_etas = list(map(channels._pure_loss, etas)), list(map(math.log, etas))
+    columns = [[m * point for point in points] for m in bands]
+    # A column of its own for each N = 0 too: inf is inserted in place.
+    columns += [list(map(_link_capacity, log_etas, repeat(n + 1)) if n else points) for n in repeater_counts]
+    for column, i in product(columns, unit):  # i ascending: each inf lands at its own row
+        column.insert(i, math.inf)
+    return columns
 
 
 def _grid(n_grid_columns, start, stop, step, bands, repeater_counts, rate_db_per_km):
     """Header, losses and row builder of a loss-grid CSV, every argument checked.
 
     One grid column (loss) is the sweep, which has no bands; two add the
-    distance at ``rate_db_per_km``.  ``rows(part)`` builds the rows of any
-    run of the losses, each independent of the others.
+    distance at ``rate_db_per_km``.  ``rows(part)`` zips the losses of any
+    run of the grid with its distance and cell columns into row tuples; a
+    run's rows are independent of the others.
     """
     bands = [channels._require_int("bands", m, 1) for m in bands]
     repeater_counts = [channels._require_int("repeaters", n, 0) for n in repeater_counts]
@@ -201,10 +212,8 @@ def _grid(n_grid_columns, start, stop, step, bands, repeater_counts, rate_db_per
         raise InvalidParameter("rate_db_per_km", rate_db_per_km, "puts a distance beyond float range")
 
     def rows(part):
-        cells = _capacities(part, bands, repeater_counts)
-        if distance:
-            return [[loss_db, loss_db / rate_db_per_km, *c] for loss_db, c in zip(part, cells)]
-        return [[loss_db, *c] for loss_db, c in zip(part, cells)]
+        distances = [[loss_db / rate_db_per_km for loss_db in part]] if distance else []
+        return zip(part, *distances, *_capacities(part, bands, repeater_counts))
 
     return header, losses, rows
 
@@ -212,13 +221,13 @@ def _grid(n_grid_columns, start, stop, step, bands, repeater_counts, rate_db_per
 def sweep_rows(start: float, stop: float, step: float, repeater_counts):
     """Header and rows of the equidistant-repeater sweep CSV."""
     header, losses, rows = _grid(1, start, stop, step, (), repeater_counts, None)
-    return header, rows(losses)
+    return header, list(map(list, rows(losses)))
 
 
 def compare_rows(start, stop, step, bands, repeater_counts, rate_db_per_km=FIBER_DB_PER_KM):
     """Header and rows comparing multiband point-to-point use with repeaters."""
     header, losses, rows = _grid(2, start, stop, step, bands, repeater_counts, rate_db_per_km)
-    return header, rows(losses)
+    return header, list(map(list, rows(losses)))
 
 
 def _chunk_texts(run, chunk_text) -> list[str]:
@@ -299,7 +308,7 @@ def cmd_csv(args) -> int:
     n = args.grid_columns
     header, losses, rows = _grid(n, args.start, args.stop, args.step, bands, counts, args.rate_db_per_km)
     template = ",".join(["%" + _GRID_SPEC] * n + ["%" + _BITS_SPEC] * (len(header) - n)) + "\n"
-    texts = _grid_text(losses, lambda part: "".join([template % tuple(row) for row in rows(part)]))
+    texts = _grid_text(losses, lambda part: "".join(map(template.__mod__, rows(part))))
     texts.insert(0, ",".join(header) + "\n")
     if args.out == "-":
         sys.stdout.writelines(texts)

@@ -40,6 +40,16 @@ def hp_equidistant_eta(eta, n_repeaters) -> Decimal:
         return -hp_log2(1 - root)
 
 
+def hp_db_to_transmissivity(loss_db) -> Decimal:
+    """10**(-dB/10), a float loss taken at its exact binary value."""
+    return Decimal(10) ** (-Decimal(loss_db) / 10)
+
+
+def hp_transmissivity_to_db(eta) -> Decimal:
+    """-10 log10(eta), a float ``eta`` taken at its exact binary value."""
+    return -10 * Decimal(eta).log10()
+
+
 def hp_max_link_loss(target_bits) -> Decimal:
     """Loss in dB at which -log2(1 - eta) = target: eta = 1 - 2**-target,
     a float target taken at its exact binary value."""

@@ -240,6 +240,25 @@ class TestRateBudgeting:
         assert equidistant_lossy_capacity(eta, n) >= target
         assert n == 0 or equidistant_lossy_capacity(eta, n - 1) < target
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        eta=st.one_of(
+            st.floats(-320.0, math.log10(1.0 - 1e-15)).map(lambda x: 10.0**x),
+            st.floats(-15.0, -0.5).map(lambda x: 1.0 - 10.0**x),
+        ),
+        # log-uniform from the smallest subnormal up to where the count
+        # leaves float range
+        target=st.floats(-323.3, 3.0).map(lambda x: 10.0**x),
+    )
+    def test_min_repeaters_defining_pair_over_the_whole_domain(self, eta, target):
+        try:
+            n = min_repeaters_for_rate(eta, target)
+        except InvalidParameter as err:  # the count is beyond float range
+            assert err.field == "target_bits" and target > 1000.0
+            return
+        assert equidistant_lossy_capacity(eta, n) >= target
+        assert n == 0 or equidistant_lossy_capacity(eta, n - 1) < target
+
     @pytest.mark.parametrize("target", [1030.0, 1074.5, 1075.0, 1e300])
     def test_min_repeaters_beyond_float_range(self, target):
         # 2**-t underflows to 0 above 1074 bits; the count overflows sooner.

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import warnings
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from highprec import (
     agrees,
     hp_amplifier,
     hp_binary_entropy,
+    hp_db_to_transmissivity,
     hp_equidistant_eta,
     hp_plob,
     hp_shannon_entropy,
+    hp_transmissivity_to_db,
 )
 from qnetcap import (
     CHANNEL_KINDS,
@@ -109,6 +112,36 @@ class TestCapacityValues:
     )
     def test_amplifier_exact_over_the_whole_domain(self, gain):
         assert agrees(capacity(amplifier(gain)), hp_amplifier(gain))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        eta=st.one_of(
+            st.floats(1e-307, 1.0 - 2.0**-53),
+            # log-uniform from where one band's -log2(1 - eta) is a normal
+            # float (eta >= ~1.54e-308, see the test below) ...
+            st.floats(-307.8, -1e-16).map(lambda x: 10.0**x),
+            # ... and log-uniform in 1 - eta, to the float below 1.
+            st.floats(-15.9, -0.3).map(lambda x: 1.0 - 10.0**x),
+        ),
+        # log-uniform from one band to 10**308, past _SAFE_BANDS (10**306),
+        # where the capacity may leave float range
+        bands=st.floats(0.0, 308.0).map(lambda x: int(Decimal(10) ** Decimal(x))),
+    )
+    def test_multiband_exact_or_rejected_over_the_whole_domain(self, eta, bands):
+        exact = bands * hp_equidistant_eta(eta, 0)
+        limit = Decimal(sys.float_info.max)
+        if exact > limit * (1 + Decimal("1e-13")):
+            with pytest.raises(InvalidParameter, match="^bands=.*: too many bands for a float capacity$"):
+                multiband_lossy(eta, bands)
+        elif exact < limit * (1 - Decimal("1e-13")):
+            assert agrees(capacity(multiband_lossy(eta, bands)), exact)
+
+    @pytest.mark.xfail(strict=True, reason="m * point keeps only the few digits of a subnormal point")
+    def test_multiband_exact_where_one_band_is_subnormal(self):
+        # One band of eta = 1e-320 carries ~1.4e-320 bits, a subnormal of 12
+        # significant bits; 10**300 bands keep its rounding (5e-6 here).
+        eta, bands = 1e-320, 10**300
+        assert agrees(capacity(multiband_lossy(eta, bands)), bands * hp_equidistant_eta(eta, 0))
 
 
 class TestEntropies:
@@ -219,6 +252,32 @@ class TestConversions:
         with pytest.raises(InvalidParameter) as err:
             transmissivity_to_db(eta)
         assert str(err.value) == f"eta={eta!r}: must lie in (0, 1]"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        loss_db=st.one_of(
+            st.floats(0.0, sys.float_info.max),
+            # log-uniform from the smallest subnormal to ~3,300 dB, where
+            # eta is subnormal, then 0.0
+            st.floats(-323.3, 3.52).map(lambda x: 10.0**x),
+            st.floats(3000.0, 3300.0),
+        )
+    )
+    def test_db_to_transmissivity_exact_over_the_whole_domain(self, loss_db):
+        assert agrees(db_to_transmissivity(loss_db), hp_db_to_transmissivity(loss_db))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        eta=st.one_of(
+            st.floats(5e-324, 1.0),
+            # log-uniform over (0, 1], from the subnormals up ...
+            st.floats(-323.3, 0.0).map(lambda x: 10.0**x),
+            # ... and log-uniform in 1 - eta, to the float below 1.
+            st.floats(-15.9, -0.3).map(lambda x: 1.0 - 10.0**x),
+        )
+    )
+    def test_transmissivity_to_db_exact_over_the_whole_domain(self, eta):
+        assert agrees(transmissivity_to_db(eta), hp_transmissivity_to_db(eta))
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameter):

@@ -9,6 +9,8 @@ import signal
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DUPLICATE_KEY_DOCS, diamond
 from qnetcap import (
@@ -551,6 +553,25 @@ class TestCsvErrorPaths:
             "", f"error: rate_db_per_km={float(rate)!r}: puts a distance beyond float range\n"
         )
 
+    def test_first_failing_row_fails_first(self, capsys):
+        # Every row from 1e-5 dB fails the band check (10**307 bands of
+        # more than 1.8 bits each pass float range); the rows past ~3,237 dB
+        # would fail the eta check too.
+        bands = "1" + "0" * 307
+        argv = ["compare-multiband", "--start", "1e-5", "--stop", "4000", "--step", "1",
+                "--bands", bands, "--repeaters", "1", "--out", "-"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: bands={bands}: too many bands for a float capacity\n"
+        )
+
+    def test_underflow_fails_after_rows_that_pass_the_band_check(self, capsys):
+        # From 10 dB one band carries < 0.16 bits, so 10**307 bands fit.
+        argv = ["compare-multiband", "--start", "10", "--stop", "4000", "--step", "1",
+                "--bands", "1" + "0" * 307, "--repeaters", "1", "--out", "-"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: eta=0.0: must lie strictly inside (0, 1)\n")
+
     @pytest.mark.parametrize("zeros", [300, 308, 309, 400])
     def test_repeater_count_beyond_float_range_exits_0(self, capsys, zeros):
         n = 10**zeros
@@ -603,6 +624,74 @@ class TestBenchmarkGrid:
             assert sweep_row == [loss_db, *expected[len(bands):]]
             assert compare_row == [loss_db, loss_db / FIBER_DB_PER_KM, *expected]
 
+
+
+def library_rows(losses, bands, counts):
+    """The cells of each grid row by the scalar library calls, inf where
+    eta >= 1, or the message of the first error they raise, row by row."""
+    rows = []
+    for loss_db in losses:
+        eta = db_to_transmissivity(loss_db)
+        if eta >= 1.0:
+            rows.append([math.inf] * (len(bands) + len(counts)))
+            continue
+        try:
+            rows.append([capacity(multiband_lossy(eta, m)) for m in bands]
+                        + [equidistant_lossy_capacity(eta, n) for n in counts])
+        except InvalidParameter as exc:
+            return str(exc)
+    return rows
+
+
+def rows_or_error(build, *args):
+    try:
+        return build(*args)[1]
+    except InvalidParameter as exc:
+        return str(exc)
+
+
+#: Band and repeater counts: mostly small, with some past _SAFE_BANDS
+#: (10**306) and past float range.
+GRID_BANDS = st.lists(
+    st.one_of(st.integers(1, 1000), st.sampled_from([10**306 + 1, 10**307, 10**308, 10**309])),
+    max_size=3,
+)
+GRID_COUNTS = st.lists(
+    st.one_of(st.integers(0, 1000), st.sampled_from([0, 10**300, 10**308, 10**309, 10**400])),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    start=st.one_of(st.just(0.0), st.floats(0.0, 3300.0)),
+    # 1e-17 to 1e3 dB: from 0 dB the smallest steps give many rows at eta = 1.0
+    step=st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-17, 2)),
+    n_steps=st.integers(0, 150),
+    bands=GRID_BANDS,
+    counts=GRID_COUNTS,
+)
+@example(start=0.0, step=1e-17, n_steps=100, bands=[1, 10**307], counts=[0, 1, 0, 10**400])
+def test_every_grid_cell_is_the_library_call(start, step, n_steps, bands, counts):
+    stop = start + n_steps * step
+    losses = db_grid(start, stop, step)
+    expected = library_rows(losses, [], counts)
+    if not isinstance(expected, str):
+        expected = [[loss_db, *cells] for loss_db, cells in zip(losses, expected)]
+    assert rows_or_error(sweep_rows, start, stop, step, counts) == expected
+    expected = library_rows(losses, bands, counts)
+    if not isinstance(expected, str):
+        expected = [[loss_db, loss_db / FIBER_DB_PER_KM, *cells] for loss_db, cells in zip(losses, expected)]
+    assert rows_or_error(compare_rows, start, stop, step, bands, counts) == expected
+
+
+def test_rows_at_eta_1_read_inf_wherever_they_are():
+    losses = [5.0, 0.0, 30.0, 1e-18, 0.0, 3e-16]
+    assert db_to_transmissivity(1e-18) == 1.0 > db_to_transmissivity(3e-16)
+    counts = [0, 2, 0, 10**400]  # each N = 0 column gets its own inf cells
+    columns = cli._capacities(losses, [1, 10], counts)
+    assert all(len(column) == len(losses) for column in columns)
+    assert [list(row) for row in zip(*columns)] == library_rows(losses, [1, 10], counts)
 
 
 def force_cpus(monkeypatch, n):
