@@ -161,32 +161,34 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
 def _capacities(losses, bands, repeater_counts):
     """The cell columns of the rows at ``losses``: multiband, then equidistant-repeater.
 
-    The caller checks the counts once.  Each row is checked first, in row
-    order, as the library call of its first cell checks it: eta in (0, 1),
-    then each band count above ``_SAFE_BANDS``.  A row at eta >= 1 reads inf
-    and is not checked, and without cells no row is.  Each column is then
-    one pass of a library kernel over the checked eta values, equal cell by
-    cell to the library call: ``m * point`` as in
-    ``capacity(multiband_lossy(eta, m))``, with ``point = _pure_loss(eta)``,
-    and ``point`` at N = 0 or ``_link_capacity(log(eta), N + 1)`` as in
+    The caller checks the counts once.  Each row's loss is converted and
+    checked before the next row's, as the library call of its first cell
+    checks it: eta in (0, 1), then each band count above ``_SAFE_BANDS``.
+    A row at eta >= 1 reads inf and is not checked, and without cells no
+    row is.  Each column is then one pass of a library kernel over the
+    checked eta values, equal cell by cell to the library call:
+    ``m * point`` as in ``capacity(multiband_lossy(eta, m))``, with
+    ``point = _pure_loss(eta)``, and ``point`` at N = 0 or
+    ``_link_capacity(log(eta), N + 1)`` as in
     ``equidistant_lossy_capacity(eta, N)``.
     """
-    etas = list(map(channels.db_to_transmissivity, losses))
-    unit = [i for i, eta in enumerate(etas) if eta >= 1.0]  # zero loss: the bound diverges
-    # Without cells no row is checked.
-    etas = [eta for eta in etas if eta < 1.0] if bands or repeater_counts else []
-    # eta underflows to 0.0 beyond ~3,237 dB.  The check of a row's first
-    # cell fails first: multiband_lossy names eta, the repeater chain eta_total.
-    eta_field = "eta" if bands else "eta_total"
     huge_bands = [m for m in bands if m > channels._SAFE_BANDS]
-    for eta in etas:
-        channels._open_unit(eta_field, eta)
-        for m in huge_bands:  # the spec rejects a capacity beyond float range
-            channels.multiband_lossy(eta, m)
+    etas, unit = [], []
+    # Row by row: a row's grid value, then its first cell's checks, fail
+    # before the next row's.  eta underflows to 0.0 beyond ~3,237 dB:
+    # multiband_lossy names eta, the repeater chain eta_total.
+    for i, eta in enumerate(map(channels.db_to_transmissivity, losses)):
+        if eta >= 1.0:  # zero loss: the bound diverges
+            unit.append(i)
+        elif bands or repeater_counts:  # without cells no row is checked
+            channels._open_unit("eta" if bands else "eta_total", eta)
+            for m in huge_bands:  # the spec rejects a capacity beyond float range
+                channels.multiband_lossy(eta, m)
+            etas.append(eta)
     points, log_etas = list(map(channels._pure_loss, etas)), list(map(math.log, etas))
     columns = [[m * point for point in points] for m in bands]
-    # A column of its own for each N = 0 too: inf is inserted in place.
-    columns += [list(map(_link_capacity, log_etas, repeat(n + 1)) if n else points) for n in repeater_counts]
+    # Every column is a list of its own, a copy of points at N = 0: inf is inserted in place.
+    columns += [list(map(_link_capacity, log_etas, repeat(n + 1))) if n else points[:] for n in repeater_counts]
     for column, i in product(columns, unit):  # i ascending: each inf lands at its own row
         column.insert(i, math.inf)
     return columns

@@ -572,6 +572,16 @@ class TestCsvErrorPaths:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: eta=0.0: must lie strictly inside (0, 1)\n")
 
+    def test_underflow_fails_before_a_later_grid_value_overflows(self, capsys):
+        # Rows: 0, 5.99e307 (eta underflows to 0.0), 1.2e308, then 3 * step
+        # rounds to inf, which db_to_transmissivity rejects.
+        argv = ["sweep", "--start", "0", "--stop", "1.7976931348623157e308",
+                "--step", "5.992310449541053e+307", "--repeaters", "0", "--out", "-"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: eta_total=0.0: must lie strictly inside (0, 1)\n"
+        )
+
     @pytest.mark.parametrize("zeros", [300, 308, 309, 400])
     def test_repeater_count_beyond_float_range_exits_0(self, capsys, zeros):
         n = 10**zeros
