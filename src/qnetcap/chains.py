@@ -156,7 +156,9 @@ def asymptotic_repeater_dominant(eta_total: float, n_repeaters: int) -> float:
     """
     eta_total = _open_unit("eta_total", eta_total)
     n_repeaters = _require_int("n_repeaters", n_repeaters, 1)
-    return math.log2(n_repeaters) - math.log2(math.log(1.0 / eta_total))
+    # -ln(eta), not ln(1/eta): 1/eta rounds, and near eta = 1 that rounding
+    # is all of ln(1/eta).
+    return math.log2(n_repeaters) - math.log2(-math.log(eta_total))
 
 
 def asymptotic_loss_dominant(eta_total: float, n_repeaters: int) -> float:

@@ -155,6 +155,8 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
     intervals = (stop - start) / step + 1e-9
     if not intervals < _MAX_GRID_ROWS:  # an infinite count fails too
         raise InvalidParameter("step", step, f"leaves more than {_MAX_GRID_ROWS} grid rows")
+    if start + int(intervals) * step == math.inf:  # the last row is the largest
+        raise InvalidParameter("step", step, "puts a grid row beyond float range")
     return [start + i * step for i in range(int(intervals) + 1)]
 
 

@@ -7,22 +7,26 @@ implementations and a direct check of the route/cut dualities themselves:
 - The cut side visits all 2^(|P|-2) alice/bob bipartitions.  Each one's
   crossing set is a bit mask over the edges, the XOR of its points' incidence
   masks, so the cut values do not depend on ``make_cut``; only the winning
-  cut of :func:`brute_single_path_capacity` is built with it.
+  cut of :func:`brute_single_path_capacity` is built with it.  With the
+  edges as bits in ascending capacity order, a bipartition's largest
+  crossing capacity is that of its mask's highest bit, so the single-path
+  cut is the smallest mask in ascending-capacity bit order.
   :func:`brute_multi_path_capacity` first approximates every bipartition's
   total crossing capacity from per-point totals, one list step each, and
   sums exactly, in edge order, only the bipartitions that a rounding bound
   cannot rule out; its answer is the exhaustive minimum bit for bit.
 - The route side is an exhaustive depth-first search over the simple
-  alice-bob routes, each point's ``(neighbour, edge id)`` pairs taken in
-  sorted order, with a bound: it drops any partial route no wider than the
-  best complete one found so far, so no route list is ever built.
+  alice-bob routes, each point's ``(neighbour, edge id, capacity)`` triples
+  taken in sorted order, with a bound: it drops any partial route no wider
+  than the best complete one found so far, so no route list is ever built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress
 from operator import add
 
 from .errors import NoRoute, TooLarge
@@ -138,17 +142,21 @@ def enumerate_cuts(net: QNetwork) -> CutEnumeration:
     return CutEnumeration(cuts=tuple(records))
 
 
-def _sorted_adjacency(net: QNetwork) -> dict[str, list[tuple[str, str]]]:
-    """Each point's ``(neighbour, edge id)`` pairs, sorted: the route order.
+def _sorted_adjacency(net: QNetwork) -> dict[str, list[tuple[str, str, float]]]:
+    """Each point's ``(neighbour, edge id, capacity)`` triples, sorted: the
+    route order (edge ids are unique, so capacities never decide it).
 
     Built here from the edges, not from the solvers' index, so the referee
     shares no graph code with what it checks.
     """
-    adj: dict[str, list[tuple[str, str]]] = {p: [] for p in net.points}
-    for edge in net.edges:
-        adj[edge.u].append((edge.v, edge.edge_id))
-        adj[edge.v].append((edge.u, edge.edge_id))
-    return {point: sorted(pairs) for point, pairs in adj.items()}
+    adj: dict[str, list[tuple[str, str, float]]] = {p: [] for p in net.points}
+    for edge, cap in zip(net.edges, net.capacities.values()):
+        u, v, eid = edge.u, edge.v, edge.edge_id
+        adj[u].append((v, eid, cap))
+        adj[v].append((u, eid, cap))
+    for triples in adj.values():
+        triples.sort()
+    return adj
 
 
 def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:
@@ -161,58 +169,47 @@ def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:
     smallest largest crossing capacity.
     """
     _check_size(net)
-    caps = net.capacities
-    adj = _sorted_adjacency(net)
-    best_route = None
-    route_value = -1.0
-    point_stack = [net.alice]
-    edge_stack: list[str] = []
-    on_path = {net.alice}
-
-    def descend(point: str, width: float):
-        # Every route through an extension is at most as wide as it, so one
-        # no wider than the best route so far can only tie, never win.
-        nonlocal best_route, route_value
-        for other, eid in adj[point]:
-            narrowed = min(width, caps[eid])
-            if narrowed <= route_value or other in on_path:
-                continue
-            if other == net.bob:
-                route_value = narrowed
-                best_route = Route(
-                    point_sequence=tuple(point_stack) + (net.bob,),
-                    edge_sequence=tuple(edge_stack) + (eid,),
-                )
-                continue
-            point_stack.append(other)
-            edge_stack.append(eid)
-            on_path.add(other)
-            descend(other, narrowed)
-            point_stack.pop()
-            edge_stack.pop()
-            on_path.remove(other)
-
-    descend(net.alice, math.inf)
-    if best_route is None:
-        raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
-
+    alice, bob = net.alice, net.bob
     # Bits in ascending capacity order: a cut's largest crossing capacity is
-    # that of its highest set bit.
+    # that of its mask's highest bit, so the smallest mask has the smallest.
+    caps = net.capacities
     by_width = sorted(net.edges, key=lambda e: caps[e.edge_id])
     widths = [caps[e.edge_id] for e in by_width]
     masks = _crossing_masks(net, by_width)
-    if 0 in masks:
-        # An empty crossing set means the bipartition already separates
-        # alice from bob, contradicting the route found above.
-        raise NoRoute(f"no route from {net.alice!r} to {net.bob!r}")
-    cut_values = [widths[mask.bit_length() - 1] for mask in masks]
-    cut_value = min(cut_values)
-    winner = cut_values.index(cut_value)
+    smallest = min(masks)
+    if smallest == 0:
+        # An empty crossing set: the bipartition separates alice from bob.
+        raise NoRoute(f"no route from {alice!r} to {bob!r}")
+    cut_value = widths[smallest.bit_length() - 1]
+    # The masks of value cut_value are those with no bit of a wider edge.
+    limit = 1 << bisect_right(widths, cut_value)
+    winner = next(index for index, mask in enumerate(masks) if mask < limit)
+
+    adj = _sorted_adjacency(net)
+    best = ()
+    route_value = -1.0
+
+    def descend(points: tuple, edges: tuple, width: float):
+        # Every route through an extension is at most as wide as it, so one
+        # no wider than the best route so far can only tie, never win.
+        nonlocal best, route_value
+        for other, eid, cap in adj[points[-1]]:
+            narrowed = cap if cap < width else width  # min(width, cap)
+            if narrowed <= route_value or other in points:
+                continue
+            if other == bob:
+                route_value = narrowed
+                best = points + (bob,), edges + (eid,)
+            else:
+                descend(points + (other,), edges + (eid,), narrowed)
+
+    # Alice and bob are connected, so a route exists.
+    descend((alice,), (), math.inf)
     return BruteForceSinglePath(
         route_value=route_value,
         cut_value=cut_value,
-        best_route=best_route,
-        min_cut=make_cut(net, [net.alice, *_selected(_interior(net), winner)]),
+        best_route=Route(*best),
+        min_cut=make_cut(net, [alice, *_selected(_interior(net), winner)]),
     )
 
 
@@ -260,30 +257,28 @@ def brute_multi_path_capacity(net: QNetwork) -> float:
     _check_size(net)
     caps = list(net.capacities.values())
     interior = _interior(net)
-    # Slot 0 is alice and slot k > 0 the interior point of bit k - 1; bob has none.
-    slot = {point: k for k, point in enumerate([net.alice, *interior])}
+    # Slot 0 is alice and slot k > 0 the interior point of bit k - 1; bob's
+    # slot, the last, is never read.
+    slot = {point: k for k, point in enumerate([net.alice, *interior, net.bob])}
     degree = [0.0] * len(slot)
     between = [[0.0] * len(slot) for _ in slot]
     for edge, cap in zip(net.edges, caps):
-        ku, kv = slot.get(edge.u), slot.get(edge.v)
-        if ku is not None:
-            degree[ku] += cap
-        if kv is not None:
-            degree[kv] += cap
-            if ku is not None:
-                between[ku][kv] += cap
-                between[kv][ku] += cap
+        ku, kv = slot[edge.u], slot[edge.v]
+        degree[ku] += cap
+        degree[kv] += cap
+        between[ku][kv] += cap
+        between[kv][ku] += cap
     approx = [degree[0]]
-    for k in range(1, len(slot)):
+    for k in range(1, len(slot) - 1):
         step = [degree[k] - 2.0 * between[k][0]]
-        for w in between[k][1:k]:
-            step += list(map((-2.0 * w).__add__, step)) if w else step
+        for w2 in [2.0 * w for w in between[k][1:k]]:
+            step += [v - w2 for v in step] if w2 else step
         approx += list(map(add, approx, step))
 
     total = sum(caps, 0.0)
     if math.isfinite(4.0 * total):
         bound = min(approx) + 32 * (len(net.points) + len(caps)) * math.ulp(total)
-        candidates = compress(count(), map(bound.__ge__, approx))  # approx[i] <= bound
+        candidates = [index for index, v in enumerate(approx) if v <= bound]
     else:
         candidates = range(len(approx))
     sides = ({net.alice, *_selected(interior, index)} for index in candidates)

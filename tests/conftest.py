@@ -102,13 +102,14 @@ def random_channel(rng):
     return multiband_lossy(rng.uniform(0.05, 0.95), rng.randint(1, 4))
 
 
-def random_connected_network(rng, min_points=3, max_points=8):
+def random_connected_network(rng, min_points=3, max_points=8, channel=random_channel):
     """One connected network drawn from the generator distribution.
 
     Edge slots follow an Erdos-Renyi draw at p = 0.5, alice and bob each get
     a forced attachment if left isolated, and with probability 0.3 one
-    existing pair gains a parallel edge.  Candidates are redrawn until alice
-    and bob are connected.
+    existing pair gains a parallel edge.  Each edge's channel is
+    ``channel(rng)``.  Candidates are redrawn until alice and bob are
+    connected.
     """
     while True:
         n = rng.randint(min_points, max_points)
@@ -128,7 +129,7 @@ def random_connected_network(rng, min_points=3, max_points=8):
         if pairs and rng.random() < 0.3:
             pairs.append(rng.choice(pairs))
         edges = [
-            (f"e{i}", u, v, random_channel(rng)) for i, (u, v) in enumerate(pairs)
+            (f"e{i}", u, v, channel(rng)) for i, (u, v) in enumerate(pairs)
         ]
         net = build_network(points, edges)
         if is_connected(net):

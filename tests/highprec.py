@@ -86,13 +86,32 @@ def hp_amplifier(gain) -> Decimal:
         return hp_log2(gain / (gain - 1))
 
 
+def hp_erasure(p, dim) -> Decimal:
+    """Erasure capacity (1 - p) log2(d), a float ``p`` taken at its exact binary value."""
+    return (1 - Decimal(p)) * hp_log2(Decimal(dim))
+
+
 def hp_shannon_entropy(probs) -> Decimal:
+    """-sum p log2 p, a float entry taken at its exact binary value and a
+    string entry at its decimal one."""
     total = Decimal(0)
     for p in probs:
-        p = Decimal(str(p))
+        p = Decimal(p)
         if p > 0:
             total -= p * hp_log2(p)
     return total
+
+
+def hp_loss_dominant(eta, n_repeaters) -> Decimal:
+    """High-loss approximation eta**(1/(N+1)) / ln 2, a float ``eta`` taken
+    at its exact binary value and N exact."""
+    return (Decimal(eta).ln() / (n_repeaters + 1)).exp() / _LN2
+
+
+def hp_repeater_dominant_terms(eta, n_repeaters) -> tuple[Decimal, Decimal]:
+    """log2(N) and log2(ln(1/eta)), whose difference is the many-repeater
+    approximation; a float ``eta`` taken at its exact binary value."""
+    return hp_log2(Decimal(n_repeaters)), hp_log2(-Decimal(eta).ln())
 
 
 def agrees(value: float, exact: Decimal, rel_tol: float = 1e-13) -> bool:

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from highprec import agrees, hp_equidistant, hp_equidistant_eta, hp_max_link_loss, hp_plob
+from highprec import (
+    agrees,
+    hp_equidistant,
+    hp_equidistant_eta,
+    hp_loss_dominant,
+    hp_max_link_loss,
+    hp_plob,
+    hp_repeater_dominant_terms,
+)
 from qnetcap import (
     InvalidParameter,
     asymptotic_loss_dominant,
@@ -306,6 +314,47 @@ class TestAsymptotics:
         assert asymptotic_loss_dominant(0.5, n) == 1.0 / math.log(2.0)
         expected = math.log2(n) - math.log2(math.log(2.0))
         assert asymptotic_repeater_dominant(0.5, n) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        eta=st.one_of(
+            # log-uniform from 1e-300 ...
+            st.floats(-300.0, -1e-16).map(lambda x: 10.0**x),
+            # ... and log-uniform in 1 - eta, to the float below 1.
+            st.floats(-15.9, -0.3).map(lambda x: 1.0 - 10.0**x),
+            st.just(1.0 - 2.0**-53),
+        ),
+        n=st.one_of(
+            st.integers(1, 10**6),
+            st.floats(0.0, 30.0).map(lambda x: int(Decimal(10) ** Decimal(x))),
+        ),
+    )
+    def test_repeater_dominant_exact_over_the_whole_domain(self, eta, n):
+        # The two terms cancel where N ~ ln(1/eta), so the error is measured
+        # against the larger of them, or 1 bit: log2 of an argument that is
+        # off by an ulp is off by ~1e-16 bits, however small the log is.
+        many, lossy_term = hp_repeater_dominant_terms(eta, n)
+        scale = max(abs(many), abs(lossy_term), 1)
+        error = Decimal(asymptotic_repeater_dominant(eta, n)) - (many - lossy_term)
+        assert abs(error) <= Decimal("1e-13") * scale
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        eta=st.one_of(
+            st.floats(5e-324, 1.0 - 2.0**-53),
+            # log-uniform over (0, 1), from the subnormals up ...
+            st.floats(-323.3, -1e-16).map(lambda x: 10.0**x),
+            # ... and log-uniform in 1 - eta, to the float below 1.
+            st.floats(-15.9, -0.3).map(lambda x: 1.0 - 10.0**x),
+        ),
+        n=st.one_of(
+            st.integers(0, 10**6),
+            # log-uniform up to 10**400, where N + 1 is not a float
+            st.floats(0.0, 400.0).map(lambda x: int(Decimal(10) ** Decimal(x))),
+        ),
+    )
+    def test_loss_dominant_exact_over_the_whole_domain(self, eta, n):
+        assert agrees(asymptotic_loss_dominant(eta, n), hp_loss_dominant(eta, n))
 
     def test_repeater_dominant_rejects_zero_repeaters(self):
         with pytest.raises(InvalidParameter):

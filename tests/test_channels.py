@@ -14,6 +14,7 @@ from highprec import (
     hp_binary_entropy,
     hp_db_to_transmissivity,
     hp_equidistant_eta,
+    hp_erasure,
     hp_plob,
     hp_shannon_entropy,
     hp_transmissivity_to_db,
@@ -136,6 +137,28 @@ class TestCapacityValues:
         elif exact < limit * (1 - Decimal("1e-13")):
             assert agrees(capacity(multiband_lossy(eta, bands)), exact)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.one_of(
+            st.floats(0.0, 1.0),
+            # log-uniform over (0, 1], from the subnormals up ...
+            st.floats(-323.3, 0.0).map(lambda x: 10.0**x),
+            # ... and log-uniform in 1 - p, up to 1.
+            st.floats(-16.0, 0.0).map(lambda x: 1.0 - 10.0**x),
+        ),
+        # from a qubit, log-uniform up to 10**400, past float range
+        dim=st.one_of(
+            st.integers(2, 1000),
+            st.floats(0.31, 400.0).map(lambda x: int(Decimal(10) ** Decimal(x))),
+        ),
+    )
+    def test_erasure_exact_over_the_whole_domain(self, p, dim):
+        assert agrees(capacity(erasure(p, dim)), hp_erasure(p, dim))
+
+    # Dephasing has no whole-domain property yet: log2 d - H(p) cancels near
+    # the uniform distribution (2.6e-3 relative error at p = 0.5 +- 1e-7, and
+    # 0.0 for a true 2.9e-20 at 0.5 +- 1e-10), so it would fail one.
+
     @pytest.mark.xfail(strict=True, reason="m * point keeps only the few digits of a subnormal point")
     def test_multiband_exact_where_one_band_is_subnormal(self):
         # One band of eta = 1e-320 carries ~1.4e-320 bits, a subnormal of 12
@@ -175,6 +198,20 @@ class TestEntropies:
     )
     def test_binary_entropy_exact_over_the_whole_domain(self, p):
         assert agrees(binary_entropy(p), hp_binary_entropy(p))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        # weights log-uniform from the subnormals up, some exactly 0
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(-323.3, 0.0).map(lambda x: 10.0**x)),
+            min_size=1,
+            max_size=16,
+        ).filter(any)
+    )
+    def test_shannon_entropy_exact_over_the_whole_domain(self, weights):
+        total = math.fsum(weights)
+        probs = [w / total for w in weights]
+        assert agrees(shannon_entropy(probs), hp_shannon_entropy(probs))
 
     def test_shannon_point_mass(self):
         for probs in [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]:

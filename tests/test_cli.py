@@ -6,6 +6,7 @@ import os
 import pathlib
 import random
 import signal
+import sys
 import threading
 
 import pytest
@@ -432,6 +433,14 @@ class TestSweep:
         assert err.value.field == "step"
         assert str(err.value) == "step=1.0: leaves more than 5 grid rows"
 
+    def test_grid_row_beyond_float_range_is_checked_before_any_row_is_built(self):
+        top = sys.float_info.max
+        assert db_grid(0.0, top, top / 2) == [0.0, top / 2, top]
+        with pytest.raises(InvalidParameter) as err:
+            db_grid(0.0, top, top / 3)  # 3 * (top / 3) rounds to inf
+        assert err.value.field == "step"
+        assert str(err.value) == f"step={top / 3!r}: puts a grid row beyond float range"
+
     def test_grid_of_2e14_rows_exits_2(self, capsys):
         # 200 dB at 1e-12 dB would build ~2e14 rows before the first write.
         assert main(
@@ -572,14 +581,20 @@ class TestCsvErrorPaths:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: eta=0.0: must lie strictly inside (0, 1)\n")
 
-    def test_underflow_fails_before_a_later_grid_value_overflows(self, capsys):
-        # Rows: 0, 5.99e307 (eta underflows to 0.0), 1.2e308, then 3 * step
-        # rounds to inf, which db_to_transmissivity rejects.
-        argv = ["sweep", "--start", "0", "--stop", "1.7976931348623157e308",
-                "--step", "5.992310449541053e+307", "--repeaters", "0", "--out", "-"]
+    @pytest.mark.parametrize(
+        "command, cells",
+        [("sweep", ["--repeaters", "0"]), ("compare-multiband", ["--bands", "1", "--repeaters="])],
+        ids=["sweep", "compare-multiband"],
+    )
+    def test_grid_row_beyond_float_range_exits_2(self, capsys, command, cells):
+        # Rows 0, 5.99e307 (eta underflows to 0.0) and 1.2e308 are finite,
+        # but 3 * step rounds to inf: the grid is rejected, naming step,
+        # before any row is converted.
+        argv = [command, "--start", "0", "--stop", "1.7976931348623157e308",
+                "--step", "5.992310449541053e+307", *cells, "--out", "-"]
         assert main(argv) == 2
         assert capsys.readouterr() == (
-            "", "error: eta_total=0.0: must lie strictly inside (0, 1)\n"
+            "", "error: step=5.992310449541053e+307: puts a grid row beyond float range\n"
         )
 
     @pytest.mark.parametrize("zeros", [300, 308, 309, 400])

@@ -291,10 +291,24 @@ class TestSizeCap:
             enumerate_cuts(net13)
 
 
+def tie_heavy_networks(count):
+    """8-12 point networks whose capacities take two or three values (1,
+    1/2 and 1/4 bit), so that many routes and cuts tie: equal widths sit at
+    many bits of the oracle's ascending-capacity masks."""
+    rng = random.Random(20261019)
+    levels = [erasure(p) for p in (0.0, 0.5, 0.75)]
+    networks = []
+    for _ in range(count):
+        values = rng.sample(levels, rng.choice((2, 3)))
+        networks.append(random_connected_network(rng, 8, 12, channel=lambda r: r.choice(values)))
+    return networks
+
+
 @pytest.fixture(scope="module")
 def referee_networks(network_suite):
-    """The seeded suite plus 12-point networks, one of them with every edge
-    of equal capacity so that every route and cut ties."""
+    """The seeded suite, 12-point networks, tie-heavy networks and, last, a
+    12-point network with every edge of equal capacity, so that every route
+    and cut ties."""
     rng = random.Random(20261018)
     large = [random_connected_network(rng, 12, 12) for _ in range(20)]
     base = large[0]
@@ -304,7 +318,7 @@ def referee_networks(network_suite):
         base.alice,
         base.bob,
     )
-    return network_suite + large + [flat]
+    return network_suite + large + tie_heavy_networks(30) + [flat]
 
 
 class TestAgainstNaiveReferences:
