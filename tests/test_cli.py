@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -344,6 +346,79 @@ class TestNetworkCommand:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["network", str(path), "--mode", mode]) == 0
         assert "capacity: 1.000000000 bits/use" in capsys.readouterr().out
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, loaded read-only under a private name."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_pinned_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: A network whose flow runs against the declared direction of most edges
+#: (negative rates) and leaves a dangling edge idle (a zero rate).
+AGAINST_THE_GRAIN = {
+    "points": ["a", "b", "x", "y", "z"],
+    "alice": "a",
+    "bob": "b",
+    "edges": [
+        {"id": f"e{i}", "u": u, "v": v, "channel": {"kind": "lossy", "eta": eta}}
+        for i, (u, v, eta) in enumerate([
+            ("x", "a", 0.5), ("b", "x", 0.75), ("y", "a", 0.875), ("y", "x", 0.5),
+            ("b", "y", 0.5), ("z", "y", 0.5), ("a", "b", 0.5),
+        ])
+    ],
+}
+
+#: SHA-256 of ``network --mode MODE`` stdout: the benchmark's three seed-1
+#: fiber-mesh networks (input set 0) and AGAINST_THE_GRAIN.
+PINNED_NETWORK_TEXT = {
+    ("grid", "single"): "dda5a5f1f055c7c530218c609a027ad9b30de08087940053e48cecae3d59bf1c",
+    ("grid", "multi"): "3b626b757e002b773ba28853480ecd5ddcf6fc73a695d5ccacb1cedcb2e2c427",
+    ("fiber", "single"): "e10a75dd5b0740667911f7768049fc46d8a34d9dcfdf39761322755b86b739ac",
+    ("fiber", "multi"): "6a624ad8cece7d28ae62889a9466cefe1b3ba93f127bfed6b3afea1b81056512",
+    ("chain", "single"): "59559161bd43d39f88018fd56946aa0923633c08ad057fcbbeea2c40e653275e",
+    ("chain", "multi"): "632a49b920020ba9cd632df129025033314c2ba475318988334e75e2fadbc5e0",
+    ("against_the_grain", "single"): "7aee63f1be09d851fafdb742b7e66a0975a8bbd4aac7e8c175e74a111ab5ea3b",
+    ("against_the_grain", "multi"): "8f95bd10096dd5535f6df85568b29997bc2a1b78cd8d103a3b6ca8d3857206f6",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_network_files(tmp_path_factory):
+    docs = dict(_perfbench_workloads().mesh_networks(1))
+    docs["against_the_grain"] = AGAINST_THE_GRAIN
+    folder = tmp_path_factory.mktemp("pinned")
+    for name, doc in docs.items():
+        (folder / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return folder
+
+
+class TestPinnedNetworkText:
+    @pytest.mark.parametrize("name, mode", PINNED_NETWORK_TEXT, ids=[f"{n}-{m}" for n, m in PINNED_NETWORK_TEXT])
+    def test_stdout_bytes_unchanged(self, pinned_network_files, capsys, name, mode):
+        assert main(["network", str(pinned_network_files / f"{name}.json"), "--mode", mode]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_NETWORK_TEXT[name, mode]
+
+    def test_against_the_grain_has_negative_and_zero_rates(self, pinned_network_files, capsys):
+        main(["network", str(pinned_network_files / "against_the_grain.json"), "--mode", "multi"])
+        rates = [line.rsplit(" ", 1)[1] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("rate ")]
+        assert "0.000000000" in rates and any(rate.startswith("-") for rate in rates)
+
+    def test_a_negative_zero_rate_prints_as_zero(self, monkeypatch, capsys):
+        report = cli.max_flow(diamond())
+        zeroed = dict.fromkeys(report.effective_rates, -0.0)
+        monkeypatch.setattr(cli, "max_flow", lambda net: dataclasses.replace(report, effective_rates=zeroed))
+        monkeypatch.setattr(cli, "parse_network", lambda document: diamond())
+        assert main(["network", str(DATA / "diamond.json"), "--mode", "multi"]) == 0
+        rates = [line for line in capsys.readouterr().out.splitlines() if line.startswith("rate ")]
+        assert len(rates) == len(zeroed)
+        assert all(line.endswith(": 0.000000000") for line in rates)
 
 
 class TestSweep:
