@@ -117,6 +117,10 @@ def _pure_loss(eta: float) -> float:
     return -math.log1p(-eta) / _LN2
 
 
+#: The slot-level constructor and setter of a frozen dataclass, bound once.
+_new, _set = object.__new__, object.__setattr__
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Tagged description of one distillable channel.
@@ -192,15 +196,17 @@ class ChannelKind:
     names: tuple[str, ...] = field(init=False)
     fields: frozenset[str] = field(init=False)
     required_fields: KeysView[str] = field(init=False, compare=False)
+    _plan: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(p.name for p in self.params)
         attrs = [f.name for f in fields(ChannelSpec) if f.name != "kind"]
-        object.__setattr__(self, "forbidden", tuple(a for a in attrs if a not in names))
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "fields", frozenset(["kind", *names]))
+        _set(self, "forbidden", tuple(a for a in attrs if a not in names))
+        _set(self, "names", names)
+        _set(self, "fields", frozenset(["kind", *names]))
         required = [p.name for p in self.params if p.required]
-        object.__setattr__(self, "required_fields", dict.fromkeys(["kind", *required]).keys())
+        _set(self, "required_fields", dict.fromkeys(["kind", *required]).keys())
+        _set(self, "_plan", tuple((p.name, p.check, p.required, p.default) for p in self.params))
 
     def build(self, values, spec: ChannelSpec | None = None) -> ChannelSpec:
         """The spec of this kind holding ``values``, checked once each.
@@ -213,17 +219,16 @@ class ChannelKind:
         constructed :class:`ChannelSpec` to fill instead.
         """
         if spec is None:
-            spec = object.__new__(ChannelSpec)
-            object.__setattr__(spec, "kind", self.name)
-        for param, value in zip(self.params, values):
+            spec = _new(ChannelSpec)
+            _set(spec, "kind", self.name)
+        # One (name, check, required, default) entry per parameter.
+        for (name, check, required, default), value in zip(self._plan, values):
             if value is not None:
-                object.__setattr__(spec, param.name, param.check(param.name, value))
-            elif param.required:
-                raise InvalidParameter(
-                    param.name, None, f"is required for a {self.name} channel"
-                )
-            elif param.default is not None:
-                object.__setattr__(spec, param.name, param.default)
+                _set(spec, name, check(name, value))
+            elif required:
+                raise InvalidParameter(name, None, f"is required for a {self.name} channel")
+            elif default is not None:
+                _set(spec, name, default)
         if self.check is not None:
             self.check(spec)
         return spec
@@ -234,7 +239,7 @@ def _check_dephasing(spec: ChannelSpec):
     if dim < 2:
         raise InvalidParameter("probs", spec.probs, "needs at least two entries")
     if spec.dim is None:
-        object.__setattr__(spec, "dim", dim)
+        _set(spec, "dim", dim)
     elif spec.dim != dim:
         raise InvalidParameter("dim", spec.dim, f"must equal the number of probabilities ({dim})")
     if max(spec.probs[1:]) > 0.5:

@@ -33,7 +33,7 @@ from .chains import _link_capacity, chain_capacity
 from .channels import FIBER_DB_PER_KM
 from .errors import InvalidParameter, NoRoute, QnetcapError, ValidationError
 from .multi_path import max_flow
-from .network import _load_json, channel_from_json, parse_network
+from .network import _gc_paused, _load_json, channel_from_json, parse_network
 from .single_path import widest_path
 
 EXIT_OK = 0
@@ -121,10 +121,11 @@ def cmd_network(args) -> int:
         ]
     else:
         report = max_flow(net)
-        rates, orientation = report.effective_rates, report.orientation
         lines = [f"capacity: {format_bits(report.value)} bits/use"]
-        lines += [f"rate {e.edge_id} {e.u}->{e.v}: {format_bits(rates[e.edge_id])}" for e in net.edges]
-        lines += [f"orientation {eid}: {'->'.join(ends)}" for eid, ends in orientation.items()]
+        # effective_rates is in edge order; + 0.0 prints -0.0 as 0, as format_bits does.
+        rate, rates = "rate %s %s->%s: %" + _BITS_SPEC, report.effective_rates.values()
+        lines += [rate % (e.edge_id, e.u, e.v, r + 0.0) for e, r in zip(net.edges, rates)]
+        lines += [f"orientation {eid}: {'->'.join(ends)}" for eid, ends in report.orientation.items()]
         lines.append(f"min_cut_side_a: {','.join(report.min_cut.side_a)}")
         lines.append(f"min_cut_edges: {','.join(report.min_cut.cut_set)}")
     # One write: a large network has two lines per edge.
@@ -146,6 +147,11 @@ _CHUNK_ROWS = 4000
 
 
 def db_grid(start: float, stop: float, step: float) -> list[float]:
+    """The losses ``start + i * step`` up to ``stop``, a stop within 1e-9 of a step counted.
+
+    A grid of too many rows, one reaching past float range, or one whose
+    step is too fine to tell two rows apart is rejected, naming ``step``.
+    """
     start = channels._non_negative("start", start)
     step = channels._require_positive("step", step)
     stop = channels._require_finite("stop", stop)
@@ -157,7 +163,12 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
         raise InvalidParameter("step", step, f"leaves more than {_MAX_GRID_ROWS} grid rows")
     if start + int(intervals) * step == math.inf:  # the last row is the largest
         raise InvalidParameter("step", step, "puts a grid row beyond float range")
-    return [start + i * step for i in range(int(intervals) + 1)]
+    rows = [start + i * step for i in range(int(intervals) + 1)]
+    # Row i is within one ulp of the last row of start + i * step, so only a
+    # step of at most two such ulps can round two rows to one value.
+    if step <= 2 * math.ulp(rows[-1]) and len(set(rows)) < len(rows):
+        raise InvalidParameter("step", step, "puts two grid rows at one float value")
+    return rows
 
 
 def _capacities(losses, bands, repeater_counts):
@@ -369,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_gc_paused  # from argument parsing to the last write
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -17,7 +17,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import compress, count
 from operator import ne, not_
 
@@ -328,6 +328,28 @@ _TOP_FIELDS = dict.fromkeys(("points", "alice", "bob", "edges")).keys()
 _EDGE_FIELDS = dict.fromkeys(("id", "u", "v", "channel")).keys()
 
 
+def _gc_paused(function):
+    """``function``, run with the cyclic garbage collector paused.
+
+    The caller's setting comes back however the call ends, and a nested
+    pause leaves it off.  The setting is process-wide: threads pausing at
+    once each restore the one they found on entry.
+    """
+
+    @wraps(function)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_gc_paused
 def parse_network(document: str | bytes) -> QNetwork:
     """Parse and validate a network document in the JSON format.
 
@@ -336,44 +358,38 @@ def parse_network(document: str | bytes) -> QNetwork:
     invariant violation, naming the offending element.
 
     The cyclic garbage collector is paused while the document is decoded
-    and the network built: a parse makes many objects and no reference
-    cycles, so a collection would find nothing.  The caller's setting is
-    restored on return and on every error.  The setting is process-wide:
-    threads parsing at once each restore the one they found on entry.
+    and the network built (:func:`_gc_paused`): a parse makes many objects
+    and no reference cycles, so a collection would find nothing.  Inside
+    the ``qnetcap`` command, whose one pause runs from argument parsing to
+    the last write, it is already paused.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        data = _load_json(document)
-        if not isinstance(data, dict):
-            raise ValidationError("top-level document must be an object")
-        if data.keys() != _TOP_FIELDS:
-            _reject_fields(data, _TOP_FIELDS, _TOP_FIELDS, "", "top-level field")
-        points = data["points"]
-        if not isinstance(points, list):
-            raise ValidationError("'points' must be an array of names")
-        if not isinstance(data["edges"], list):
-            raise ValidationError("'edges' must be an array")
-        edges = []
-        for i, obj in enumerate(data["edges"]):
-            if not isinstance(obj, dict):
-                raise ValidationError(f"edge #{i}: must be an object")
-            if obj.keys() != _EDGE_FIELDS:
-                _reject_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")
-            try:
-                spec = channel_from_json(obj["channel"])
-            except ValidationError:  # fails again, now naming the edge
-                spec = channel_from_json(obj["channel"], where=f"edge {obj['id']!r}")
-            edges.append(Edge(obj["id"], obj["u"], obj["v"], spec))
-        return QNetwork(
-            points=tuple(points),
-            edges=tuple(edges),
-            alice=data["alice"],
-            bob=data["bob"],
-        )
-    finally:
-        if enabled:
-            gc.enable()
+    data = _load_json(document)
+    if not isinstance(data, dict):
+        raise ValidationError("top-level document must be an object")
+    if data.keys() != _TOP_FIELDS:
+        _reject_fields(data, _TOP_FIELDS, _TOP_FIELDS, "", "top-level field")
+    points = data["points"]
+    if not isinstance(points, list):
+        raise ValidationError("'points' must be an array of names")
+    if not isinstance(data["edges"], list):
+        raise ValidationError("'edges' must be an array")
+    edges = []
+    for i, obj in enumerate(data["edges"]):
+        if not isinstance(obj, dict):
+            raise ValidationError(f"edge #{i}: must be an object")
+        if obj.keys() != _EDGE_FIELDS:
+            _reject_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")
+        try:
+            spec = channel_from_json(obj["channel"])
+        except ValidationError:  # fails again, now naming the edge
+            spec = channel_from_json(obj["channel"], where=f"edge {obj['id']!r}")
+        edges.append(Edge(obj["id"], obj["u"], obj["v"], spec))
+    return QNetwork(
+        points=tuple(points),
+        edges=tuple(edges),
+        alice=data["alice"],
+        bob=data["bob"],
+    )
 
 
 def serialize_network(net: QNetwork) -> str:

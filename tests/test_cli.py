@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import io
@@ -516,6 +517,27 @@ class TestSweep:
         assert err.value.field == "step"
         assert str(err.value) == f"step={top / 3!r}: puts a grid row beyond float range"
 
+    def test_grid_repeating_a_row_is_rejected(self):
+        # Float spacing at 1e16 is 2: a step of 1 or 0.5 rounds rows together.
+        for step in (0.5, 1.0):
+            with pytest.raises(InvalidParameter) as err:
+                db_grid(1e16, 1e16 + 2, step)
+            assert err.value.field == "step"
+            assert str(err.value) == f"step={step!r}: puts two grid rows at one float value"
+        # A step of one spacing is checked and kept: its rows are distinct.
+        assert db_grid(1e16, 1e16 + 8, 2.0) == [1e16 + 2 * i for i in range(5)]
+
+    @pytest.mark.parametrize(
+        "command, cells",
+        [("sweep", ["--repeaters="]), ("compare-multiband", ["--bands", "1", "--repeaters", "0"])],
+        ids=["sweep", "compare-multiband"],
+    )
+    def test_grid_repeating_a_row_exits_2(self, capsys, command, cells):
+        argv = [command, "--start", "1e16", "--stop", "10000000000000002", "--step", "0.5",
+                *cells, "--out", "-"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: step=0.5: puts two grid rows at one float value\n")
+
     def test_grid_of_2e14_rows_exits_2(self, capsys):
         # 200 dB at 1e-12 dB would build ~2e14 rows before the first write.
         assert main(
@@ -774,7 +796,16 @@ GRID_COUNTS = st.lists(
 @example(start=0.0, step=1e-17, n_steps=100, bands=[1, 10**307], counts=[0, 1, 0, 10**400])
 def test_every_grid_cell_is_the_library_call(start, step, n_steps, bands, counts):
     stop = start + n_steps * step
-    losses = db_grid(start, stop, step)
+    try:
+        losses = db_grid(start, stop, step)
+    except InvalidParameter as exc:  # only a grid that repeats a row
+        assert str(exc) == f"step={step!r}: puts two grid rows at one float value"
+        n = int((stop - start) / step + 1e-9)
+        assert len({start + i * step for i in range(n + 1)}) <= n
+        assert rows_or_error(sweep_rows, start, stop, step, counts) == str(exc)
+        assert rows_or_error(compare_rows, start, stop, step, bands, counts) == str(exc)
+        return
+    assert len(set(losses)) == len(losses)
     expected = library_rows(losses, [], counts)
     if not isinstance(expected, str):
         expected = [[loss_db, *cells] for loss_db, cells in zip(losses, expected)]
@@ -893,6 +924,81 @@ class TestForkedGrid:
         assert not out.exists()
         assert len(pids) == n_cpus - 1
         assert_no_child_left()
+
+
+def _unexpected(*args, **kwargs):
+    raise RuntimeError("unexpected")
+
+
+class TestGcPause:
+    """``main`` pauses the cyclic collector for the whole command and hands
+    the caller's setting back, however the command ends."""
+
+    @pytest.mark.parametrize(
+        "argv, outcome",
+        [
+            (["channel", "--kind", "lossy", "--eta", "0.5"], 0),
+            (["channel", "--kind", "lossy", "--eta", "1.5"], 2),
+            (["network", str(DATA / "diamond.json"), "--mode", "multi"], 0),
+            (["chain"], SystemExit),  # argparse: exactly one of FILE or --lossy
+            (["channel", "--kind", "warp"], SystemExit),
+            (["channel", "--kind", "lossy", "--eta", "0.5"], RuntimeError),
+        ],
+        ids=["exit-0", "exit-2", "network", "parser-error", "bad-choice", "unexpected"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_caller_state_restored(self, monkeypatch, capsys, argv, outcome, enabled):
+        if outcome is RuntimeError:
+            monkeypatch.setattr(cli, "channel_from_json", _unexpected)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if isinstance(outcome, int):
+                assert main(argv) == outcome
+            else:
+                with pytest.raises(outcome):
+                    main(argv)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_caller_state_restored_on_exit_3(self, no_route_file, capsys, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["network", no_route_file, "--mode", "single"]) == 3
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_no_collection_during_a_command(self, capsys):
+        # With a threshold of one allocation, any running collector would
+        # start many collections over a multi-mode run on 80 edges.
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        argv = ["network", str(DATA / "ties36.json"), "--mode", "multi"]
+        threshold, was_enabled = gc.get_threshold(), gc.isenabled()
+        gc.enable()
+        gc.set_threshold(1)
+        gc.callbacks.append(count)
+        try:
+            before = len(starts)
+            code = main(argv)
+            during = len(starts) - before
+            [[] for _ in range(100)]  # the collector runs again afterwards
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == 0
+        assert capsys.readouterr().out == (DATA / "ties36.multi.txt").read_text(encoding="utf-8")
+        assert during == 0
+        assert len(starts) > 0
 
 
 class TestGridColumns:
