@@ -185,7 +185,8 @@ class ChannelKind:
     ``required_fields`` is a dict's key view, ``"kind"`` first: ordered, so
     a missing field is named in parameter order, and compared with a dict's
     keys as a set in one step.  A view has no hash, so it stays out of the
-    kind's ``==`` and hash.
+    kind's ``==`` and hash.  ``_plan`` holds each parameter's ``(name,
+    check, required, default)``, the part of it :meth:`build` reads.
     """
 
     name: str
@@ -221,7 +222,6 @@ class ChannelKind:
         if spec is None:
             spec = _new(ChannelSpec)
             _set(spec, "kind", self.name)
-        # One (name, check, required, default) entry per parameter.
         for (name, check, required, default), value in zip(self._plan, values):
             if value is not None:
                 _set(spec, name, check(name, value))

@@ -15,6 +15,15 @@ between the CPUs the process may use, one forked child per CPU after the
 first; the output, every error and "no file on failure" are those of one
 process.
 
+:func:`main` runs each command with the cyclic garbage collector paused,
+from argument parsing to the last write, and hands the caller's setting
+back however the command ends.  The pause defers collection only: objects
+are still freed by reference counting as the command drops them, and a
+cycle it leaves (an exception's traceback, say) waits for the first
+collection after it returns.  Without the pause, collections during a
+``network`` run rescan the parse's two new objects per edge, about 5% of
+the run.  Forked grid children inherit the pause.
+
 Exit codes: 0 success, 2 invalid input, 3 no route between the end-points.
 """
 
