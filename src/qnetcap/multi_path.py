@@ -5,13 +5,15 @@ source and bob as the sink: every edge is two opposite arcs, each starting at
 the edge's capacity and each the other's reverse, so pushing along one frees
 the same amount on the other (as in networkx's undirected residual graphs).
 The arcs are those of the network's shared integer index; only the residual
-capacities, tolerances and pushes are this solver's own flat lists.  The
-maximum flow equals the minimum over alice/bob cuts of the total crossing
-capacity, which is the multi-path capacity of a distillable network.
+capacities and pushes are this solver's own flat lists.  The maximum flow
+equals the minimum over alice/bob cuts of the total crossing capacity, which
+is the multi-path capacity of a distillable network.
 
-Dinic's blocking-flow algorithm is used because its phase count depends only
-on the graph size, so it terminates on real-valued (irrational) capacities
-where naive augmenting-path schemes need not.
+Dinic's blocking-flow algorithm is used because its phase and augmentation
+counts depend only on the graph size, so it terminates on real-valued
+capacities where naive augmenting-path schemes need not.  No tolerance is
+needed to call an arc saturated: with gradual underflow, a - b == 0 only when
+a == b, so each augmentation leaves its bottleneck arc at exactly 0.0.
 """
 
 from __future__ import annotations
@@ -21,12 +23,9 @@ from itertools import chain
 
 from .network import Cut, QNetwork, _finite_multi_edge_value, make_cut
 
-#: A residual arc holding at most this fraction of its edge's capacity counts
-#: as saturated.  The only epsilon inside an algorithm in the package, it
-#: guards against drift in repeated float subtractions.  Each push is bounded
-#: by the arc's own residual, which never exceeds twice the edge's capacity,
-#: so drift stays within a few ulps of that capacity and the tolerance is
-#: scaled per edge: a 200 dB link next to a 7-bit one still carries its flow.
+#: An edge whose net rate is at most this fraction of the flow value has no
+#: orientation: pushes that cancel on an edge can leave float drift there
+#: instead of 0.0.  Saturation and the value itself need no tolerance.
 RESIDUAL_EPS = 1e-12
 
 
@@ -39,10 +38,15 @@ class FlowReport:
     net flow u -> v.  Summing pushes keeps a small flow exact next to a
     large capacity, where capacity minus residual would cancel it.
     ``orientation`` holds the flow direction for edges actually
-    carrying flow; edges with zero net rate have no orientation.  Both
-    dicts are in edge order.
+    carrying flow; edges whose net rate is at most ``RESIDUAL_EPS * value``
+    have no orientation.  Both dicts are in edge order.
     ``min_cut``'s alice side is the set of points still reachable in the
-    final residual graph, and its total crossing capacity equals ``value``.
+    final residual graph.  ``value`` is that cut's crossing capacity summed
+    in edge order, as :func:`~qnetcap.network.cut_multi_edge_value` sums
+    it, so it can be re-added from the certificate bit for bit; the flow is
+    its witness.  Alice's net outflow under the flow differs from it only by
+    rounding: by at most ``len(net.edges) * 2**-52 * value`` on every
+    network the tests draw.
     """
 
     value: float
@@ -51,7 +55,7 @@ class FlowReport:
     min_cut: Cut
 
 
-def _bfs_levels(arcs, to, cap, tol, source: int) -> list[int]:
+def _bfs_levels(arcs, to, cap, source: int) -> list[int]:
     """Level of every point reachable from ``source`` over unsaturated arcs;
     -1 for the others."""
     level = [-1] * len(arcs)
@@ -61,13 +65,13 @@ def _bfs_levels(arcs, to, cap, tol, source: int) -> list[int]:
         next_level = level[point] + 1
         for idx in arcs[point]:
             other = to[idx]
-            if level[other] < 0 and cap[idx] > tol[idx >> 1]:
+            if level[other] < 0 and cap[idx] > 0.0:
                 level[other] = next_level
                 queue.append(other)
     return level
 
 
-def _blocking_flow(arcs, to, cap, tol, flow, level, ptr, source: int, sink: int) -> float:
+def _blocking_flow(arcs, to, cap, flow, level, ptr, source: int, sink: int) -> float:
     """Push flow along one source-sink path of the level graph; 0.0 if none.
 
     Depth-first with an explicit stack, so path length is not bounded by the
@@ -82,7 +86,7 @@ def _blocking_flow(arcs, to, cap, tol, flow, level, ptr, source: int, sink: int)
         next_level = level[point] + 1
         for i in range(ptr[point], len(out)):
             idx = out[i]
-            if cap[idx] > tol[idx >> 1] and level[to[idx]] == next_level:
+            if cap[idx] > 0.0 and level[to[idx]] == next_level:
                 ptr[point] = i
                 path.append(idx)
                 point = to[idx]
@@ -116,27 +120,19 @@ def max_flow(net: QNetwork) -> FlowReport:
     index = net._index
     to, arcs, caps, names, alice = index.to, index.arcs, index.caps, index.names, index.alice
     # The index's arcs 2k and 2k + 1 of edge k both start at the edge's
-    # capacity in ``cap``; ``tol[k]`` is the edge's saturation tolerance and
-    # ``flow[k]`` its signed pushes u -> v.
+    # capacity in ``cap``; ``flow[k]`` is the edge's signed pushes u -> v.
     cap = list(chain.from_iterable(zip(caps, caps)))
-    tol = [RESIDUAL_EPS * c for c in caps]
     flow = [0.0] * len(caps)
 
-    level = _bfs_levels(arcs, to, cap, tol, alice)
+    level = _bfs_levels(arcs, to, cap, alice)
     while level[index.bob] >= 0:
         ptr = [0] * len(arcs)
-        while _blocking_flow(arcs, to, cap, tol, flow, level, ptr, alice, index.bob) > 0.0:
+        while _blocking_flow(arcs, to, cap, flow, level, ptr, alice, index.bob) > 0.0:
             pass
-        level = _bfs_levels(arcs, to, cap, tol, alice)
+        level = _bfs_levels(arcs, to, cap, alice)
 
-    # A sum of pushes is exact even where a residual would cancel a small
-    # flow against a large capacity.  No arc enters alice in a level graph,
-    # so her edges carry flow out of her only and the value is her net
-    # outflow, summed in edge order.
-    value = 0.0
-    for idx in arcs[alice]:
-        value += -flow[idx >> 1] if idx & 1 else flow[idx >> 1]
-    _finite_multi_edge_value(value)
+    min_cut = make_cut(net, (name for name, lv in zip(names, level) if lv >= 0))
+    value = _finite_multi_edge_value(sum(map(net.capacities.__getitem__, min_cut.cut_set), 0.0))
 
     # An augmenting path crosses an edge at most once, so the pushes through
     # any edge total at most ``value`` and its drift stays within ulps of it.
@@ -151,7 +147,7 @@ def max_flow(net: QNetwork) -> FlowReport:
         value=value,
         effective_rates=dict(zip(index.edge_ids, flow)),
         orientation=orientation,
-        min_cut=make_cut(net, (name for name, lv in zip(names, level) if lv >= 0)),
+        min_cut=min_cut,
     )
 
 

@@ -125,7 +125,7 @@ def test_criterion_4_widest_path_duality(network_suite):
 def test_criterion_5_max_flow_min_cut(network_suite):
     for net in network_suite:
         report = max_flow(net)
-        assert abs(report.value - brute_multi_path_capacity(net)) <= 1e-9
+        assert report.value == brute_multi_path_capacity(net)
 
         net_rate = {p: 0.0 for p in net.points}
         for edge in net.edges:
@@ -135,13 +135,14 @@ def test_criterion_5_max_flow_min_cut(network_suite):
             net_rate[edge.v] -= rate
         for point in net.points:
             if point == net.alice:
-                assert abs(net_rate[point] - report.value) <= 1e-9
+                bound = len(net.edges) * 2**-52 * report.value
+                assert abs(net_rate[point] - report.value) <= bound
             elif point == net.bob:
                 assert abs(net_rate[point] + report.value) <= 1e-9
             else:
                 assert abs(net_rate[point]) <= 1e-9
 
-        assert abs(cut_multi_edge_value(net, report.min_cut) - report.value) <= 1e-9
+        assert cut_multi_edge_value(net, report.min_cut) == report.value
         assert net.bob not in report.min_cut.side_a
     _passed(5, "max-flow min-cut on 500 networks")
 

@@ -105,11 +105,12 @@ def test_flow_is_conserved_and_equals_its_min_cut(net):
     balance[net.bob] += report.value
     for point, excess in balance.items():
         assert abs(excess) <= REL_TOL * incident[point]
+    # The value is the min cut's sum; alice's outflow differs by rounding.
+    assert abs(balance[net.alice]) <= len(net.edges) * 2**-52 * report.value
 
     cut = report.min_cut
     assert net.alice in cut.side_a and net.bob in cut.side_b
-    cut_value = cut_multi_edge_value(net, cut)
-    assert abs(cut_value - report.value) <= REL_TOL * cut_value
+    assert cut_multi_edge_value(net, cut) == report.value
 
 
 def route_answer(report):
