@@ -7,7 +7,10 @@ direction of a channel, so the undirected graph is the right model.
 
 The JSON format accepted by :func:`parse_network` is bit-exact: unknown kinds
 and extra fields are errors, and :func:`serialize_network` emits a normalized
-document that round-trips byte-identically.
+document that round-trips byte-identically.  A key repeated within one object
+is an error too.  It is detected by counting colons (:func:`_load_json`), so a
+document whose strings hold no ``:`` is decoded with no Python call per
+member; names containing ``:`` stay valid but take a slower second decode.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import gc
 import io
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import compress, count
@@ -251,22 +255,36 @@ def edge_capacity(net: QNetwork, edge_id: str) -> float:
 # --- JSON ingestion / serialization ---------------------------------------
 
 def _reject_duplicate_keys(pairs):
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValidationError(f"duplicate key {key!r}")
-            seen.add(key)
-    return obj
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValidationError(f"duplicate key {key!r}")
+        seen.add(key)
+    return dict(pairs)
 
 
 def _load_json(document):
     """Decode a JSON document, text or the bytes of a UTF-8 text file: a duplicate
-    key raises ValidationError (not last-wins), a document that won't decode ParseError."""
+    key raises ValidationError (not last-wins), a document that won't decode ParseError.
+
+    A repeated key is found by counting, with no Python call per member: each
+    member of a JSON object has one colon outside strings, and a last-wins
+    decode keeps one member less per repeat, so decoded objects whose sizes
+    add up to the text's colon count repeat no key.  Otherwise (a colon inside
+    a string, as in a point named ``host:port``, a repeat, a document that
+    does not decode, or one that is not text after the bytes conversion) the
+    document is decoded again, each object's pairs handed to
+    :func:`_reject_duplicate_keys`, and that decode gives the result or error.
+    """
     try:
         if isinstance(document, bytes):  # universal newlines, as open() reads text
             document = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8").read()
+        if isinstance(document, str):
+            sizes = []
+            with suppress(ValueError, RecursionError):  # the hooked decode words the error
+                data = json.loads(document, object_hook=lambda obj: sizes.append(len(obj)) or obj)
+                if sum(sizes) == str.count(document, ":"):
+                    return data
         return json.loads(document, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -384,12 +402,7 @@ def parse_network(document: str | bytes) -> QNetwork:
         except ValidationError:  # fails again, now naming the edge
             spec = channel_from_json(obj["channel"], where=f"edge {obj['id']!r}")
         edges.append(Edge(obj["id"], obj["u"], obj["v"], spec))
-    return QNetwork(
-        points=tuple(points),
-        edges=tuple(edges),
-        alice=data["alice"],
-        bob=data["bob"],
-    )
+    return QNetwork(points, edges, data["alice"], data["bob"])
 
 
 def serialize_network(net: QNetwork) -> str:
