@@ -283,7 +283,7 @@ def _load_json(document):
             sizes = []
             with suppress(ValueError, RecursionError):  # the hooked decode words the error
                 data = json.loads(document, object_hook=lambda obj: sizes.append(len(obj)) or obj)
-                if sum(sizes) == str.count(document, ":"):
+                if sum(sizes) == str.count(document, ":"):  # not a str subclass's own count
                     return data
         return json.loads(document, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:

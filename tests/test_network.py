@@ -1,9 +1,12 @@
 import dataclasses
 import gc
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import DUPLICATE_KEY_DOCS, build_network, diamond, stdout_under_hash_seed
 from qnetcap import (
@@ -30,7 +33,9 @@ from qnetcap import (
     serialize_network,
     widest_path,
 )
+from qnetcap import cli, network
 from qnetcap.cli import main as cli_main
+from test_readme import fenced
 
 
 DIAMOND_DOC = """
@@ -231,6 +236,193 @@ class TestParse:
         (doc if field in ("alice", "bob") else doc["edges"][0])[field] = value
         with pytest.raises(ValidationError):
             parse_network(json.dumps(doc))
+
+
+def _reference_load(document):
+    """``network._load_json`` with every object's pairs handed to
+    ``_reject_duplicate_keys``, the decode it falls back to, and its errors
+    worded the same way: the reference the colon count must match."""
+    try:
+        if isinstance(document, bytes):
+            document = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8").read()
+        return json.loads(document, object_pairs_hook=network._reject_duplicate_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValidationError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` gives: ``repr`` of its result (which tells 1 from
+    1.0 and True), or its exception's type and message."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # the comparison is the test
+        return type(exc), str(exc)
+
+
+def _network_text(point="a", edge_id="e0", kind="lossy", extra=""):
+    """A one-edge network document from ``point`` (alice) to b."""
+    return (
+        f'{{"points": [{json.dumps(point)}, "b"], "alice": {json.dumps(point)}, "bob": "b",'
+        f' "edges": [{{"id": {json.dumps(edge_id)}, "u": {json.dumps(point)}, "v": "b",'
+        f' "channel": {{"kind": {json.dumps(kind)}, "eta": 0.5{extra}}}}}]}}'
+    )
+
+
+ONE_EDGE = _network_text()
+
+#: Documents whose decode the colon count must leave unchanged, by what
+#: each one exercises.
+COUNTED_DOCS = {
+    **{f"duplicate-{where}": doc for where, doc in DUPLICATE_KEY_DOCS.items()},
+    "duplicate-in-points": '{"points": [{"x": 1, "x": 2}, "b"], "alice": "a", "bob": "b", "edges": []}',
+    "duplicate-in-probs": ONE_EDGE.replace(
+        '"kind": "lossy", "eta": 0.5', '"kind": "dephasing", "probs": [{"p": 0.5, "p": 0.5}, 0.5]'
+    ),
+    "duplicate-then-syntax-error": '{"points": ["a", "b"], "edges": [{"id": "e0", "id": "e1"}], "alice": "a",, }',
+    "syntax-error-then-duplicate": '{"points": ["a" "b"], "alice": "a", "alice": "a"}',
+    "colon-in-point-name": _network_text(point="a:1"),
+    "colon-in-edge-id": _network_text(edge_id="e:0"),
+    "colon-in-kind": _network_text(kind="lossy:x"),
+    "escaped-colon": _network_text(point="a:1").replace("a:1", "a\\u003a1"),
+    "colon-in-string-and-duplicate": _network_text(point="a:1", extra=', "eta": 0.9'),
+    "chain": '[{"kind": "lossy", "eta": 0.5}, {"kind": "erasure", "p": 0.25}]',
+    "chain-duplicate": '[{"kind": "lossy", "eta": 0.5, "eta": 0.9}]',
+    "chain-colon-in-kind": '[{"kind": "lossy:x", "eta": 0.5}]',
+    "null": "null",
+    "zero": "0",
+    "empty-string": '""',
+    "empty-array": "[]",
+    "empty-object": "{}",
+    "empty-document": "",
+    "extra-data": ONE_EDGE + ' {"a": 1}',
+    "crlf-bytes": DIAMOND_DOC.replace("\n", "\r\n").encode(),
+    "non-utf8-bytes": b'{"points": ["\xff", "b"]}',
+    "utf8-bom-bytes": b"\xef\xbb\xbf" + ONE_EDGE.encode(),
+    "deep-arrays": "[" * 100_000 + "]" * 100_000,
+    "deep-objects": '{"a": ' * 100_000 + "1" + "}" * 100_000,
+    "integer-past-digit-limit": '{"points": [' + "1" * 5000 + "]}",
+    "bytearray": bytearray(ONE_EDGE.encode()),
+    "bytearray-utf16-bom": bytearray(ONE_EDGE.encode("utf-16")),
+    "bytearray-duplicate": bytearray(DUPLICATE_KEY_DOCS["channel"].encode()),
+}
+
+#: JSON text with keys drawn from a small pool, so that keys repeat, one of
+#: them holding a colon.
+_KEYS = st.sampled_from(["a", "b", "id", "a:b"])
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text("ab:", max_size=3)
+)
+
+
+def _object_text(pairs):
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs) + "}"
+
+
+_JSON_TEXT = st.recursive(
+    _SCALARS.map(json.dumps),
+    lambda inner: st.lists(inner, max_size=3).map(lambda items: "[" + ", ".join(items) + "]")
+    | st.lists(st.tuples(_KEYS, inner), max_size=4).map(_object_text),
+    max_leaves=12,
+)
+
+
+class TestRepeatedKeysByColonCount:
+    """``_load_json`` keeps a decode with no per-member hook when its objects'
+    sizes add up to the text's colons, and otherwise decodes again through
+    ``_reject_duplicate_keys``: every result and error is the reference's."""
+
+    def assert_parse_matches_reference(self, document):
+        fast = _outcome(network._load_json, document), _outcome(parse_network, document)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "_load_json", _reference_load)
+            reference = _outcome(_reference_load, document), _outcome(parse_network, document)
+        assert fast == reference
+
+    @pytest.mark.parametrize("document", COUNTED_DOCS.values(), ids=COUNTED_DOCS)
+    def test_parse_matches_the_hooked_reference(self, document):
+        self.assert_parse_matches_reference(document)
+
+    @pytest.mark.parametrize("command", ["network", "chain"])
+    @pytest.mark.parametrize("document", COUNTED_DOCS.values(), ids=COUNTED_DOCS)
+    def test_cli_matches_the_hooked_reference(self, document, command, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "input.json"
+        path.write_bytes(document.encode() if isinstance(document, str) else document)
+
+        def run():
+            code = cli_main([command, str(path)])
+            return (code, *capsys.readouterr())
+
+        fast = run()
+        monkeypatch.setattr(network, "_load_json", _reference_load)
+        monkeypatch.setattr(cli, "_load_json", _reference_load)
+        assert fast == run()
+
+    @given(
+        pairs=st.lists(st.tuples(_KEYS, _JSON_TEXT), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_an_object_with_a_key_repeated_at_random(self, pairs, data):
+        key = data.draw(st.sampled_from([key for key, _ in pairs]))
+        at = data.draw(st.integers(0, len(pairs)))
+        pairs.insert(at, (key, data.draw(_JSON_TEXT)))
+        self.assert_parse_matches_reference(_object_text(pairs))
+
+    @given(document=_JSON_TEXT)
+    def test_json_with_keys_from_a_small_pool(self, document):
+        self.assert_parse_matches_reference(document)
+
+    def test_a_str_subclass_cannot_supply_the_colon_count(self):
+        class Text(str):
+            def count(self, *args):  # one colon short: the sizes of a one-repeat document
+                return super().count(*args) - 1
+
+        with pytest.raises(ValidationError, match="duplicate key 'points'"):
+            parse_network(Text(DUPLICATE_KEY_DOCS["top-level"]))
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+    def test_bytearray_decodes_as_before(self, encoding):
+        # A bytearray is no str after the bytes conversion, so it goes
+        # through json.loads' own encoding detection, a UTF-16 BOM included.
+        assert parse_network(bytearray(DIAMOND_DOC.encode(encoding))) == parse_network(DIAMOND_DOC)
+
+    @pytest.fixture
+    def hooked_calls(self, monkeypatch):
+        calls = []
+        hook = network._reject_duplicate_keys
+
+        def spy(pairs):
+            calls.append(pairs)
+            return hook(pairs)
+
+        monkeypatch.setattr(network, "_reject_duplicate_keys", spy)
+        return calls
+
+    def test_no_hook_call_on_a_grid_or_the_readme_example(self, hooked_calls):
+        side = 100
+        name = lambda i, j: f"g{i}_{j}"  # noqa: E731
+        links = [
+            (name(i, j), name(i + di, j + dj))
+            for i in range(side)
+            for j in range(side)
+            for di, dj in ((0, 1), (1, 0))
+            if i + di < side and j + dj < side
+        ]
+        specs = [(f"e{k}", u, v, lossy(0.25 + (k % 7) / 10)) for k, (u, v) in enumerate(links)]
+        points = [name(i, j) for i in range(side) for j in range(side)]
+        grid = build_network(points, specs, alice=name(0, 0), bob=name(side - 1, side - 1))
+        assert parse_network(serialize_network(grid)) == grid
+        assert len(parse_network(fenced("json")).edges) == 5
+        assert hooked_calls == []
+
+    def test_a_colon_in_a_point_name_takes_the_hooked_decode(self, hooked_calls):
+        specs = [("e1", "a:1", "x", lossy(0.5)), ("e2", "x", "b", lossy(0.9))]
+        net = build_network(["a:1", "x", "b"], specs, alice="a:1")
+        assert parse_network(serialize_network(net)) == net
+        assert len(hooked_calls) >= 1
 
 
 class TestParseGcPause:
