@@ -27,7 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Any, Callable, KeysView
+from typing import Any, Callable
 
 from .errors import InvalidParameter, ParameterRegimeWarning
 
@@ -180,13 +180,8 @@ class ChannelKind:
     ``check``, when given, enforces the kind's own rules once each
     parameter is valid.  ``forbidden`` lists the other kinds' parameters,
     which must stay unset.  ``names`` lists the kind's parameter names in
-    order; ``fields`` and ``required_fields`` are the JSON field names a
-    channel object of the kind may and must carry, ``"kind"`` included.
-    ``required_fields`` is a dict's key view, ``"kind"`` first: ordered, so
-    a missing field is named in parameter order, and compared with a dict's
-    keys as a set in one step.  A view has no hash, so it stays out of the
-    kind's ``==`` and hash.  ``_plan`` holds each parameter's ``(name,
-    check, required, default)``, the part of it :meth:`build` reads.
+    order.  ``_plan`` holds each parameter's ``(name, check, required,
+    default)``, the part of it :meth:`build` reads.
     """
 
     name: str
@@ -195,8 +190,6 @@ class ChannelKind:
     check: Callable[[ChannelSpec], None] | None = None
     forbidden: tuple[str, ...] = field(init=False)
     names: tuple[str, ...] = field(init=False)
-    fields: frozenset[str] = field(init=False)
-    required_fields: KeysView[str] = field(init=False, compare=False)
     _plan: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -204,9 +197,6 @@ class ChannelKind:
         attrs = [f.name for f in fields(ChannelSpec) if f.name != "kind"]
         _set(self, "forbidden", tuple(a for a in attrs if a not in names))
         _set(self, "names", names)
-        _set(self, "fields", frozenset(["kind", *names]))
-        required = [p.name for p in self.params if p.required]
-        _set(self, "required_fields", dict.fromkeys(["kind", *required]).keys())
         _set(self, "_plan", tuple((p.name, p.check, p.required, p.default) for p in self.params))
 
     def build(self, values, spec: ChannelSpec | None = None) -> ChannelSpec:
@@ -246,11 +236,8 @@ def _check_dephasing(spec: ChannelSpec):
         # The qubit formula is usually quoted for flip probability <= 1/2;
         # the general entropy form is valid anyway, so accept but flag.  The
         # text names no value, so the default filter shows one per call site.
-        warnings.warn(
-            "a dephasing distribution puts more than 1/2 on a phase rotation",
-            ParameterRegimeWarning,
-            stacklevel=_caller_stacklevel(),
-        )
+        message = "a dephasing distribution puts more than 1/2 on a phase rotation"
+        warnings.warn(message, ParameterRegimeWarning, stacklevel=_caller_stacklevel())
 
 
 def _caller_stacklevel() -> int:

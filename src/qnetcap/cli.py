@@ -21,8 +21,12 @@ back however the command ends.  The pause defers collection only: objects
 are still freed by reference counting as the command drops them, and a
 cycle it leaves (an exception's traceback, say) waits for the first
 collection after it returns.  Without the pause, collections during a
-``network`` run rescan the parse's two new objects per edge, about 5% of
-the run.  Forked grid children inherit the pause.
+``network`` run rescan the objects the parse has just made (a channel per
+edge and an arc list per point).  Forked grid children inherit the pause.
+
+A warning raised during a command (a ``ParameterRegimeWarning``, say) is
+printed as one ``warning: <message>`` line on stderr, and the caller's
+warning filters and display come back when :func:`main` returns.
 
 Exit codes: 0 success, 2 invalid input, 3 no route between the end-points.
 """
@@ -35,6 +39,7 @@ import os
 import signal
 import sys
 import threading
+import warnings
 from itertools import product, repeat
 
 from . import channels
@@ -104,9 +109,7 @@ def _load_chain_links(args):
     data = _load_json(_read(args.file))
     if not isinstance(data, list) or not data:
         raise ValidationError("chain file must be a non-empty JSON array of channels")
-    return [
-        channel_from_json(obj, where=f"link #{i}") for i, obj in enumerate(data)
-    ]
+    return [channel_from_json(obj, where=f"link #{i}") for i, obj in enumerate(data)]
 
 
 def cmd_chain(args) -> int:
@@ -132,8 +135,11 @@ def cmd_network(args) -> int:
         report = max_flow(net)
         lines = [f"capacity: {format_bits(report.value)} bits/use"]
         # effective_rates is in edge order; + 0.0 prints -0.0 as 0, as format_bits does.
-        rate, rates = "rate %s %s->%s: %" + _BITS_SPEC, report.effective_rates.values()
-        lines += [rate % (e.edge_id, e.u, e.v, r + 0.0) for e, r in zip(net.edges, rates)]
+        # Each edge's id and ends are read from the index, where edge k runs
+        # from point to[2k + 1] to point to[2k].
+        rate, rates, index = "rate %s %s->%s: %" + _BITS_SPEC, report.effective_rates.values(), net._index
+        edges = zip(index.edge_ids, index.to[1::2], index.to[::2], rates)
+        lines += [rate % (eid, index.names[u], index.names[v], r + 0.0) for eid, u, v, r in edges]
         lines += [f"orientation {eid}: {'->'.join(ends)}" for eid, ends in report.orientation.items()]
         lines.append(f"min_cut_side_a: {','.join(report.min_cut.side_a)}")
         lines.append(f"min_cut_edges: {','.join(report.min_cut.cut_set)}")
@@ -367,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_network.set_defaults(func=cmd_network)
 
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--start", type=float, required=True, help="first loss (dB)")
-    grid.add_argument("--stop", type=float, required=True, help="last loss (dB)")
-    grid.add_argument("--step", type=float, required=True, help="grid step (dB)")
+    for flag, value in (("start", "first loss"), ("stop", "last loss"), ("step", "grid step")):
+        grid.add_argument(f"--{flag}", type=float, required=True, help=f"{value} (dB)")
 
     p_sweep = sub.add_parser("sweep", parents=[grid], help="capacity vs total loss CSV")
     p_sweep.add_argument(
@@ -391,18 +396,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 @_gc_paused  # from argument parsing to the last write
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "chain" and (args.file is None) == (args.lossy is None):
-        parser.error("chain needs exactly one of FILE or --lossy")
-    try:
-        return args.func(args)
-    except NoRoute as exc:
-        print(f"no route: {exc}", file=sys.stderr)
-        return EXIT_NO_ROUTE
-    except (QnetcapError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    with warnings.catch_warnings():  # the caller's filters and display come back on exit
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "chain" and (args.file is None) == (args.lossy is None):
+            parser.error("chain needs exactly one of FILE or --lossy")
+        try:
+            return args.func(args)
+        except NoRoute as exc:
+            print(f"no route: {exc}", file=sys.stderr)
+            return EXIT_NO_ROUTE
+        except (QnetcapError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
 
 if __name__ == "__main__":

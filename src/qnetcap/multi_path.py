@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .network import Cut, QNetwork, _finite_multi_edge_value, make_cut
+from .network import Cut, QNetwork, _bfs_levels, _finite_multi_edge_value, make_cut
 
 #: An edge whose net rate is at most this fraction of the flow value has no
 #: orientation: pushes that cancel on an edge can leave float drift there
@@ -53,22 +53,6 @@ class FlowReport:
     effective_rates: dict[str, float]
     orientation: dict[str, tuple[str, str]]
     min_cut: Cut
-
-
-def _bfs_levels(arcs, to, cap, source: int) -> list[int]:
-    """Level of every point reachable from ``source`` over unsaturated arcs;
-    -1 for the others."""
-    level = [-1] * len(arcs)
-    level[source] = 0
-    queue = [source]
-    for point in queue:
-        next_level = level[point] + 1
-        for idx in arcs[point]:
-            other = to[idx]
-            if level[other] < 0 and cap[idx] > 0.0:
-                level[other] = next_level
-                queue.append(other)
-    return level
 
 
 def _blocking_flow(arcs, to, cap, flow, level, ptr, source: int, sink: int) -> float:

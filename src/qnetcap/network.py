@@ -11,6 +11,13 @@ document that round-trips byte-identically.  A key repeated within one object
 is an error too.  It is detected by counting colons (:func:`_load_json`), so a
 document whose strings hold no ``:`` is decoded with no Python call per
 member; names containing ``:`` stay valid but take a slower second decode.
+
+A network is checked and indexed in one pass over its edges, whether parsed
+or built by hand (:class:`_Index`).  Parsing builds each edge's channel in
+that pass and writes the edge straight into the solvers' integer index: a
+parsed network holds no :class:`Edge` until its ``edges`` are read.  The
+usual edge and channel object, a dict of exactly its fields, is told by its
+size; any other takes the checks that name its fault.
 """
 
 from __future__ import annotations
@@ -22,11 +29,11 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import compress, count
-from operator import ne, not_
+from itertools import compress, count, repeat
+from operator import attrgetter, itemgetter, ne, not_
 
 from . import channels
-from .channels import ChannelSpec, capacity
+from .channels import ChannelSpec, _new, _set, capacity
 from .errors import InvalidParameter, NoRoute, ParseError, UnknownEdge, ValidationError
 
 
@@ -41,19 +48,6 @@ class Edge:
     v: str
     channel: ChannelSpec
 
-    def __init__(self, edge_id: str, u: str, v: str, channel: ChannelSpec):
-        # Each slot is set by its own descriptor, bound once below; the frozen
-        # dataclass __init__ goes through object.__setattr__ for each field.
-        _set_edge_id(self, edge_id)
-        _set_u(self, u)
-        _set_v(self, v)
-        _set_channel(self, channel)
-
-
-_set_edge_id, _set_u, _set_v, _set_channel = (
-    vars(Edge)[name].__set__ for name in ("edge_id", "u", "v", "channel")
-)
-
 
 class _Index:
     """A network as integers, the one graph every solver and :func:`make_cut` read.
@@ -63,31 +57,75 @@ class _Index:
     and ``alice`` and ``bob`` are the end-points' ids.  Edge k is arc 2k
     (u -> v) and arc 2k + 1 (v -> u): ``to[arc]`` is the arc's head and
     ``arc ^ 1`` its reverse.  ``arcs[p]`` lists the arcs out of point p in
-    edge order, and ``caps`` and ``edge_ids`` are in edge order too.  Built
-    in one pass over the points and one over the edges.
+    edge order, and ``caps``, ``edge_ids`` and ``channels`` are in edge
+    order too.  ``capacities`` maps each edge id to its capacity, in edge
+    order: it is the index's edge-id map.
+
+    Checked and built in one pass over ``records``, an iterator of each
+    edge's ``(id, u, v, channel)`` in edge order, which may raise a channel
+    error itself.  The first fault of the points, then of the end-points,
+    then of each edge in order raises :class:`ValidationError`, but only
+    once the rest of ``records`` is read: a later edge's channel error or
+    warning comes first, as when every channel was built before the
+    network was checked.
     """
 
-    def __init__(self, net: QNetwork):
-        self.names = names = sorted(net.points)
-        self.ids = ids = {name: k for k, name in enumerate(names)}
-        self.to = to = []
-        self.arcs = arcs = [[] for _ in names]
-        for arc, edge in zip(count(0, 2), net.edges):
-            u, v = ids[edge.u], ids[edge.v]
-            to += (v, u)
-            arcs[u].append(arc)
-            arcs[v].append(arc + 1)
-        self.caps, self.edge_ids = list(net.capacities.values()), list(net.capacities)
-        self.alice, self.bob = ids[net.alice], ids[net.bob]
+    def __init__(self, points, alice, bob, records):
+        try:
+            seen = set()
+            for name in points:
+                if not isinstance(name, str) or not name:
+                    raise ValidationError(f"point name {name!r} must be a non-empty string")
+                if name in seen:
+                    raise ValidationError(f"duplicate point name {name!r}")
+                seen.add(name)
+            if alice == bob:
+                raise ValidationError("alice and bob must be distinct points")
+            for role, name in (("alice", alice), ("bob", bob)):
+                if not isinstance(name, str) or name not in seen:
+                    raise ValidationError(f"{role} {name!r} is not a declared point")
+            self.names = names = sorted(points)
+            self.ids = ids = dict(zip(names, count()))
+            self.alice, self.bob = ids[alice], ids[bob]
+            self.to, self.arcs, self.channels = to, arcs, specs = [], [[] for _ in names], []
+            self.capacities = caps = {}
+            for arc, (eid, u, v, spec) in zip(count(0, 2), records):
+                # One test passes a well-formed edge; the exact types come
+                # first, so no unhashable name reaches a lookup.
+                if not (type(eid) is type(u) is type(v) is str and eid and u != v and eid not in caps
+                        and (a := ids.get(u)) is not None and (b := ids.get(v)) is not None):
+                    if not isinstance(eid, str) or not eid:
+                        raise ValidationError(f"edge id {eid!r} must be a non-empty string")
+                    if eid in caps:
+                        raise ValidationError(f"duplicate edge id {eid!r}")
+                    for end in (u, v):
+                        if not isinstance(end, str) or end not in ids:
+                            raise ValidationError(f"edge {eid!r}: endpoint {end!r} is not a declared point")
+                    if u == v:
+                        raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
+                    a, b = ids[u], ids[v]
+                caps[eid] = capacity(spec)
+                specs.append(spec)
+                to += (b, a)
+                arcs[a].append(arc)
+                arcs[b].append(arc + 1)
+        except ValidationError:
+            list(records)  # read the rest: a later edge's channel error or warning comes first
+            raise
+        self.edge_ids, self.caps = list(caps), list(caps.values())
 
 
 @dataclass(frozen=True)
 class QNetwork:
     """Immutable network of named points with two designated end-points.
 
-    Indexed once: the ids behind :meth:`edge` on construction, and
-    :attr:`capacities` and the solvers' integer graph on first read, each in
-    one pass over the network.  No solver or cut rescans it.
+    Checked and indexed on construction, in one pass over the edges
+    (:class:`_Index`): :attr:`capacities` (edge id -> channel capacity, in
+    edge order) and the solvers' integer graph are built there, shared and
+    read only, and no solver or cut rescans the network.  A network from
+    :func:`parse_network` holds no :class:`Edge` objects: its :attr:`edges`
+    are built from the index when first read, and its equality, hash and
+    repr are those of the same network built by hand.
     """
 
     points: tuple[str, ...]
@@ -95,43 +133,23 @@ class QNetwork:
     alice: str
     bob: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        seen = set()
-        for name in self.points:
-            if not isinstance(name, str) or not name:
-                raise ValidationError(f"point name {name!r} must be a non-empty string")
-            if name in seen:
-                raise ValidationError(f"duplicate point name {name!r}")
-            seen.add(name)
-        if self.alice == self.bob:
-            raise ValidationError("alice and bob must be distinct points")
-        for role, name in (("alice", self.alice), ("bob", self.bob)):
-            if not isinstance(name, str) or name not in seen:
-                raise ValidationError(f"{role} {name!r} is not a declared point")
-        by_id = {}
-        for edge in self.edges:
-            eid, u, v = edge.edge_id, edge.u, edge.v
-            # One test passes a well-formed edge; the exact types come first,
-            # so no unhashable name reaches a lookup.
-            if not (
-                type(eid) is type(u) is type(v) is str
-                and eid and u != v and eid not in by_id and u in seen and v in seen
-            ):
-                if not isinstance(eid, str) or not eid:
-                    raise ValidationError(f"edge id {eid!r} must be a non-empty string")
-                if eid in by_id:
-                    raise ValidationError(f"duplicate edge id {eid!r}")
-                for endpoint in (u, v):
-                    if not isinstance(endpoint, str) or endpoint not in seen:
-                        raise ValidationError(
-                            f"edge {eid!r}: endpoint {endpoint!r} is not a declared point"
-                        )
-                if u == v:
-                    raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
-            by_id[eid] = edge
-        object.__setattr__(self, "_edges_by_id", by_id)
+    def __post_init__(self, records=None):
+        # parse_network passes its edges' records and sets no edges.
+        _set(self, "points", tuple(self.points))
+        if records is None:
+            _set(self, "edges", tuple(self.edges))
+            records = map(attrgetter("edge_id", "u", "v", "channel"), self.edges)
+        _set(self, "_index", _Index(self.points, self.alice, self.bob, records))
+        _set(self, "capacities", self._index.capacities)
+
+    def __getattr__(self, name):
+        # Called only for a missing attribute: a parsed network's edges, built once.
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        index, name_of = self._index, self._index.names.__getitem__
+        ends = map(name_of, index.to[1::2]), map(name_of, index.to[::2])
+        _set(self, "edges", tuple(map(Edge, index.edge_ids, *ends, index.channels)))
+        return self.edges
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -140,12 +158,8 @@ class QNetwork:
             raise UnknownEdge(edge_id) from None
 
     @cached_property
-    def capacities(self) -> dict[str, float]:
-        """Edge id -> channel capacity, in edge order; shared, so read only."""
-        return {e.edge_id: capacity(e.channel) for e in self.edges}
-
-    #: The network's integer graph, built on first read; shared, so read only.
-    _index = cached_property(_Index)
+    def _edges_by_id(self) -> dict[str, Edge]:
+        return dict(zip(self._index.edge_ids, self.edges))
 
 
 @dataclass(frozen=True)
@@ -230,18 +244,26 @@ def _finite_multi_edge_value(value: float, message: str = _EVERY_CUT) -> float:
     return value
 
 
+def _bfs_levels(arcs, to, cap, source: int) -> list[int]:
+    """Level of every point reachable from ``source`` over arcs of positive
+    ``cap``; -1 for the others."""
+    level = [-1] * len(arcs)
+    level[source] = 0
+    queue = [source]
+    for point in queue:
+        next_level = level[point] + 1
+        for idx in arcs[point]:
+            other = to[idx]
+            if level[other] < 0 and cap[idx] > 0.0:
+                level[other] = next_level
+                queue.append(other)
+    return level
+
+
 def is_connected(net: QNetwork) -> bool:
     """True iff alice and bob sit in the same component."""
     index = net._index
-    reached = bytearray(len(index.arcs))
-    reached[index.alice] = 1
-    queue = [index.alice]
-    for point in queue:
-        for other in map(index.to.__getitem__, index.arcs[point]):
-            if not reached[other]:
-                reached[other] = 1
-                queue.append(other)
-    return bool(reached[index.bob])
+    return _bfs_levels(index.arcs, index.to, b"\1" * len(index.to), index.alice)[index.bob] >= 0
 
 
 def edge_capacity(net: QNetwork, edge_id: str) -> float:
@@ -269,21 +291,23 @@ def _load_json(document):
 
     A repeated key is found by counting, with no Python call per member: each
     member of a JSON object has one colon outside strings, and a last-wins
-    decode keeps one member less per repeat, so decoded objects whose sizes
-    add up to the text's colon count repeat no key.  Otherwise (a colon inside
-    a string, as in a point named ``host:port``, a repeat, a document that
-    does not decode, or one that is not text after the bytes conversion) the
-    document is decoded again, each object's pairs handed to
-    :func:`_reject_duplicate_keys`, and that decode gives the result or error.
+    decode keeps one member less per repeat.  So after a plain decode,
+    :func:`_members` counts the members of the objects where the network and
+    chain formats put them, and when they add up to the text's colon count
+    no key repeats (any other object then has no member).  Otherwise (a
+    colon inside a string, as in a point named ``host:port``, an object
+    elsewhere, a repeat, a document that does not decode, or one that is not
+    text after the bytes conversion) the document is decoded again, each
+    object's pairs handed to :func:`_reject_duplicate_keys`, and that decode
+    gives the result or error, before any channel is built.
     """
     try:
         if isinstance(document, bytes):  # universal newlines, as open() reads text
             document = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8").read()
         if isinstance(document, str):
-            sizes = []
             with suppress(ValueError, RecursionError):  # the hooked decode words the error
-                data = json.loads(document, object_hook=lambda obj: sizes.append(len(obj)) or obj)
-                if sum(sizes) == str.count(document, ":"):  # not a str subclass's own count
+                data = json.loads(document)
+                if _members(data) == str.count(document, ":"):  # not a str subclass's own count
                     return data
         return json.loads(document, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
@@ -295,9 +319,25 @@ def _load_json(document):
         raise ParseError(str(exc)) from exc
 
 
-def _reject_fields(obj, allowed, required, where, field="field", suffix=""):
-    """Name the first key of ``obj`` not in ``allowed``, else the first of
-    ``required`` (ordered) it lacks; called once a quick key check failed."""
+def _members(data) -> int:
+    """Members of the decoded objects the formats expect, each counted once:
+    a network's top level, each edge and each edge's channel, or each
+    channel of a chain.  Exact dicts only; where an entry of the array is
+    no dict, or an edge's channel is another value, the entries go
+    uncounted and the count misses."""
+    size, entries = (len(data), data.get("edges")) if type(data) is dict else (0, data)
+    if type(entries) is not list or not {*map(type, entries)} <= {dict}:
+        return size
+    inner = [*filter(None, map(dict.get, entries, repeat("channel")))]
+    return size + sum(map(len, entries)) + sum(map(len, inner)) if {*map(type, inner)} <= {dict} else size
+
+
+def _check_fields(obj, allowed, required, where, noun="", field="field", suffix=""):
+    """Raise :class:`ValidationError` if ``obj`` is no object, else name its
+    first key not in ``allowed``, else the first of ``required`` (ordered)
+    it lacks."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}{noun}must be an object")
     for key in obj:
         if key not in allowed:
             raise ValidationError(f"{where}unknown {field} {key!r}{suffix}")
@@ -311,23 +351,31 @@ def channel_from_json(obj, where: str = "channel") -> ChannelSpec:
 
     The checks run in one order: an object, a known kind, its fields, no
     null; then the kind's public constructor checks each value.  A dict or
-    str subclass is accepted.
+    str subclass is accepted.  The usual object, a dict holding every field
+    of its kind and no null, passes the field checks by its size.
     """
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: channel must be an object")
-    name = obj.get("kind")
-    kind = channels.KINDS.get(name) if isinstance(name, str) else None
-    if kind is None:
-        raise ValidationError(f"{where}: unknown channel kind {name!r}")
-    if not kind.required_fields <= obj.keys() <= kind.fields:
-        suffix = f" for kind {name!r}"
-        _reject_fields(obj, kind.fields, kind.required_fields, f"{where}: ", suffix=suffix)
-    if None in obj.values():
-        raise ValidationError(f"{where}: fields of kind {name!r} must not be null")
+    try:
+        kind = channels.KINDS[obj["kind"]]
+        values = [*map(obj.get, kind.names)]
+        usual = type(obj) is dict and len(obj) == 1 + len(values) and None not in values
+    except (KeyError, TypeError):
+        usual = False
+    if not usual:
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{where}: channel must be an object")
+        name = obj.get("kind")
+        kind = channels.KINDS.get(name) if isinstance(name, str) else None
+        if kind is None:
+            raise ValidationError(f"{where}: unknown channel kind {name!r}")
+        required = ["kind", *(p.name for p in kind.params if p.required)]
+        _check_fields(obj, ("kind", *kind.names), required, f"{where}: ", suffix=f" for kind {name!r}")
+        if None in obj.values():
+            raise ValidationError(f"{where}: fields of kind {name!r} must not be null")
+        values = [*map(obj.get, kind.names)]
     try:
         # Each kind's public constructor carries the kind's name and takes
         # its parameters in order; an absent optional one is passed unset.
-        return getattr(channels, kind.name)(*map(obj.get, kind.names))
+        return getattr(channels, kind.name)(*values)
     except InvalidParameter as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
@@ -341,9 +389,26 @@ def channel_to_json(spec: ChannelSpec) -> dict:
     return obj
 
 
-# Ordered, and compared with a dict's keys as a set in one step.
-_TOP_FIELDS = dict.fromkeys(("points", "alice", "bob", "edges")).keys()
-_EDGE_FIELDS = dict.fromkeys(("id", "u", "v", "channel")).keys()
+#: The fields of the top-level and of an edge object, in the order a missing one is named.
+_TOP_FIELDS = ("points", "alice", "bob", "edges")
+_EDGE_FIELDS = ("id", "u", "v", "channel")
+_edge_values = itemgetter(*_EDGE_FIELDS)
+
+
+def _edge_records(edges):
+    """Each edge object's ``(id, u, v, channel)`` for :class:`_Index`, in
+    order, its fields checked and its channel built; the usual object, a
+    dict of the four fields, passes the field checks by its size."""
+    for i, obj in enumerate(edges):
+        try:  # the usual object: a dict of the four fields, told by its size
+            eid, u, v, channel = _edge_values(obj) if len(obj) == 4 else ()
+        except (KeyError, TypeError, ValueError):  # decoded JSON: no object, or a field unknown or missing
+            _check_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")
+        try:
+            spec = channel_from_json(channel)
+        except ValidationError:  # fails again, now naming the edge
+            spec = channel_from_json(channel, where=f"edge {eid!r}")
+        yield eid, u, v, spec
 
 
 def _gc_paused(function):
@@ -373,7 +438,9 @@ def parse_network(document: str | bytes) -> QNetwork:
 
     Raises :class:`ParseError` for a document that does not decode (with
     the position of malformed JSON) and :class:`ValidationError` for any
-    invariant violation, naming the offending element.
+    invariant violation, naming the offending element.  The edges are
+    checked, their channels built and the network indexed in one pass, as
+    for a network built by hand, and no :class:`Edge` is made.
 
     The cyclic garbage collector is paused while the document is decoded
     and the network built (:func:`_gc_paused`): a parse makes many objects
@@ -382,27 +449,15 @@ def parse_network(document: str | bytes) -> QNetwork:
     the last write, it is already paused.
     """
     data = _load_json(document)
-    if not isinstance(data, dict):
-        raise ValidationError("top-level document must be an object")
-    if data.keys() != _TOP_FIELDS:
-        _reject_fields(data, _TOP_FIELDS, _TOP_FIELDS, "", "top-level field")
-    points = data["points"]
-    if not isinstance(points, list):
+    _check_fields(data, _TOP_FIELDS, _TOP_FIELDS, "", "top-level document ", "top-level field")
+    if not isinstance(data["points"], list):
         raise ValidationError("'points' must be an array of names")
     if not isinstance(data["edges"], list):
         raise ValidationError("'edges' must be an array")
-    edges = []
-    for i, obj in enumerate(data["edges"]):
-        if not isinstance(obj, dict):
-            raise ValidationError(f"edge #{i}: must be an object")
-        if obj.keys() != _EDGE_FIELDS:
-            _reject_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")
-        try:
-            spec = channel_from_json(obj["channel"])
-        except ValidationError:  # fails again, now naming the edge
-            spec = channel_from_json(obj["channel"], where=f"edge {obj['id']!r}")
-        edges.append(Edge(obj["id"], obj["u"], obj["v"], spec))
-    return QNetwork(points, edges, data["alice"], data["bob"])
+    net = _new(QNetwork)
+    vars(net).update(points=data["points"], alice=data["alice"], bob=data["bob"])
+    net.__post_init__(_edge_records(data["edges"]))
+    return net
 
 
 def serialize_network(net: QNetwork) -> str:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import NoRoute, UnknownEdge, ValidationError
+from .errors import NoRoute, ValidationError
 from .network import Cut, QNetwork, Route, make_cut
 
 
@@ -205,10 +205,13 @@ def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
         raise ValidationError(f"tree {tree!r} is a string, not a collection of edge ids")
     ids = list(tree)
     try:
-        tree = {net.edge(eid).edge_id for eid in ids}
-    except UnknownEdge:
-        # Raised again for the smallest unknown id by repr, not the first
-        # given: one message whatever the order (or hash seed) of ``tree``.
+        tree = set(ids)
+        known = net.capacities.keys() >= tree  # the index's edge-id map
+    except TypeError:  # an unhashable id
+        known = False
+    if not known:
+        # Raised for the smallest unknown id by repr, not the first given:
+        # one message whatever the order (or hash seed) of ``tree``.
         for eid in sorted(ids, key=repr):
             net.edge(eid)
     index = net._index

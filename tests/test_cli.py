@@ -11,6 +11,7 @@ import random
 import signal
 import sys
 import threading
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -1023,3 +1024,42 @@ class TestFormatting:
         assert format_bits(0.15200309344504995) == "0.152003093"
         assert format_bits(math.inf) == "inf"
         assert format_bits(-0.0) == "0.000000000"
+
+
+class TestWarnings:
+    """A warning raised during a command is one ``warning:`` line on stderr,
+    and the caller's warning filters and display are back afterwards."""
+
+    def test_a_warning_is_one_stderr_line(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["channel", "--kind", "dephasing", "--probs", "0.2,0.8"]) == 0
+        out, err = capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert out == f"{format_bits(capacity(dephasing((0.2, 0.8))))} bits/use\n"
+        assert err == "warning: a dephasing distribution puts more than 1/2 on a phase rotation\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["channel", "--kind", "dephasing", "--probs", "0.2,0.8"],
+            ["channel", "--kind", "lossy", "--eta", "2"],
+            ["channel", "--kind", "nope"],
+        ],
+        ids=["warning", "invalid", "argparse-error"],
+    )
+    def test_the_callers_machinery_comes_back(self, argv, capsys):
+        def show(*args, **kwargs):
+            raise AssertionError("the caller's display ran during the command")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = show
+            filters = list(warnings.filters)
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            assert warnings.showwarning is show
+            assert warnings.filters == filters

@@ -214,10 +214,6 @@ def test_every_invocation_keeps_the_contract(tmp_path, family):
     assert codes == reached
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a ParameterRegimeWarning prints as two stderr lines: the warning and a source line",
-)
 def test_a_warning_keeps_the_one_stderr_line_contract():
     # In a fresh interpreter under the default warning filters: the
     # in-process runs above see none of the warnings, as the test

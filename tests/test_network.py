@@ -3,9 +3,10 @@ import gc
 import io
 import json
 import pathlib
+import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DUPLICATE_KEY_DOCS, build_network, diamond, stdout_under_hash_seed
@@ -28,13 +29,16 @@ from qnetcap import (
     is_connected,
     lossy,
     make_cut,
+    max_spanning_tree,
     multiband_lossy,
     parse_network,
     serialize_network,
+    tree_route_capacity,
     widest_path,
 )
 from qnetcap import cli, network
 from qnetcap.cli import main as cli_main
+from test_properties import networks
 from test_readme import fenced
 
 
@@ -308,6 +312,18 @@ COUNTED_DOCS = {
     "bytearray": bytearray(ONE_EDGE.encode()),
     "bytearray-utf16-bom": bytearray(ONE_EDGE.encode("utf-16")),
     "bytearray-duplicate": bytearray(DUPLICATE_KEY_DOCS["channel"].encode()),
+    # Objects the count does not visit: with members they make it miss.
+    "object-as-an-edge-end": ONE_EDGE.replace('"u": "a"', '"u": {"x": 1}'),
+    "duplicate-in-an-edge-end": ONE_EDGE.replace('"u": "a"', '"u": {"x": 1, "x": 2}'),
+    "object-in-probs": ONE_EDGE.replace(
+        '"kind": "lossy", "eta": 0.5', '"kind": "dephasing", "probs": [{"p": 0.5}, 0.5]'
+    ),
+    "empty-object-in-points": '{"points": [{}, "b"], "alice": "a", "bob": "b", "edges": []}',
+    "empty-edge": '{"points": ["a", "b"], "alice": "a", "bob": "b", "edges": [{}]}',
+    "empty-channel": ONE_EDGE.replace('{"kind": "lossy", "eta": 0.5}', "{}"),
+    "edges-an-object": '{"points": ["a", "b"], "alice": "a", "bob": "b", "edges": {"e0": {"x": 1}}}',
+    "channel-a-list": ONE_EDGE.replace('{"kind": "lossy", "eta": 0.5}', '[{"kind": "lossy"}]'),
+    "chain-with-an-edge-key": '[{"kind": "lossy", "eta": 0.5, "channel": {"x": 1}}]',
 }
 
 #: JSON text with keys drawn from a small pool, so that keys repeat, one of
@@ -401,21 +417,11 @@ class TestRepeatedKeysByColonCount:
         monkeypatch.setattr(network, "_reject_duplicate_keys", spy)
         return calls
 
-    def test_no_hook_call_on_a_grid_or_the_readme_example(self, hooked_calls):
-        side = 100
-        name = lambda i, j: f"g{i}_{j}"  # noqa: E731
-        links = [
-            (name(i, j), name(i + di, j + dj))
-            for i in range(side)
-            for j in range(side)
-            for di, dj in ((0, 1), (1, 0))
-            if i + di < side and j + dj < side
-        ]
-        specs = [(f"e{k}", u, v, lossy(0.25 + (k % 7) / 10)) for k, (u, v) in enumerate(links)]
-        points = [name(i, j) for i in range(side) for j in range(side)]
-        grid = build_network(points, specs, alice=name(0, 0), bob=name(side - 1, side - 1))
+    def test_no_hook_call_on_a_grid_a_chain_or_the_readme_example(self, hooked_calls):
+        grid = _grid_network(100)
         assert parse_network(serialize_network(grid)) == grid
         assert len(parse_network(fenced("json")).edges) == 5
+        assert len(network._load_json(COUNTED_DOCS["chain"])) == 2
         assert hooked_calls == []
 
     def test_a_colon_in_a_point_name_takes_the_hooked_decode(self, hooked_calls):
@@ -718,3 +724,221 @@ class TestMultigraphSemantics:
         )
         assert widest_path(net).capacity == 1.0
         assert brute_multi_path_capacity(net) == pytest.approx(0.75 + 0.5 + 1.0, abs=1e-12)
+
+
+def _edge_text(eid="e0", u="a", v="b", channel=None, **extra):
+    return {"id": eid, "u": u, "v": v, "channel": channel or {"kind": "lossy", "eta": 0.5}, **extra}
+
+
+def _doc_text(edges, points=("a", "p", "b"), alice="a", bob="b"):
+    return json.dumps({"points": list(points), "alice": alice, "bob": bob, "edges": edges})
+
+
+_WARN = {"kind": "dephasing", "probs": [0.2, 0.8]}
+_BAD = {"kind": "lossy", "eta": 1.5}
+_BAD_E1 = "edge 'e1': eta=1.5: must lie strictly inside (0, 1)"
+_REGIME = "a dephasing distribution puts more than 1/2 on a phase rotation"
+
+#: Documents the usual-object checks by size turn away, each with the
+#: outcome of the field checks by name: ``None`` for a network accepted,
+#: else the ValidationError message, and the warnings shown before it.
+FALLBACK_DOCS = {
+    "dephasing-without-dim": (
+        _doc_text([_edge_text(channel={"kind": "dephasing", "probs": [0.9, 0.1]})]), None, []
+    ),
+    "erasure-without-dim": (_doc_text([_edge_text(channel={"kind": "erasure", "p": 0.25})]), None, []),
+    "null-parameter": (
+        _doc_text([_edge_text(channel={"kind": "lossy", "eta": None})]),
+        "edge 'e0': fields of kind 'lossy' must not be null", [],
+    ),
+    "null-optional-parameter": (
+        _doc_text([_edge_text(channel={"kind": "erasure", "p": 0.25, "dim": None})]),
+        "edge 'e0': fields of kind 'erasure' must not be null", [],
+    ),
+    "channel-extra-and-missing-field": (
+        _doc_text([_edge_text(channel={"kind": "lossy", "gain": 2.0})]),
+        "edge 'e0': unknown field 'gain' for kind 'lossy'", [],
+    ),
+    "channel-kind-missing": (
+        _doc_text([_edge_text(channel={"eta": 0.5, "gain": 2.0})]), "edge 'e0': unknown channel kind None", []
+    ),
+    "channel-kind-unhashable": (
+        _doc_text([_edge_text(channel={"kind": ["lossy"], "eta": 0.5})]),
+        "edge 'e0': unknown channel kind ['lossy']", [],
+    ),
+    "channel-a-list": (
+        _doc_text([_edge_text(channel=["lossy", 0.5])]), "edge 'e0': channel must be an object", []
+    ),
+    "edge-extra-and-missing-field": (
+        _doc_text([{"id": "e0", "u": "a", "w": "b", "channel": {"kind": "lossy", "eta": 0.5}}]),
+        "edge #0: unknown field 'w'", [],
+    ),
+    "edge-missing-field": (
+        _doc_text([{"id": "e0", "u": "a", "channel": {"kind": "lossy", "eta": 0.5}}]),
+        "edge #0: missing field 'v'", [],
+    ),
+    "edge-u-null": (
+        _doc_text([_edge_text(u=None)]), "edge 'e0': endpoint None is not a declared point", []
+    ),
+    "edge-id-null": (_doc_text([_edge_text(eid=None)]), "edge id None must be a non-empty string", []),
+    "edge-a-list-of-four": (
+        _doc_text([["e0", "a", "b", {"kind": "lossy", "eta": 0.5}]]), "edge #0: must be an object", []
+    ),
+    "edge-a-string-of-four": (_doc_text(["abcd"]), "edge #0: must be an object", []),
+    "edge-null": (_doc_text([None]), "edge #0: must be an object", []),
+    "edge-empty": (_doc_text([{}]), "edge #0: missing field 'id'", []),
+    "bad-point-then-bad-channel": (
+        _doc_text([_edge_text(), _edge_text("e1", "a", "p", _BAD)], points=("a", "", "p", "b")), _BAD_E1, []
+    ),
+    "bad-point-then-warning": (
+        _doc_text([_edge_text(), _edge_text("e1", "a", "p", _WARN)], points=("a", "", "p", "b")),
+        "point name '' must be a non-empty string", [_REGIME],
+    ),
+    "alice-is-bob-then-bad-channel": (
+        _doc_text([_edge_text(), _edge_text("e1", "a", "p", _BAD)], bob="a"), _BAD_E1, []
+    ),
+    "bad-end-then-bad-channel": (
+        _doc_text([_edge_text(v="zz"), _edge_text("e1", "a", "p", _BAD)]), _BAD_E1, []
+    ),
+    "bad-end-then-warning": (
+        _doc_text([_edge_text(v="zz"), _edge_text("e1", "a", "p", _WARN)]),
+        "edge 'e0': endpoint 'zz' is not a declared point", [_REGIME],
+    ),
+    "duplicate-id-then-bad-channel": (
+        _doc_text([_edge_text(), _edge_text(), _edge_text("e1", "a", "p", _BAD)]), _BAD_E1, []
+    ),
+    "self-loop-then-edge-not-object": (
+        _doc_text([_edge_text(v="a"), _edge_text("e1", "a", "p"), 7]), "edge #2: must be an object", []
+    ),
+    "warning-then-bad-channel": (
+        _doc_text([_edge_text(channel=_WARN), _edge_text("e1", "a", "p", _BAD)]), _BAD_E1, [_REGIME]
+    ),
+    "duplicate-key-and-warning": (
+        _doc_text([_edge_text(channel=_WARN)]).replace(
+            '"probs": [0.2, 0.8]', '"probs": [0.5, 0.5], "probs": [0.2, 0.8]'
+        ),
+        "duplicate key 'probs'", [],
+    ),
+}
+
+
+class TestFallbackChecks:
+    """Where a check by size turns an object away, the checks by name give
+    what they gave before the checks by size: the same error, after the
+    same warnings, or the same network."""
+
+    @pytest.mark.parametrize("document, message, shown", FALLBACK_DOCS.values(), ids=FALLBACK_DOCS)
+    def test_parse_outcome(self, document, message, shown):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            if message is None:
+                net = parse_network(document)
+                data = json.loads(document)
+                assert list(net.capacities) == [edge["id"] for edge in data["edges"]]
+            else:
+                with pytest.raises(ValidationError) as err:
+                    parse_network(document)
+                assert str(err.value) == message
+        assert [str(w.message) for w in record] == shown
+        assert {w.filename for w in record} <= {__file__}
+
+    @pytest.mark.parametrize("document, message, shown", FALLBACK_DOCS.values(), ids=FALLBACK_DOCS)
+    def test_command_outcome(self, document, message, shown, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(document, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = cli_main(["network", str(path)])
+        err = capsys.readouterr().err
+        lines = [f"warning: {text}\n" for text in shown]
+        if message is None:
+            assert (code, err) == (0, "".join(lines))
+        else:
+            assert (code, err) == (2, "".join(lines) + f"error: {message}\n")
+
+
+def _grid_network(side):
+    """A side x side grid of lossy links, alice and bob at opposite corners."""
+    name = lambda i, j: f"g{i}_{j}"  # noqa: E731
+    links = [
+        (name(i, j), name(i + di, j + dj))
+        for i in range(side)
+        for j in range(side)
+        for di, dj in ((0, 1), (1, 0))
+        if i + di < side and j + dj < side
+    ]
+    specs = [(f"e{k}", u, v, lossy(0.25 + (k % 7) / 10)) for k, (u, v) in enumerate(links)]
+    points = [name(i, j) for i in range(side) for j in range(side)]
+    return build_network(points, specs, alice=name(0, 0), bob=name(side - 1, side - 1))
+
+
+_INDEX_COLUMNS = ("names", "ids", "to", "arcs", "caps", "edge_ids", "alice", "bob")
+
+
+def assert_parsed_equals_built(built):
+    """The network parsed from ``built``'s document is ``built``: equal,
+    with the same hash and repr, capacities and index columns."""
+    parsed = parse_network(serialize_network(built))
+    assert "edges" not in vars(parsed)  # no Edge made so far
+    for column in _INDEX_COLUMNS:
+        assert getattr(parsed._index, column) == getattr(built._index, column), column
+    assert list(parsed.capacities.items()) == list(built.capacities.items())
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+    assert repr(parsed) == repr(built)
+
+
+class TestOnePass:
+    """A parsed network and the same network built by hand go through one
+    pass, and come out alike."""
+
+    def test_a_grid(self):
+        assert_parsed_equals_built(_grid_network(100))
+
+    def test_the_suite_networks(self, network_suite):
+        for net in network_suite:
+            assert_parsed_equals_built(net)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(networks)
+    def test_hypothesis_networks(self, net):
+        assert_parsed_equals_built(net)
+
+    def test_a_hand_built_network_keeps_its_edges(self):
+        built = _grid_network(3)
+        rebuilt = QNetwork(list(built.points), list(built.edges), built.alice, built.bob)
+        assert rebuilt.points == built.points
+        assert all(a is b for a, b in zip(rebuilt.edges, built.edges, strict=True))
+
+
+class TestNoEdgeObjects:
+    """A parsed network makes no :class:`Edge` until its edges are read."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+
+        def spy(*fields):
+            made.append(fields[0])
+            return Edge(*fields)
+
+        monkeypatch.setattr(network, "Edge", spy)
+        return made
+
+    @pytest.mark.parametrize("mode", ["single", "multi"])
+    def test_network_command(self, made, mode, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(MIXED_DOC, encoding="utf-8")
+        assert cli_main(["network", str(path), "--mode", mode]) == 0
+        assert made == []
+
+    def test_tree_route_then_edges_built_once(self, made):
+        net = parse_network(MIXED_DOC)
+        report = tree_route_capacity(net, max_spanning_tree(net))
+        assert report == widest_path(net)
+        assert made == []
+        edges = net.edges
+        assert made == ["e1", "e2", "e3", "e4", "e5"]
+        assert net.edges is edges
+        assert net.edge("e3") is edges[2]
+        assert made == ["e1", "e2", "e3", "e4", "e5"]
