@@ -62,56 +62,49 @@ class _Index:
     order: it is the index's edge-id map.
 
     Checked and built in one pass over ``records``, an iterator of each
-    edge's ``(id, u, v, channel)`` in edge order, which may raise a channel
-    error itself.  The first fault of the points, then of the end-points,
-    then of each edge in order raises :class:`ValidationError`, but only
-    once the rest of ``records`` is read: a later edge's channel error or
-    warning comes first, as when every channel was built before the
-    network was checked.
+    edge's ``(id, u, v, channel)`` in edge order: the first fault of the
+    points, then of the end-points, then of each edge in order raises
+    :class:`ValidationError`.
     """
 
     def __init__(self, points, alice, bob, records):
-        try:
-            seen = set()
-            for name in points:
-                if not isinstance(name, str) or not name:
-                    raise ValidationError(f"point name {name!r} must be a non-empty string")
-                if name in seen:
-                    raise ValidationError(f"duplicate point name {name!r}")
-                seen.add(name)
-            if alice == bob:
-                raise ValidationError("alice and bob must be distinct points")
-            for role, name in (("alice", alice), ("bob", bob)):
-                if not isinstance(name, str) or name not in seen:
-                    raise ValidationError(f"{role} {name!r} is not a declared point")
-            self.names = names = sorted(points)
-            self.ids = ids = dict(zip(names, count()))
-            self.alice, self.bob = ids[alice], ids[bob]
-            self.to, self.arcs, self.channels = to, arcs, specs = [], [[] for _ in names], []
-            self.capacities = caps = {}
-            for arc, (eid, u, v, spec) in zip(count(0, 2), records):
-                # One test passes a well-formed edge; the exact types come
-                # first, so no unhashable name reaches a lookup.
-                if not (type(eid) is type(u) is type(v) is str and eid and u != v and eid not in caps
-                        and (a := ids.get(u)) is not None and (b := ids.get(v)) is not None):
-                    if not isinstance(eid, str) or not eid:
-                        raise ValidationError(f"edge id {eid!r} must be a non-empty string")
-                    if eid in caps:
-                        raise ValidationError(f"duplicate edge id {eid!r}")
-                    for end in (u, v):
-                        if not isinstance(end, str) or end not in ids:
-                            raise ValidationError(f"edge {eid!r}: endpoint {end!r} is not a declared point")
-                    if u == v:
-                        raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
-                    a, b = ids[u], ids[v]
-                caps[eid] = capacity(spec)
-                specs.append(spec)
-                to += (b, a)
-                arcs[a].append(arc)
-                arcs[b].append(arc + 1)
-        except ValidationError:
-            list(records)  # read the rest: a later edge's channel error or warning comes first
-            raise
+        seen = set()
+        for name in points:
+            if not isinstance(name, str) or not name:
+                raise ValidationError(f"point name {name!r} must be a non-empty string")
+            if name in seen:
+                raise ValidationError(f"duplicate point name {name!r}")
+            seen.add(name)
+        if alice == bob:
+            raise ValidationError("alice and bob must be distinct points")
+        for role, name in (("alice", alice), ("bob", bob)):
+            if not isinstance(name, str) or name not in seen:
+                raise ValidationError(f"{role} {name!r} is not a declared point")
+        self.names = names = sorted(points)
+        self.ids = ids = dict(zip(names, count()))
+        self.alice, self.bob = ids[alice], ids[bob]
+        self.to, self.arcs, self.channels = to, arcs, specs = [], [[] for _ in names], []
+        self.capacities = caps = {}
+        for arc, (eid, u, v, spec) in zip(count(0, 2), records):
+            # One test passes a well-formed edge; the exact types come first,
+            # so no unhashable name reaches a lookup.
+            if not (type(eid) is type(u) is type(v) is str and eid and u != v and eid not in caps
+                    and (a := ids.get(u)) is not None and (b := ids.get(v)) is not None):
+                if not isinstance(eid, str) or not eid:
+                    raise ValidationError(f"edge id {eid!r} must be a non-empty string")
+                if eid in caps:
+                    raise ValidationError(f"duplicate edge id {eid!r}")
+                for end in (u, v):
+                    if not isinstance(end, str) or end not in ids:
+                        raise ValidationError(f"edge {eid!r}: endpoint {end!r} is not a declared point")
+                if u == v:
+                    raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
+                a, b = ids[u], ids[v]
+            caps[eid] = capacity(spec)
+            specs.append(spec)
+            to += (b, a)
+            arcs[a].append(arc)
+            arcs[b].append(arc + 1)
         self.edge_ids, self.caps = list(caps), list(caps.values())
 
 
@@ -322,9 +315,9 @@ def _load_json(document):
 def _members(data) -> int:
     """Members of the decoded objects the formats expect, each counted once:
     a network's top level, each edge and each edge's channel, or each
-    channel of a chain.  Exact dicts only; where an entry of the array is
-    no dict, or an edge's channel is another value, the entries go
-    uncounted and the count misses."""
+    channel of a chain.  Exact dicts only: when an entry of the array is no
+    dict, or an edge's channel is neither a dict nor empty, only the top
+    level is counted."""
     size, entries = (len(data), data.get("edges")) if type(data) is dict else (0, data)
     if type(entries) is not list or not {*map(type, entries)} <= {dict}:
         return size
@@ -402,8 +395,8 @@ def _edge_records(edges):
     for i, obj in enumerate(edges):
         try:  # the usual object: a dict of the four fields, told by its size
             eid, u, v, channel = _edge_values(obj) if len(obj) == 4 else ()
-        except (KeyError, TypeError, ValueError):  # decoded JSON: no object, or a field unknown or missing
-            _check_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")
+        except (KeyError, TypeError, ValueError):  # no object, or a field unknown or missing
+            _check_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")  # raises, naming which
         try:
             spec = channel_from_json(channel)
         except ValidationError:  # fails again, now naming the edge
@@ -440,7 +433,9 @@ def parse_network(document: str | bytes) -> QNetwork:
     the position of malformed JSON) and :class:`ValidationError` for any
     invariant violation, naming the offending element.  The edges are
     checked, their channels built and the network indexed in one pass, as
-    for a network built by hand, and no :class:`Edge` is made.
+    for a network built by hand, and no :class:`Edge` is made.  A fault of
+    the points or of an edge's id or ends is raised once every channel is
+    built, so a later edge's channel error, and any warning, comes first.
 
     The cyclic garbage collector is paused while the document is decoded
     and the network built (:func:`_gc_paused`): a parse makes many objects
@@ -454,9 +449,13 @@ def parse_network(document: str | bytes) -> QNetwork:
         raise ValidationError("'points' must be an array of names")
     if not isinstance(data["edges"], list):
         raise ValidationError("'edges' must be an array")
-    net = _new(QNetwork)
+    net, records = _new(QNetwork), _edge_records(data["edges"])
     vars(net).update(points=data["points"], alice=data["alice"], bob=data["bob"])
-    net.__post_init__(_edge_records(data["edges"]))
+    try:
+        net.__post_init__(records)
+    except ValidationError:
+        list(records)  # build the rest: a later edge's channel error or warning comes first
+        raise
     return net
 
 
