@@ -255,7 +255,7 @@ def _bfs_levels(arcs, to, cap, source: int) -> list[int]:
 
 def is_connected(net: QNetwork) -> bool:
     """True iff alice and bob sit in the same component."""
-    index = net._index
+    index = net._index  # every arc open: a positive capacity on each
     return _bfs_levels(index.arcs, index.to, b"\1" * len(index.to), index.alice)[index.bob] >= 0
 
 

@@ -417,7 +417,7 @@ class TestRepeatedKeysByColonCount:
         monkeypatch.setattr(network, "_reject_duplicate_keys", spy)
         return calls
 
-    def test_no_hook_call_on_a_grid_a_chain_or_the_readme_example(self, hooked_calls):
+    def test_no_hook_call_on_a_grid_or_the_readme_example(self, hooked_calls):
         grid = _grid_network(100)
         assert parse_network(serialize_network(grid)) == grid
         assert len(parse_network(fenced("json")).edges) == 5
