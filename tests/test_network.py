@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import pathlib
+import sys
 import warnings
 
 import pytest
@@ -467,20 +468,25 @@ class TestParseGcPause:
             for i in range(300)
         ]
         document = json.dumps({"points": ["a", "b"], "alice": "a", "bob": "b", "edges": edges})
-        starts = []
+        # The parse is the body of parse_network: a collection may still start
+        # as the call enters the pausing wrapper, before it has switched the
+        # collector off.
+        body, starts = parse_network.__wrapped__.__code__, []
 
         def count(phase, info):
             if phase == "start":
-                starts.append(info["generation"])
+                frame = sys._getframe()
+                while frame is not None and frame.f_code is not body:
+                    frame = frame.f_back
+                starts.append(frame is not None)
 
         threshold, was_enabled = gc.get_threshold(), gc.isenabled()
         gc.enable()
         gc.set_threshold(1)
         gc.callbacks.append(count)
         try:
-            before = len(starts)
             net = parse_network(document)
-            during = len(starts) - before
+            during = sum(starts)
             [[] for _ in range(100)]  # the collector runs again afterwards
         finally:
             gc.callbacks.remove(count)
