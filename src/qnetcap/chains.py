@@ -38,10 +38,9 @@ class ChainCapacity:
 
 def chain_capacity(links: Sequence[ChannelSpec]) -> ChainCapacity:
     """Minimum link capacity of a chain of distillable channels."""
-    links = tuple(links)
-    if not links:
-        raise InvalidParameter("links", links, "chain needs at least one link")
     caps = [capacity(link) for link in links]
+    if not caps:
+        raise InvalidParameter("links", (), "chain needs at least one link")
     index = min(range(len(caps)), key=caps.__getitem__)
     return ChainCapacity(value=caps[index], bottleneck_index=index)
 

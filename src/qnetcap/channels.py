@@ -58,8 +58,6 @@ def _require_finite(field, value):
 
 
 def _require_int(field, value, minimum):
-    if type(value) is int and value >= minimum:
-        return value
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidParameter(field, value, "must be an integer")
     if value < minimum:
@@ -98,10 +96,9 @@ _transmissivity = _interval(_TINY, 1.0, "must lie in (0, 1]")
 
 def _distribution(field, values):
     try:
-        values = tuple(values)
-    except TypeError:
+        probs = tuple(_unit(field, p) for p in values)
+    except TypeError:  # not iterable
         raise InvalidParameter(field, values, "must be a list of numbers") from None
-    probs = tuple(_unit(field, p) for p in values)
     total = math.fsum(probs)
     if abs(total - 1.0) > _PROB_SUM_TOL:
         raise InvalidParameter(field, probs, f"must sum to 1 (got {total!r})")
@@ -236,8 +233,11 @@ def _check_dephasing(spec: ChannelSpec):
         # The qubit formula is usually quoted for flip probability <= 1/2;
         # the general entropy form is valid anyway, so accept but flag.  The
         # text names no value, so the default filter shows one per call site.
-        message = "a dephasing distribution puts more than 1/2 on a phase rotation"
-        warnings.warn(message, ParameterRegimeWarning, stacklevel=_caller_stacklevel())
+        warnings.warn(
+            "a dephasing distribution puts more than 1/2 on a phase rotation",
+            ParameterRegimeWarning,
+            stacklevel=_caller_stacklevel(),
+        )
 
 
 def _caller_stacklevel() -> int:

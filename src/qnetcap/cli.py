@@ -109,7 +109,9 @@ def _load_chain_links(args):
     data = _load_json(_read(args.file))
     if not isinstance(data, list) or not data:
         raise ValidationError("chain file must be a non-empty JSON array of channels")
-    return [channel_from_json(obj, where=f"link #{i}") for i, obj in enumerate(data)]
+    return [
+        channel_from_json(obj, where=f"link #{i}") for i, obj in enumerate(data)
+    ]
 
 
 def cmd_chain(args) -> int:
@@ -135,11 +137,8 @@ def cmd_network(args) -> int:
         report = max_flow(net)
         lines = [f"capacity: {format_bits(report.value)} bits/use"]
         # effective_rates is in edge order; + 0.0 prints -0.0 as 0, as format_bits does.
-        # Each edge's id and ends are read from the index, where edge k runs
-        # from point to[2k + 1] to point to[2k].
-        rate, rates, index = "rate %s %s->%s: %" + _BITS_SPEC, report.effective_rates.values(), net._index
-        edges = zip(index.edge_ids, index.to[1::2], index.to[::2], rates)
-        lines += [rate % (eid, index.names[u], index.names[v], r + 0.0) for eid, u, v, r in edges]
+        rate, edges = "rate %s %s->%s: %" + _BITS_SPEC, zip(net._index.edge_ids, *net._index.ends())
+        lines += [rate % (*edge, r + 0.0) for edge, r in zip(edges, report.effective_rates.values())]
         lines += [f"orientation {eid}: {'->'.join(ends)}" for eid, ends in report.orientation.items()]
         lines.append(f"min_cut_side_a: {','.join(report.min_cut.side_a)}")
         lines.append(f"min_cut_edges: {','.join(report.min_cut.cut_set)}")
@@ -373,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_network.set_defaults(func=cmd_network)
 
     grid = argparse.ArgumentParser(add_help=False)
-    for flag, value in (("start", "first loss"), ("stop", "last loss"), ("step", "grid step")):
-        grid.add_argument(f"--{flag}", type=float, required=True, help=f"{value} (dB)")
+    grid.add_argument("--start", type=float, required=True, help="first loss (dB)")
+    grid.add_argument("--stop", type=float, required=True, help="last loss (dB)")
+    grid.add_argument("--step", type=float, required=True, help="grid step (dB)")
 
     p_sweep = sub.add_parser("sweep", parents=[grid], help="capacity vs total loss CSV")
     p_sweep.add_argument(

@@ -28,7 +28,7 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 from itertools import compress, count, repeat
 from operator import attrgetter, itemgetter, ne, not_
 
@@ -88,8 +88,9 @@ class _Index:
         for arc, (eid, u, v, spec) in zip(count(0, 2), records):
             # One test passes a well-formed edge; the exact types come first,
             # so no unhashable name reaches a lookup.
-            if not (type(eid) is type(u) is type(v) is str and eid and u != v and eid not in caps
-                    and (a := ids.get(u)) is not None and (b := ids.get(v)) is not None):
+            if not (type(eid) is type(u) is type(v) is str and type(spec) is ChannelSpec and eid
+                    and u != v and eid not in caps and (a := ids.get(u)) is not None
+                    and (b := ids.get(v)) is not None):
                 if not isinstance(eid, str) or not eid:
                     raise ValidationError(f"edge id {eid!r} must be a non-empty string")
                 if eid in caps:
@@ -99,6 +100,8 @@ class _Index:
                         raise ValidationError(f"edge {eid!r}: endpoint {end!r} is not a declared point")
                 if u == v:
                     raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
+                if not isinstance(spec, ChannelSpec):
+                    raise ValidationError(f"edge {eid!r}: channel must be a ChannelSpec")
                 a, b = ids[u], ids[v]
             caps[eid] = capacity(spec)
             specs.append(spec)
@@ -106,6 +109,10 @@ class _Index:
             arcs[a].append(arc)
             arcs[b].append(arc + 1)
         self.edge_ids, self.caps = list(caps), list(caps.values())
+
+    def ends(self):
+        """Each edge's u names and v names: two iterators in edge order."""
+        return map(self.names.__getitem__, self.to[1::2]), map(self.names.__getitem__, self.to[::2])
 
 
 @dataclass(frozen=True)
@@ -136,23 +143,18 @@ class QNetwork:
         _set(self, "capacities", self._index.capacities)
 
     def __getattr__(self, name):
-        # Called only for a missing attribute: a parsed network's edges, built once.
-        if name != "edges":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        index, name_of = self._index, self._index.names.__getitem__
-        ends = map(name_of, index.to[1::2]), map(name_of, index.to[::2])
-        _set(self, "edges", tuple(map(Edge, index.edge_ids, *ends, index.channels)))
-        return self.edges
+        # Called only for a missing attribute.  A parsed network's edges, and
+        # any network's id -> edge map, are each built once, on first read.
+        if name == "edges":
+            index = self._index
+            _set(self, name, tuple(map(Edge, index.edge_ids, *index.ends(), index.channels)))
+        elif name == "_edges_by_id":
+            _set(self, name, dict(zip(self._index.edge_ids, self.edges)))
+        return object.__getattribute__(self, name)  # any other raises as usual
 
     def edge(self, edge_id: str) -> Edge:
-        try:
-            return self._edges_by_id[edge_id]
-        except (KeyError, TypeError):
-            raise UnknownEdge(edge_id) from None
-
-    @cached_property
-    def _edges_by_id(self) -> dict[str, Edge]:
-        return dict(zip(self._index.edge_ids, self.edges))
+        edge_capacity(self, edge_id)  # UnknownEdge for an id not in the network
+        return self._edges_by_id[edge_id]
 
 
 @dataclass(frozen=True)
@@ -297,11 +299,12 @@ def _load_json(document):
     try:
         if isinstance(document, bytes):  # universal newlines, as open() reads text
             document = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8").read()
-        if isinstance(document, str):
-            with suppress(ValueError, RecursionError):  # the hooked decode words the error
-                data = json.loads(document)
-                if _members(data) == str.count(document, ":"):  # not a str subclass's own count
-                    return data
+        # Any miss, a document that is not text (TypeError) included, goes to
+        # the hooked decode, which words the error.
+        with suppress(ValueError, RecursionError, TypeError):
+            data = json.loads(document)
+            if _members(data) == str.count(document, ":"):  # not a str subclass's own count
+                return data
         return json.loads(document, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -347,10 +350,10 @@ def channel_from_json(obj, where: str = "channel") -> ChannelSpec:
     str subclass is accepted.  The usual object, a dict holding every field
     of its kind and no null, passes the field checks by its size.
     """
-    try:
-        kind = channels.KINDS[obj["kind"]]
+    try:  # only an exact dict is read here: no other type's lookup runs
+        kind = channels.KINDS[obj["kind"] if type(obj) is dict else None]
         values = [*map(obj.get, kind.names)]
-        usual = type(obj) is dict and len(obj) == 1 + len(values) and None not in values
+        usual = len(obj) == 1 + len(values) and None not in values
     except (KeyError, TypeError):
         usual = False
     if not usual:

@@ -40,7 +40,9 @@ MAX_POINTS = 12
 
 def _check_size(net: QNetwork):
     if len(net.points) > MAX_POINTS:
-        raise TooLarge(f"{len(net.points)} points exceeds the brute-force cap of {MAX_POINTS}")
+        raise TooLarge(
+            f"{len(net.points)} points exceeds the brute-force cap of {MAX_POINTS}"
+        )
 
 
 @dataclass(frozen=True)

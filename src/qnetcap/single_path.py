@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import NoRoute, ValidationError
-from .network import Cut, QNetwork, Route, make_cut
+from .network import Cut, QNetwork, Route, edge_capacity, make_cut
 
 
 @dataclass(frozen=True)
@@ -206,14 +206,13 @@ def tree_route_capacity(net: QNetwork, tree) -> RouteReport:
     ids = list(tree)
     try:
         tree = set(ids)
-        known = net.capacities.keys() >= tree  # the index's edge-id map
-    except TypeError:  # an unhashable id
-        known = False
-    if not known:
-        # Raised for the smallest unknown id by repr, not the first given:
-        # one message whatever the order (or hash seed) of ``tree``.
-        for eid in sorted(ids, key=repr):
-            net.edge(eid)
+        unknown = tree - net.capacities.keys()  # the index's edge-id map
+    except TypeError:  # an unhashable id: each id is tried
+        unknown = ids
+    # UnknownEdge names the smallest unknown id by repr, not the first given:
+    # one message whatever the order (or hash seed) of ``tree``.
+    for eid in sorted(unknown, key=repr):
+        edge_capacity(net, eid)
     index = net._index
     to, arcs, caps, edge_ids = index.to, index.arcs, index.caps, index.edge_ids
     in_tree = bytes(map(tree.__contains__, edge_ids))

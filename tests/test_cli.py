@@ -975,15 +975,17 @@ class TestGcPause:
 
     def test_no_collection_during_a_command(self, capsys):
         # With a threshold of one allocation, any running collector would
-        # start many collections over a multi-mode run on 80 edges.  The
-        # command is main's body: a collection may still start as the call
-        # enters the pausing wrapper, before it has switched the collector off.
-        body, starts = main.__wrapped__.__code__, []
+        # start many collections over a multi-mode run on 80 edges.  A
+        # collection counts from the pausing wrapper's first line, so one
+        # started by what the wrapper does before it switches the collector
+        # off fails the test; one started by the caller's argument packing,
+        # before the wrapper's frame runs, is not the command's.
+        wrapper, starts = main.__code__, []
 
         def count(phase, info):
             if phase == "start":
                 frame = sys._getframe()
-                while frame is not None and frame.f_code is not body:
+                while frame is not None and frame.f_code is not wrapper:
                     frame = frame.f_back
                 starts.append(frame is not None)
 

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import pathlib
+import re
 import sys
 import warnings
 
@@ -468,15 +469,16 @@ class TestParseGcPause:
             for i in range(300)
         ]
         document = json.dumps({"points": ["a", "b"], "alice": "a", "bob": "b", "edges": edges})
-        # The parse is the body of parse_network: a collection may still start
-        # as the call enters the pausing wrapper, before it has switched the
-        # collector off.
-        body, starts = parse_network.__wrapped__.__code__, []
+        # A collection counts from the pausing wrapper's first line, so one
+        # started by what the wrapper does before it switches the collector
+        # off fails the test; one started by the caller's argument packing,
+        # before the wrapper's frame runs, is not the parse's.
+        wrapper, starts = parse_network.__code__, []
 
         def count(phase, info):
             if phase == "start":
                 frame = sys._getframe()
-                while frame is not None and frame.f_code is not body:
+                while frame is not None and frame.f_code is not wrapper:
                     frame = frame.f_back
                 starts.append(frame is not None)
 
@@ -498,6 +500,37 @@ class TestParseGcPause:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize(
+        "channel", [None, "lossy", {"kind": "lossy", "eta": 0.5}], ids=["none", "str", "dict"]
+    )
+    def test_channel_not_a_spec(self, channel):
+        edges = (Edge("e0", "a", "b", lossy(0.5)), Edge("e1", "a", "b", channel))
+        with pytest.raises(ValidationError) as err:
+            QNetwork(("a", "b"), edges, "a", "b")
+        assert str(err.value) == "edge 'e1': channel must be a ChannelSpec"
+
+    def test_str_subclass_names(self):
+        # They take the checks by name, which pass them, then the same index.
+        class Name(str):
+            pass
+
+        edges = (Edge(Name("e0"), Name("a"), Name("b"), lossy(0.5)),)
+        built = QNetwork((Name("b"), Name("a")), edges, Name("a"), Name("b"))
+        plain = QNetwork(("b", "a"), (Edge("e0", "a", "b", lossy(0.5)),), "a", "b")
+        assert built == plain
+        for column in ("names", "ids", "to", "arcs", "caps", "edge_ids", "alice", "bob"):
+            assert getattr(built._index, column) == getattr(plain._index, column)
+
+    def test_channel_not_a_spec_after_the_edges_other_faults(self):
+        for edge, message in [
+            (Edge("e0", "a", "zz", None), "edge 'e0': endpoint 'zz' is not a declared point"),
+            (Edge("e0", "a", "a", None), "edge 'e0': self-loops are not allowed"),
+            (Edge("", "a", "b", None), "edge id '' must be a non-empty string"),
+        ]:
+            with pytest.raises(ValidationError) as err:
+                QNetwork(("a", "b"), (edge,), "a", "b")
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("role", ["u", "v", "alice", "bob"])
     def test_unhashable_name(self, role):
         names = {"u": "a", "v": "b", "alice": "a", "bob": "b", role: ["a"]}
@@ -826,6 +859,26 @@ FALLBACK_DOCS = {
         "duplicate key 'probs'", [],
     ),
 }
+
+
+class _AnySubscript:
+    """Answers every subscript with a kind's name, and has no ``get``."""
+
+    def __getitem__(self, key):
+        return "lossy"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [re.match("x", "x"), _AnySubscript(), ["kind", "eta"], "kind", 7, None],
+    ids=["match", "any-subscript", "list", "str", "int", "null"],
+)
+def test_channel_from_json_names_any_non_object(obj):
+    # Only an exact dict is read by the check by size: no other type's
+    # subscript runs, so the error is the one for a non-object.
+    with pytest.raises(ValidationError) as err:
+        network.channel_from_json(obj)
+    assert str(err.value) == "channel: channel must be an object"
 
 
 class TestFallbackChecks:

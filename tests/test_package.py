@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: Most code lines ``src/`` may hold (see :func:`code_lines`).  A change that
 #: adds a capability may raise it, and says why in CHANGES.md.
-SRC_CODE_LINES_CEILING = 1225
+SRC_CODE_LINES_CEILING = 1226
 
 PUBLIC = [
     "BruteForceSinglePath",

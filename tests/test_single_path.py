@@ -289,6 +289,12 @@ class TestSpanningTree:
         with pytest.raises(UnknownEdge):
             tree_route_capacity(diamond(), {"e1", "nope"})
 
+    def test_unhashable_tree_edge(self):
+        # An unhashable id is unknown too; the smallest unknown id by repr is named.
+        with pytest.raises(UnknownEdge) as err:
+            tree_route_capacity(diamond(), ["e1", ["e2"], "zz"])
+        assert err.value.args == ("zz",)
+
     @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
     def test_unknown_tree_edge_named_alike_under_every_hash_seed(self, seed):
         # Several unknown ids in a set: the one named is the smallest by
