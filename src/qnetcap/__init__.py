@@ -35,7 +35,6 @@ from .channels import (
 from .errors import (
     InvalidParameter,
     NoRoute,
-    ParameterRegimeWarning,
     ParseError,
     QnetcapError,
     TooLarge,
@@ -58,7 +57,6 @@ from .network import (
 )
 from .oracle import (
     BruteForceSinglePath,
-    CutEnumeration,
     CutRecord,
     brute_multi_path_capacity,
     brute_single_path_capacity,

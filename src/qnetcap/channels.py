@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Callable
 
-from .errors import InvalidParameter, ParameterRegimeWarning
+from .errors import InvalidParameter
 
 LOSSY = "lossy"
 AMPLIFIER = "amplifier"
@@ -229,27 +228,6 @@ def _check_dephasing(spec: ChannelSpec):
         _set(spec, "dim", dim)
     elif spec.dim != dim:
         raise InvalidParameter("dim", spec.dim, f"must equal the number of probabilities ({dim})")
-    if max(spec.probs[1:]) > 0.5:
-        # The qubit formula is usually quoted for flip probability <= 1/2;
-        # the general entropy form is valid anyway, so accept but flag.  The
-        # text names no value, so the default filter shows one per call site.
-        warnings.warn(
-            "a dephasing distribution puts more than 1/2 on a phase rotation",
-            ParameterRegimeWarning,
-            stacklevel=_caller_stacklevel(),
-        )
-
-
-def _caller_stacklevel() -> int:
-    """``warnings.warn`` stacklevel of the first frame outside the package.
-
-    Generated dataclass ``__init__`` methods run with their module's globals,
-    so they count as package frames too.
-    """
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__", "").startswith("qnetcap."):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 #: Pure loss is at most 53 bits, so fewer bands than this keep a multiband
@@ -341,7 +319,9 @@ def dephasing(probs, dim: int | None = None) -> ChannelSpec:
     """Qudit dephasing channel with phase-flip distribution ``probs``.
 
     ``probs[k]`` is the probability of k phase rotations; the dimension is
-    the length of the vector (``dim``, when given, must match it).
+    the length of the vector (``dim``, when given, must match it).  Every
+    distribution is accepted without a warning, also one with more than 1/2
+    on a phase rotation: log2 d - H(probs) holds on the whole simplex.
     """
     return KINDS[DEPHASING].build((probs, dim))
 

@@ -24,10 +24,6 @@ collection after it returns.  Without the pause, collections during a
 ``network`` run rescan the objects the parse has just made (a channel per
 edge and an arc list per point).  Forked grid children inherit the pause.
 
-A warning raised during a command (a ``ParameterRegimeWarning``, say) is
-printed as one ``warning: <message>`` line on stderr, and the caller's
-warning filters and display come back when :func:`main` returns.
-
 Exit codes: 0 success, 2 invalid input, 3 no route between the end-points.
 """
 
@@ -39,7 +35,6 @@ import os
 import signal
 import sys
 import threading
-import warnings
 from itertools import product, repeat
 
 from . import channels
@@ -396,20 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 @_gc_paused  # from argument parsing to the last write
 def main(argv=None) -> int:
-    with warnings.catch_warnings():  # the caller's filters and display come back on exit
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "chain" and (args.file is None) == (args.lossy is None):
-            parser.error("chain needs exactly one of FILE or --lossy")
-        try:
-            return args.func(args)
-        except NoRoute as exc:
-            print(f"no route: {exc}", file=sys.stderr)
-            return EXIT_NO_ROUTE
-        except (QnetcapError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "chain" and (args.file is None) == (args.lossy is None):
+        parser.error("chain needs exactly one of FILE or --lossy")
+    try:
+        return args.func(args)
+    except NoRoute as exc:
+        print(f"no route: {exc}", file=sys.stderr)
+        return EXIT_NO_ROUTE
+    except (QnetcapError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

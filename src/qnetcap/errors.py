@@ -45,4 +45,10 @@ class TooLarge(QnetcapError, ValueError):
 
 
 class ParameterRegimeWarning(UserWarning):
-    """Input is valid but outside the regime usually quoted for a formula."""
+    """No longer raised by the package.
+
+    It flagged a dephasing distribution with more than 1/2 on a phase
+    rotation, an input whose capacity log2 d - H(p) is right on the whole
+    simplex.  It is no longer exported from :mod:`qnetcap`, and is kept here
+    only for the benchmark harness, whose warning filters still import it.
+    """

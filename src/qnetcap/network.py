@@ -438,7 +438,7 @@ def parse_network(document: str | bytes) -> QNetwork:
     checked, their channels built and the network indexed in one pass, as
     for a network built by hand, and no :class:`Edge` is made.  A fault of
     the points or of an edge's id or ends is raised once every channel is
-    built, so a later edge's channel error, and any warning, comes first.
+    built, so a later edge's channel error comes first.
 
     The cyclic garbage collector is paused while the document is decoded
     and the network built (:func:`_gc_paused`): a parse makes many objects
@@ -457,7 +457,7 @@ def parse_network(document: str | bytes) -> QNetwork:
     try:
         net.__post_init__(records)
     except ValidationError:
-        list(records)  # build the rest: a later edge's channel error or warning comes first
+        list(records)  # build the rest: a later edge's channel error comes first
         raise
     return net
 

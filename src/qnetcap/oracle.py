@@ -60,13 +60,6 @@ class CutRecord:
 
 
 @dataclass(frozen=True)
-class CutEnumeration:
-    """All 2^(|P|-2) alice/bob bipartitions of a network."""
-
-    cuts: tuple[CutRecord, ...]
-
-
-@dataclass(frozen=True)
 class BruteForceSinglePath:
     """Both sides of the widest-path duality, computed independently.
 
@@ -113,9 +106,11 @@ def _selected(items, mask: int):
     return compress(items, format(mask, "b")[::-1].encode().translate(_BIT_FLAGS))
 
 
-def enumerate_cuts(net: QNetwork) -> CutEnumeration:
+def enumerate_cuts(net: QNetwork) -> tuple[CutRecord, ...]:
     """Every alice/bob bipartition with its single- and multi-edge values.
 
+    One :class:`CutRecord` per bipartition, in bipartition order: record m
+    puts the k-th interior point on alice's side iff bit k of m is set.
     Raises :class:`ValidationError` if any cut's multi-edge value is beyond
     float range, as :func:`~qnetcap.network.cut_multi_edge_value` does.
     """
@@ -139,7 +134,7 @@ def enumerate_cuts(net: QNetwork) -> CutEnumeration:
                 multi_edge_value=_finite_multi_edge_value(sum(crossing, 0.0), _ONE_CUT),
             )
         )
-    return CutEnumeration(cuts=tuple(records))
+    return tuple(records)
 
 
 def _sorted_adjacency(net: QNetwork) -> dict[str, list[tuple[str, str, float]]]:

@@ -192,7 +192,7 @@ def test_criterion_8_homogeneous_formula_suite():
     def check(make_channel, parameter, single_formula, multi_formula, seed):
         for net in _five_point_networks(make_channel, seed):
             params = {e.edge_id: parameter(e.channel) for e in net.edges}
-            records = enumerate_cuts(net).cuts
+            records = enumerate_cuts(net)
             single = widest_path(net).capacity
             multi = multi_path_capacity(net)
             assert abs(single - single_formula(params, records)) <= tol

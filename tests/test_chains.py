@@ -31,6 +31,7 @@ from qnetcap import (
     min_repeaters_for_rate,
     multiband_chain_capacity,
 )
+from qnetcap import chains
 
 
 class TestChainCapacity:
@@ -238,6 +239,19 @@ class TestRateBudgeting:
         while equidistant_lossy_capacity(eta, n) < target:
             n += 1
         assert min_repeaters_for_rate(eta, target) == n
+
+    @pytest.mark.parametrize(
+        "eta, n",
+        [(1.6472150304429557e-182, 9), (2.905110469673457e-268, 573), (1.0483965971325262e-110, 43)],
+    )
+    def test_min_repeaters_climbs_past_an_estimate_that_misses(self, eta, n):
+        # A target one ulp above n repeaters' capacity: the closed-form
+        # estimate still reads n, which misses it, so the doubling climb
+        # runs before the bisection.
+        target = math.nextafter(equidistant_lossy_capacity(eta, n), math.inf)
+        assert math.ceil(math.log(eta) / chains._log_keep(target)) - 1 == n
+        assert equidistant_lossy_capacity(eta, n) < target
+        assert min_repeaters_for_rate(eta, target) == n + 1
 
     @pytest.mark.parametrize("eta", [0.5, 1e-30])
     @pytest.mark.parametrize("target", [1.0, 18.0, 40.0, 100.0, 1000.0])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import sys
@@ -23,7 +25,6 @@ from qnetcap import (
     CHANNEL_KINDS,
     ChannelSpec,
     InvalidParameter,
-    ParameterRegimeWarning,
     ValidationError,
     amplifier,
     binary_entropy,
@@ -38,7 +39,7 @@ from qnetcap import (
     transmissivity_to_db,
 )
 from qnetcap import channels
-from qnetcap.cli import main
+from qnetcap.cli import format_bits, main
 from qnetcap.network import channel_from_json, parse_network
 
 
@@ -325,6 +326,47 @@ class TestConversions:
             fiber_transmissivity(10.0, 0.0)
 
 
+#: Fifty dephasing distributions with more than 1/2 on a phase rotation.
+BEYOND_HALF = [(0.25 - i / 1000, 0.75 + i / 1000) for i in range(50)]
+
+
+def _network_capacities():
+    """The capacities of one parsed network with a BEYOND_HALF edge each."""
+    edges = [
+        {"id": f"e{i}", "u": "a", "v": "b", "channel": {"kind": "dephasing", "probs": list(probs)}}
+        for i, probs in enumerate(BEYOND_HALF)
+    ]
+    document = json.dumps({"points": ["a", "b"], "alice": "a", "bob": "b", "edges": edges})
+    return list(parse_network(document).capacities.values())
+
+
+def _command_lines():
+    """The ``qnetcap channel`` stdout for each BEYOND_HALF distribution,
+    each command exiting 0 with nothing on stderr."""
+    lines = []
+    for probs in BEYOND_HALF:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["channel", "--kind", "dephasing", "--probs", ",".join(map(repr, probs))]) == 0
+        assert err.getvalue() == ""
+        lines.append(out.getvalue())
+    return lines
+
+
+#: Each route to a dephasing capacity: what it gives for BEYOND_HALF, and
+#: how it shows a capacity.
+BEYOND_HALF_ROUTES = {
+    "constructor": (lambda: [capacity(dephasing(p)) for p in BEYOND_HALF], float),
+    "direct": (lambda: [capacity(ChannelSpec("dephasing", probs=p)) for p in BEYOND_HALF], float),
+    "channel_from_json": (
+        lambda: [capacity(channel_from_json({"kind": "dephasing", "probs": list(p)})) for p in BEYOND_HALF],
+        float,
+    ),
+    "parse_network": (_network_capacities, float),
+    "cli.main": (_command_lines, lambda value: f"{format_bits(value)} bits/use\n"),
+}
+
+
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameter) as err:
@@ -363,43 +405,15 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             dephasing((1.0,))
 
-    def test_dephasing_beyond_half_warns_but_works(self):
-        with pytest.warns(ParameterRegimeWarning):
-            spec = dephasing((0.2, 0.8))
-        assert capacity(spec) == pytest.approx(1.0 - binary_entropy(0.8), abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: dephasing((0.2, 0.8)),
-            lambda: ChannelSpec("dephasing", probs=(0.2, 0.8)),
-            lambda: channel_from_json({"kind": "dephasing", "probs": [0.2, 0.8]}),
-            lambda: parse_network(json.dumps({
-                "points": ["a", "b"], "alice": "a", "bob": "b",
-                "edges": [{"id": "e", "u": "a", "v": "b",
-                           "channel": {"kind": "dephasing", "probs": [0.2, 0.8]}}],
-            })),
-        ],
-        ids=["constructor", "direct", "channel_from_json", "parse_network"],
-    )
-    def test_regime_warning_points_at_the_caller(self, make):
-        with pytest.warns(ParameterRegimeWarning) as record:
-            make()
-        assert [w.filename for w in record] == [__file__]
-
-    def test_regime_warning_shows_once_for_many_edges(self):
-        # Fifty different distributions from one call site: the default
-        # filter merges warnings whose text and location agree.
-        edges = [
-            {"id": f"e{i}", "u": "a", "v": "b",
-             "channel": {"kind": "dephasing", "probs": [0.25 - i / 1000, 0.75 + i / 1000]}}
-            for i in range(50)
-        ]
-        document = json.dumps({"points": ["a", "b"], "alice": "a", "bob": "b", "edges": edges})
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("default")
-            parse_network(document)
-        assert [w.category for w in record] == [ParameterRegimeWarning]
+    @pytest.mark.parametrize("route", BEYOND_HALF_ROUTES)
+    def test_dephasing_beyond_half_raises_no_warning(self, route):
+        # log2 d - H(p) holds on the whole simplex, so more than 1/2 on a
+        # phase rotation is an ordinary input on every route to a capacity.
+        run, shown = BEYOND_HALF_ROUTES[route]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run()
+        assert got == [shown(math.log2(len(p)) - shannon_entropy(p)) for p in BEYOND_HALF]
 
     @pytest.mark.parametrize("p", [-0.01, 1.01])
     def test_erasure_probability_range(self, p):

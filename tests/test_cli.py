@@ -1033,18 +1033,8 @@ class TestFormatting:
 
 
 class TestWarnings:
-    """A warning raised during a command is one ``warning:`` line on stderr,
-    and the caller's warning filters and display are back afterwards."""
-
-    def test_a_warning_is_one_stderr_line(self, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            assert main(["channel", "--kind", "dephasing", "--probs", "0.2,0.8"]) == 0
-        out, err = capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert out == f"{format_bits(capacity(dephasing((0.2, 0.8))))} bits/use\n"
-        assert err == "warning: a dephasing distribution puts more than 1/2 on a phase rotation\n"
+    """A command leaves the caller's warning filters and display as they
+    were, and shows nothing through them."""
 
     @pytest.mark.parametrize(
         "argv",

@@ -215,14 +215,14 @@ def test_every_invocation_keeps_the_contract(tmp_path, family):
 
 
 def test_a_warning_keeps_the_one_stderr_line_contract():
-    # In a fresh interpreter under the default warning filters: the
-    # in-process runs above see none of the warnings, as the test
-    # configuration ignores ParameterRegimeWarning.
+    # In a fresh interpreter with every warning an error: a dephasing
+    # distribution with more than 1/2 on a phase rotation is an ordinary
+    # input, so the command prints its capacity and nothing on stderr.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(pathlib.Path(qnetcap.__file__).parent.parent)
     result = subprocess.run(
-        [sys.executable, "-m", "qnetcap.cli", "channel", "--kind", "dephasing", "--probs", "0.2,0.8"],
+        [sys.executable, "-W", "error", "-m", "qnetcap.cli",
+         "channel", "--kind", "dephasing", "--probs", "0.2,0.8"],
         env=env, capture_output=True, text=True,
     )
-    assert result.returncode == 0
-    assert result.stderr.count("\n") <= 1
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0.278071905 bits/use\n", "")

@@ -169,7 +169,7 @@ class TestLossyFormulas:
         # min over cuts of summed capacities equals -log2(max cut loss product)
         best = max(
             math.prod((1.0 - 0.3) for _ in rec.cut.cut_set)
-            for rec in enumerate_cuts(net).cuts
+            for rec in enumerate_cuts(net)
         )
         assert multi_path_capacity(net) == pytest.approx(-math.log2(best), abs=1e-9)
 

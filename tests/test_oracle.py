@@ -180,11 +180,23 @@ class TestEnumerateRoutes:
 class TestEnumerateCuts:
     def test_count_is_two_to_interior(self):
         net = diamond()
-        assert len(enumerate_cuts(net).cuts) == 2 ** (len(net.points) - 2)
+        assert len(enumerate_cuts(net)) == 2 ** (len(net.points) - 2)
+
+    def test_records_are_a_tuple_in_bipartition_order(self):
+        # Record m puts the k-th interior point on alice's side iff bit k
+        # of m is set.
+        net = diamond()
+        interior = [p for p in net.points if p not in (net.alice, net.bob)]
+        records = enumerate_cuts(net)
+        assert type(records) is tuple
+        assert [set(rec.cut.side_a) for rec in records] == [
+            {net.alice, *(p for k, p in enumerate(interior) if m >> k & 1)}
+            for m in range(2 ** len(interior))
+        ]
 
     def test_diamond_cut_values(self):
         by_side = {
-            rec.cut.side_a: rec for rec in enumerate_cuts(diamond()).cuts
+            rec.cut.side_a: rec for rec in enumerate_cuts(diamond())
         }
         assert by_side[("a",)].multi_edge_value == pytest.approx(2.0, abs=1e-12)
         assert by_side[("a",)].single_edge_value == 1.0
@@ -242,12 +254,12 @@ class TestBruteMultiPath:
     def test_empty_crossing_set_is_float_zero(self):
         net = CRAFTED["disconnected"]
         assert repr(brute_multi_path_capacity(net)) == "0.0"
-        empty = [rec for rec in enumerate_cuts(net).cuts if not rec.cut.cut_set]
+        empty = [rec for rec in enumerate_cuts(net) if not rec.cut.cut_set]
         assert empty and all(repr(rec.multi_edge_value) == "0.0" for rec in empty)
 
     @pytest.mark.parametrize("name", ["ulp-first-smaller", "ulp-second-smaller", "ulp-4-points"])
     def test_ulp_networks_hold_two_cuts_one_ulp_apart(self, name):
-        values = sorted(rec.multi_edge_value for rec in enumerate_cuts(CRAFTED[name]).cuts)
+        values = sorted(rec.multi_edge_value for rec in enumerate_cuts(CRAFTED[name]))
         assert math.nextafter(values[0], math.inf) == values[1]
 
     @pytest.mark.parametrize("name", CRAFTED)
@@ -335,7 +347,7 @@ class TestAgainstNaiveReferences:
 
     def test_cut_side_is_the_first_strict_minimum_over_enumerated_cuts(self, referee_networks):
         for net in referee_networks:
-            records = enumerate_cuts(net).cuts
+            records = enumerate_cuts(net)
             singles = [rec.single_edge_value for rec in records]
             result = brute_single_path_capacity(net)
             assert result.cut_value == min(singles)
@@ -348,7 +360,7 @@ class TestAgainstNaiveReferences:
 
     def test_enumerated_cuts_match_make_cut(self, referee_networks):
         for net in referee_networks:
-            for rec in enumerate_cuts(net).cuts:
+            for rec in enumerate_cuts(net):
                 cut = make_cut(net, rec.cut.side_a)
                 assert rec.cut == cut
                 assert rec.single_edge_value == cut_single_edge_value(net, cut)
@@ -377,7 +389,7 @@ class TestOracleWork:
 
     def test_make_cut_calls(self, make_cut_calls):
         net = random_connected_network(random.Random(12), 12, 12)
-        assert len(enumerate_cuts(net).cuts) == 2**10
+        assert len(enumerate_cuts(net)) == 2**10
         assert make_cut_calls[0] == 0
         brute_multi_path_capacity(net)
         assert make_cut_calls[0] == 0
@@ -386,7 +398,7 @@ class TestOracleWork:
 
     def test_exact_sums_only_near_the_minimum(self, monkeypatch):
         net = random_connected_network(random.Random(12), 12, 12)
-        values = sorted(rec.multi_edge_value for rec in enumerate_cuts(net).cuts)
+        values = sorted(rec.multi_edge_value for rec in enumerate_cuts(net))
         assert values[1] - values[0] > 1e-6 * values[-1]  # cut values well apart
         calls = [0]
 
