@@ -13,18 +13,19 @@ CLI flag), its Python type, its default and its range check, and it gives
 the kind's capacity formula.  Spec validation, :func:`capacity`, the
 network JSON format and the ``qnetcap channel`` flags all read these
 records.  Each record has one builder, :meth:`ChannelKind.build`, the only
-place a spec's parameters are checked: the public constructors call it
-directly, and direct :class:`ChannelSpec` construction calls it once the
-other kinds' parameters are seen unset.  A probability vector has one
-check too, shared by :func:`dephasing` and :func:`shannon_entropy`;
-:func:`capacity` reads a spec's checked values without checking them again.
+place a spec's parameters are checked, and the kind's public constructor
+(:func:`lossy`, :func:`amplifier`, ...) is the only way to call it: a
+:class:`ChannelSpec` is never made by calling the class.  A probability
+vector has one check too, shared by :func:`dephasing` and
+:func:`shannon_entropy`; :func:`capacity` reads a spec's checked values
+without checking them again.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
@@ -117,14 +118,15 @@ def _pure_loss(eta: float) -> float:
 _new, _set = object.__new__, object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChannelSpec:
     """Tagged description of one distillable channel.
 
-    Exactly the fields belonging to ``kind`` (its :data:`KINDS` record) may
-    be set; use the module constructors (:func:`lossy`, :func:`amplifier`,
-    ...) rather than filling fields by hand.  Instances are immutable and
-    validated on construction.
+    Made only by its kind's public constructor (:func:`lossy`,
+    :func:`amplifier`, ...), which checks each of the kind's fields (its
+    :data:`KINDS` record); the other kinds' fields read ``None``.
+    Instances are immutable.  Calling the class, or
+    :func:`dataclasses.replace` on a spec, raises :class:`TypeError`.
     """
 
     kind: str
@@ -135,19 +137,10 @@ class ChannelSpec:
     dim: int | None = None
     bands: int | None = None
 
-    def __post_init__(self):
-        try:
-            kind = KINDS[self.kind]
-        except (KeyError, TypeError):
-            raise InvalidParameter(
-                "kind", self.kind, f"must be one of {', '.join(CHANNEL_KINDS)}"
-            ) from None
-        for name in kind.forbidden:
-            if getattr(self, name) is not None:
-                raise InvalidParameter(
-                    name, getattr(self, name), f"does not apply to a {self.kind} channel"
-                )
-        kind.build([getattr(self, param.name) for param in kind.params], self)
+    # Without this, ChannelSpec() would make a spec with no kind, which a
+    # QNetwork would accept and capacity() would then fail on.
+    def __init__(self, *args, **kwargs):
+        raise TypeError(f"a ChannelSpec is made by its kind's constructor: {', '.join(CHANNEL_KINDS)}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +167,7 @@ class ChannelKind:
     """One channel kind: its parameters and its capacity formula.
 
     ``check``, when given, enforces the kind's own rules once each
-    parameter is valid.  ``forbidden`` lists the other kinds' parameters,
-    which must stay unset.  ``names`` lists the kind's parameter names in
+    parameter is valid.  ``names`` lists the kind's parameter names in
     order.  ``_plan`` holds each parameter's ``(name, check, required,
     default)``, the part of it :meth:`build` reads.
     """
@@ -184,30 +176,25 @@ class ChannelKind:
     params: tuple[Param, ...]
     capacity: Callable[[ChannelSpec], float]
     check: Callable[[ChannelSpec], None] | None = None
-    forbidden: tuple[str, ...] = field(init=False)
     names: tuple[str, ...] = field(init=False)
     _plan: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = tuple(p.name for p in self.params)
-        attrs = [f.name for f in fields(ChannelSpec) if f.name != "kind"]
-        _set(self, "forbidden", tuple(a for a in attrs if a not in names))
-        _set(self, "names", names)
+        _set(self, "names", tuple(p.name for p in self.params))
         _set(self, "_plan", tuple((p.name, p.check, p.required, p.default) for p in self.params))
 
-    def build(self, values, spec: ChannelSpec | None = None) -> ChannelSpec:
+    def build(self, values) -> ChannelSpec:
         """The spec of this kind holding ``values``, checked once each.
 
         ``values`` gives one value per parameter, in order, ``None`` where
         unset.  Each ``Param.check`` runs once, an unset optional parameter
-        takes its default and the kind's ``check`` runs last.  Only ``kind``
-        and the values set are stored on a new spec; its other fields read
-        the class defaults (``None``).  ``spec``, when given, is a directly
-        constructed :class:`ChannelSpec` to fill instead.
+        takes its default and the kind's ``check`` runs last.  The spec is
+        made without calling :class:`ChannelSpec`: only ``kind`` and the
+        values set are stored on it, and its other fields read the class
+        defaults (``None``).
         """
-        if spec is None:
-            spec = _new(ChannelSpec)
-            _set(spec, "kind", self.name)
+        spec = _new(ChannelSpec)
+        _set(spec, "kind", self.name)
         for (name, check, required, default), value in zip(self._plan, values):
             if value is not None:
                 _set(spec, name, check(name, value))

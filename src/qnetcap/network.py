@@ -125,7 +125,10 @@ class QNetwork:
     read only, and no solver or cut rescans the network.  A network from
     :func:`parse_network` holds no :class:`Edge` objects: its :attr:`edges`
     are built from the index when first read, and its equality, hash and
-    repr are those of the same network built by hand.
+    repr are those of the same network built by hand.  A network built by
+    hand must give its points as a collection, not a string, and each entry
+    of its edges as an :class:`Edge`, named by position (``edge #1``)
+    before the one pass.
     """
 
     points: tuple[str, ...]
@@ -135,10 +138,15 @@ class QNetwork:
 
     def __post_init__(self, records=None):
         # parse_network passes its edges' records and sets no edges.
-        _set(self, "points", tuple(self.points))
         if records is None:
+            if isinstance(self.points, str):
+                raise ValidationError(f"points {self.points!r} is a string, not a collection of point names")
             _set(self, "edges", tuple(self.edges))
+            for i, edge in enumerate(self.edges):
+                if not isinstance(edge, Edge):
+                    raise ValidationError(f"edge #{i}: must be an Edge")
             records = map(attrgetter("edge_id", "u", "v", "channel"), self.edges)
+        _set(self, "points", tuple(self.points))
         _set(self, "_index", _Index(self.points, self.alice, self.bob, records))
         _set(self, "capacities", self._index.capacities)
 

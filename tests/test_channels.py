@@ -1,7 +1,10 @@
 import contextlib
+import copy
+import dataclasses
 import io
 import json
 import math
+import pickle
 import sys
 import warnings
 from decimal import Decimal
@@ -357,7 +360,6 @@ def _command_lines():
 #: how it shows a capacity.
 BEYOND_HALF_ROUTES = {
     "constructor": (lambda: [capacity(dephasing(p)) for p in BEYOND_HALF], float),
-    "direct": (lambda: [capacity(ChannelSpec("dephasing", probs=p)) for p in BEYOND_HALF], float),
     "channel_from_json": (
         lambda: [capacity(channel_from_json({"kind": "dephasing", "probs": list(p)})) for p in BEYOND_HALF],
         float,
@@ -367,13 +369,18 @@ BEYOND_HALF_ROUTES = {
 }
 
 
+#: The message of every call of :class:`ChannelSpec` itself.
+CLOSED_ROUTE = (
+    "a ChannelSpec is made by its kind's constructor: lossy, amplifier, dephasing, erasure, multiband_lossy"
+)
+
+
 class TestValidation:
     def test_unknown_kind(self):
-        with pytest.raises(InvalidParameter) as err:
+        # No kind can be named to the class: a spec is made by its kind's constructor.
+        with pytest.raises(TypeError) as err:
             ChannelSpec("bogus")
-        assert str(err.value) == (
-            "kind='bogus': must be one of lossy, amplifier, dephasing, erasure, multiband_lossy"
-        )
+        assert str(err.value) == CLOSED_ROUTE
 
     def test_erasure_object_without_dim_is_a_qubit(self):
         spec = channel_from_json({"kind": "erasure", "p": 0.25})
@@ -560,15 +567,14 @@ def cli_message(obj, capsys):
 
 
 class TestOneBuilderPerKind:
-    """Direct construction, the public constructor, the JSON format and the
-    CLI flags all reach one builder per kind: same spec, same messages."""
+    """The public constructor, the JSON format and the CLI flags all reach
+    one builder per kind: same spec, same messages."""
 
     @pytest.mark.parametrize("kind", CHANNEL_KINDS)
     def test_every_route_builds_the_same_spec(self, kind):
         args, _ = BUILDER_CASES[kind]
         obj = {"kind": kind, **args}
         specs = [
-            ChannelSpec(kind, **args),
             getattr(channels, kind)(**args),
             channel_from_json(obj),
             parse_network(one_edge_network(obj)).edges[0].channel,
@@ -585,7 +591,6 @@ class TestOneBuilderPerKind:
             for value in values:
                 wrong = {**args, name: value}
                 expected = message(lambda: getattr(channels, kind)(**wrong))
-                assert message(lambda: ChannelSpec(kind, **wrong)) == expected
                 obj = {"kind": kind, **wrong}
                 assert message(lambda: channel_from_json(obj)) == f"channel: {expected}"
                 assert network_message(obj) == f"edge 'e0': {expected}"
@@ -602,7 +607,6 @@ class TestOneBuilderPerKind:
             unset = {**rest, param.name: None}
             expected = f"{param.name}=None: is required for a {kind} channel"
             assert message(lambda: getattr(channels, kind)(**unset)) == expected
-            assert message(lambda: ChannelSpec(kind, **rest)) == expected
             obj = {"kind": kind, **rest}
             expected = f"missing field {param.name!r} for kind {kind!r}"
             assert message(lambda: channel_from_json(obj)) == f"channel: {expected}"
@@ -612,10 +616,10 @@ class TestOneBuilderPerKind:
     @pytest.mark.parametrize("kind", CHANNEL_KINDS)
     def test_foreign_field_same_message_on_every_route(self, kind, capsys):
         args, _ = BUILDER_CASES[kind]
-        for name in channels.KINDS[kind].forbidden:
-            foreign = {**args, name: 7}
-            expected = f"{name}=7: does not apply to a {kind} channel"
-            assert message(lambda: ChannelSpec(kind, **foreign)) == expected
+        own = ("kind", *channels.KINDS[kind].names)
+        foreign = [f.name for f in dataclasses.fields(ChannelSpec) if f.name not in own]
+        assert foreign
+        for name in foreign:
             value = [7] if TYPE_OF[name] is tuple else 7
             # The extra field is named wherever it stands among the others.
             for obj in (
@@ -626,3 +630,40 @@ class TestOneBuilderPerKind:
                 assert message(lambda: channel_from_json(obj)) == f"channel: {expected}"
                 assert network_message(obj) == f"edge 'e0': {expected}"
                 assert cli_message(obj, capsys) == f"error: channel: {expected}\n"
+
+
+class TestClosedRoute:
+    """A spec is made only by its kind's constructor: the class itself, and
+    anything that would call it, raises ``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((), {}), (("lossy", 0.5), {}), ((), {"kind": "lossy", "eta": 0.5})],
+        ids=["none", "positional", "keyword"],
+    )
+    def test_calling_the_class_raises(self, args, kwargs):
+        with pytest.raises(TypeError) as err:
+            ChannelSpec(*args, **kwargs)
+        assert str(err.value) == CLOSED_ROUTE
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_replace_raises(self, kind):
+        spec = getattr(channels, kind)(**BUILDER_CASES[kind][0])
+        name = channels.KINDS[kind].names[0]
+        with pytest.raises(TypeError) as err:
+            dataclasses.replace(spec, **{name: getattr(spec, name)})
+        assert str(err.value) == CLOSED_ROUTE
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    @pytest.mark.parametrize(
+        "clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_a_copy_is_the_same_spec(self, kind, clone):
+        spec = getattr(channels, kind)(**BUILDER_CASES[kind][0])
+        copied = clone(spec)
+        assert type(copied) is ChannelSpec
+        assert copied == spec
+        assert hash(copied) == hash(spec)
+        assert repr(copied) == repr(spec)
+        assert capacity(copied) == capacity(spec)

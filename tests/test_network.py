@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import gc
 import io
 import json
 import pathlib
+import pickle
 import re
 import sys
 import warnings
@@ -541,6 +543,35 @@ class TestConstruction:
                 alice=names["alice"],
                 bob=names["bob"],
             )
+
+    def test_points_a_string(self):
+        # A string is iterable, but its characters are not the point names meant.
+        with pytest.raises(ValidationError) as err:
+            QNetwork("ab", (), "a", "b")
+        assert str(err.value) == "points 'ab' is a string, not a collection of point names"
+
+    @pytest.mark.parametrize(
+        "entry", [("e1", "a", "b", lossy(0.5)), None, "e1"], ids=["tuple", "none", "str"]
+    )
+    def test_edge_not_an_edge(self, entry):
+        edges = (Edge("e0", "a", "b", lossy(0.5)), entry)
+        with pytest.raises(ValidationError) as err:
+            QNetwork(("a", "b"), edges, "a", "b")
+        assert str(err.value) == "edge #1: must be an Edge"
+
+    @pytest.mark.parametrize(
+        "clone", [lambda n: pickle.loads(pickle.dumps(n)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    @pytest.mark.parametrize("edges_read", [False, True], ids=["index-only", "edges-read"])
+    def test_a_copy_is_the_same_network(self, clone, edges_read):
+        net = parse_network(serialize_network(diamond()))
+        if edges_read:
+            net.edges
+        copied = clone(net)
+        assert copied == net == diamond()
+        assert hash(copied) == hash(net)
+        assert copied.capacities == net.capacities
+        assert widest_path(copied) == widest_path(net)
 
 
 class TestEdgeIdentity:
