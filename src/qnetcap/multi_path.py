@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .network import Cut, QNetwork, _bfs_levels, _finite_multi_edge_value, make_cut
+from .network import Cut, QNetwork, _bfs_levels, _cut_sum, make_cut
 
 #: An edge whose net rate is at most this fraction of the flow value has no
 #: orientation: pushes that cancel on an edge can leave float drift there
@@ -41,12 +41,12 @@ class FlowReport:
     carrying flow; edges whose net rate is at most ``RESIDUAL_EPS * value``
     have no orientation.  Both dicts are in edge order.
     ``min_cut``'s alice side is the set of points still reachable in the
-    final residual graph.  ``value`` is that cut's crossing capacity summed
-    in edge order, as :func:`~qnetcap.network.cut_multi_edge_value` sums
-    it, so it can be re-added from the certificate bit for bit; the flow is
-    its witness.  Alice's net outflow under the flow differs from it only by
-    rounding: by at most ``len(net.edges) * 2**-52 * value`` on every
-    network the tests draw.
+    final residual graph.  ``value`` is that cut's crossing capacity,
+    correctly rounded as :func:`~qnetcap.network.cut_multi_edge_value` sums
+    it, so it can be re-added from the certificate bit for bit and does not
+    depend on the order of the edges; the flow is its witness.  Alice's net
+    outflow under the flow differs from it only by rounding: by at most
+    ``len(net.edges) * 2**-52 * value`` on every network the tests draw.
     """
 
     value: float
@@ -116,7 +116,7 @@ def max_flow(net: QNetwork) -> FlowReport:
         level = _bfs_levels(arcs, to, cap, alice)
 
     min_cut = make_cut(net, (name for name, lv in zip(names, level) if lv >= 0))
-    value = _finite_multi_edge_value(sum(map(net.capacities.__getitem__, min_cut.cut_set), 0.0))
+    value = _cut_sum(map(net.capacities.__getitem__, min_cut.cut_set))
 
     # An augmenting path crosses an edge at most once, so the pushes through
     # any edge total at most ``value`` and its drift stays within ulps of it.

@@ -230,21 +230,22 @@ _EVERY_CUT = "multi-path capacity is beyond float range: every alice/bob cut sum
 
 
 def cut_multi_edge_value(net: QNetwork, cut: Cut) -> float:
-    """Total capacity crossing the cut (the multi-edge cut value), summed in
-    cut-set order; ``0.0`` for an empty cut-set.  Raises
-    :class:`ValidationError` when the total is beyond float range."""
-    value = sum((edge_capacity(net, eid) for eid in cut.cut_set), 0.0)
-    return _finite_multi_edge_value(value, _ONE_CUT)
+    """Total capacity crossing the cut (the multi-edge cut value), correctly
+    rounded, so it does not depend on the order of the cut-set; ``0.0`` for
+    an empty cut-set.  Raises :class:`ValidationError` when the total is
+    beyond float range."""
+    return _cut_sum((edge_capacity(net, eid) for eid in cut.cut_set), _ONE_CUT)
 
 
-def _finite_multi_edge_value(value: float, message: str = _EVERY_CUT) -> float:
-    """One cut's multi-edge value, or the minimum over all cuts, checked:
-    ``inf`` means it sums beyond float range, and raises
-    :class:`ValidationError` with ``message``, as one channel's capacity past
-    it does."""
-    if value == math.inf:
-        raise ValidationError(message)
-    return value
+def _cut_sum(capacities, message: str = _EVERY_CUT) -> float:
+    """The correctly rounded sum of ``capacities``: the one definition of a
+    multi-edge cut value.  A sum beyond float range raises
+    :class:`ValidationError` with ``message``, as one channel's capacity
+    past it does."""
+    try:
+        return math.fsum(capacities)
+    except OverflowError:
+        raise ValidationError(message) from None
 
 
 def _bfs_levels(arcs, to, cap, source: int) -> list[int]:

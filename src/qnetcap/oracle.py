@@ -11,10 +11,11 @@ implementations and a direct check of the route/cut dualities themselves:
   edges as bits in ascending capacity order, a bipartition's largest
   crossing capacity is that of its mask's highest bit, so the single-path
   cut is the smallest mask in ascending-capacity bit order.
-  :func:`brute_multi_path_capacity` first approximates every bipartition's
-  total crossing capacity from per-point totals, one list step each, and
-  sums exactly, in edge order, only the bipartitions that a rounding bound
-  cannot rule out; its answer is the exhaustive minimum bit for bit.
+  :func:`brute_multi_path_capacity` scales the capacities to exact
+  integers and gets every bipartition's total crossing capacity exactly from
+  per-point totals, one list step each; only the minimum is rounded, so its
+  answer is the exhaustive minimum of the correctly rounded cut sums, bit
+  for bit.
 - The route side is an exhaustive depth-first search over the simple
   alice-bob routes, each point's ``(neighbour, edge id, capacity)`` triples
   taken in sorted order, with a bound: it drops any partial route no wider
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import add
 
-from .errors import NoRoute, TooLarge
-from .network import _ONE_CUT, Cut, QNetwork, Route, _finite_multi_edge_value, make_cut
+from .errors import NoRoute, TooLarge, ValidationError
+from .network import _EVERY_CUT, _ONE_CUT, Cut, QNetwork, Route, _cut_sum, make_cut
 
 #: Hard cap on |P|: 2^10 bipartitions of a few dozen edges, and a route
 #: search whose worst case grows like the count of simple routes.  The cap
@@ -51,7 +52,7 @@ class CutRecord:
 
     ``single_edge_value`` is the largest crossing capacity (None when the
     cut-set is empty, i.e. the bipartition already separates the graph), and
-    ``multi_edge_value`` the total crossing capacity.
+    ``multi_edge_value`` the total crossing capacity, correctly rounded.
     """
 
     cut: Cut
@@ -131,7 +132,7 @@ def enumerate_cuts(net: QNetwork) -> tuple[CutRecord, ...]:
                     cut_set=tuple(_selected(edge_ids, mask)),
                 ),
                 single_edge_value=max(crossing, default=None),
-                multi_edge_value=_finite_multi_edge_value(sum(crossing, 0.0), _ONE_CUT),
+                multi_edge_value=_cut_sum(crossing, _ONE_CUT),
             )
         )
     return tuple(records)
@@ -211,74 +212,51 @@ def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:
 def brute_multi_path_capacity(net: QNetwork) -> float:
     """Minimum over enumerated cuts of the total crossing capacity.
 
-    The answer is, bit for bit, the smallest edge-order float sum of a
-    crossing set over all 2^(|P|-2) bipartitions; 0.0 when alice and bob are
-    disconnected (some bipartition has an empty crossing set), matching the
-    0-flow convention of ``max_flow``.
+    The answer is, bit for bit, the smallest correctly rounded sum of a
+    crossing set over all 2^(|P|-2) bipartitions, whatever the order of the
+    edges; 0.0 when alice and bob are disconnected (some bipartition has an
+    empty crossing set), matching the 0-flow convention of ``max_flow``.
 
-    Method.  A side A holding alice is crossed by d(A) - 2 w(A) of capacity,
-    where d(A) sums its points' incident capacities and w(A) the capacities
-    of the edges inside A.  One pass over the edges gives each point's d,
-    the capacity w between each pair of points and the total T.  The
-    approximate values V_i then follow in :func:`_crossing_masks`' index
-    order by the same doubling: interior point k adds D_k[i] = d(p_k) -
-    2 W_k[i] to V_i, where W_k[i] is the capacity between p_k and alice's
-    side of bipartition i.  D_k doubles the same way, from d(p_k) -
-    2 w(p_k, alice) down by 2 w(p_k, p_j) for each earlier interior point
-    p_j on that side.  Only the bipartitions with V_i <= min V + tol get an
-    exact edge-order sum S_i.
-
-    Bound.  Let u = 2^-53, n = |P| - 2, m = |E|, C_i the real cut value and
-    g_j = j u / (1 - j u).  Capacities are non-negative, so
-    - B = g_m T bounds |S_i - C_i|: a sum of at most m terms, all <= T;
-    - A = (4 g_m + 3 n u) T bounds |V_i - C_i|: each d and w sums at most
-      m capacities, and on one side the d's add up to <= 2T and the doubled
-      w's to <= 2T; each D_k[i] takes <= n roundings of values in
-      [-d(p_k), d(p_k)], <= 2 n u T on one side; and each of the <= n
-      steps V + D rounds once on a value <= T.
-    If S_j is the minimum, V_j <= S_j + A + B and every V_i >= S_i - A - B
-    >= S_j - A - B, so V_j - min V <= 2 (A + B), about (10 m + 6 n) u T.
-    tol = 32 (|P| + |E|) ulp(T) >= 32 (|P| + |E|) u T covers that, the
-    second-order terms and the rounding of min V + tol, and is itself exact
-    (a power of two times an integer).  A bipartition left out has
-    S_i >= V_i - A - B > min V + tol - A - B >= S_j.
-
-    Range.  No intermediate exceeds 2T, and every capacity is finite, but T
-    need not be: should 4T overflow, no V_i is trusted and every bipartition
-    is summed exactly, so a minimum cut inside float range is still found
-    exactly.  A minimum that reads ``inf`` (every cut beyond float range)
-    raises :class:`ValidationError`, as in ``max_flow``.
+    Method.  Every finite float is an integer over a power of two, so
+    scaling the capacities by the largest of their denominators makes each
+    an exact int, and every total below is exact.  A side A holding alice is
+    crossed by d(A) - 2 w(A) of capacity, where d(A) sums its points'
+    incident capacities and w(A) the capacities of the edges inside A.  One
+    pass over the edges gives each point's d and the capacity w between
+    each pair of points.  The values V_i then follow in
+    :func:`_crossing_masks`' index order by doubling: interior point k adds
+    D_k[i] = d(p_k) - 2 W_k[i] to V_i, where W_k[i] is the capacity between
+    p_k and alice's side of bipartition i.  D_k doubles the same way, from
+    d(p_k) - 2 w(p_k, alice) down by 2 w(p_k, p_j) for each earlier
+    interior point p_j on that side.  Rounding is monotone, so the smallest
+    correctly rounded cut sum is min V divided by the scale, which int true
+    division rounds once, correctly.  A minimum beyond float range (every
+    cut sums past it) raises :class:`ValidationError`, as in ``max_flow``.
     """
     _check_size(net)
-    caps = list(net.capacities.values())
+    ratios = [cap.as_integer_ratio() for cap in net.capacities.values()]
+    # Every denominator is a power of two, so each divides the largest.
+    scale = max((den for _, den in ratios), default=1)
     interior = _interior(net)
     # Slot 0 is alice and slot k > 0 the interior point of bit k - 1; bob's
     # slot, the last, is never read.
     slot = {point: k for k, point in enumerate([net.alice, *interior, net.bob])}
-    degree = [0.0] * len(slot)
-    between = [[0.0] * len(slot) for _ in slot]
-    for edge, cap in zip(net.edges, caps):
+    degree = [0] * len(slot)
+    between = [[0] * len(slot) for _ in slot]
+    for edge, (num, den) in zip(net.edges, ratios):
+        cap = num * (scale // den)
         ku, kv = slot[edge.u], slot[edge.v]
         degree[ku] += cap
         degree[kv] += cap
         between[ku][kv] += cap
         between[kv][ku] += cap
-    approx = [degree[0]]
+    values = [degree[0]]
     for k in range(1, len(slot) - 1):
-        step = [degree[k] - 2.0 * between[k][0]]
-        for w2 in [2.0 * w for w in between[k][1:k]]:
+        step = [degree[k] - 2 * between[k][0]]
+        for w2 in [2 * w for w in between[k][1:k]]:
             step += [v - w2 for v in step] if w2 else step
-        approx += list(map(add, approx, step))
-
-    total = sum(caps, 0.0)
-    if math.isfinite(4.0 * total):
-        bound = min(approx) + 32 * (len(net.points) + len(caps)) * math.ulp(total)
-        candidates = [index for index, v in enumerate(approx) if v <= bound]
-    else:
-        candidates = range(len(approx))
-    sides = ({net.alice, *_selected(interior, index)} for index in candidates)
-    value = min(
-        sum(compress(caps, [(e.u in side) != (e.v in side) for e in net.edges]), 0.0)
-        for side in sides
-    )
-    return _finite_multi_edge_value(value)
+        values += list(map(add, values, step))
+    try:
+        return min(values) / scale
+    except OverflowError:
+        raise ValidationError(_EVERY_CUT) from None

@@ -139,7 +139,8 @@ def test_route_answers_do_not_depend_on_declaration_order(net, seed):
         route_answer(widest_path(net)),
         route_answer(tree_route_capacity(net, max_spanning_tree(net))),
     ]
-    flow = repr(max_flow(net))
+    report = max_flow(net)
+    flow, value = repr(report), repr(report.value)
     for _ in range(3):
         points, edges = list(net.points), list(net.edges)
         rng.shuffle(points)
@@ -150,3 +151,14 @@ def test_route_answers_do_not_depend_on_declaration_order(net, seed):
             route_answer(widest_path(shuffled)),
             route_answer(tree_route_capacity(shuffled, max_spanning_tree(shuffled))),
         ] == expected
+        # The flow and its cut may change with the edge order; the value may not.
+        assert repr(max_flow(shuffled).value) == value
+    # New names that sort in the reverse order of the old ones.
+    names = {p: f"r{len(net.points) - i:03d}" for i, p in enumerate(sorted(net.points))}
+    relabelled = build_network(
+        [names[p] for p in shuffled.points],
+        [(e.edge_id, names[e.u], names[e.v], e.channel) for e in shuffled.edges],
+        names[net.alice],
+        names[net.bob],
+    )
+    assert repr(max_flow(relabelled).value) == value
