@@ -57,30 +57,34 @@ def equidistant_lossy_capacity(eta_total: float, n_repeaters: int) -> float:
     n_repeaters = _require_int("n_repeaters", n_repeaters, 0)
     if n_repeaters == 0:
         return _pure_loss(eta_total)
-    return _link_capacity(math.log(eta_total), n_repeaters + 1)
+    return _link_capacities([math.log(eta_total)], n_repeaters + 1)[0]
 
 
-def _link_capacity(log_eta: float, links: int) -> float:
-    """-log2(1 - root) of one of ``links`` equal links, root = eta**(1/links) < 1.
+def _link_capacities(log_etas, links: int) -> list[float]:
+    """-log2(1 - root) of one of ``links`` equal links, root = eta**(1/links) < 1, per line.
 
-    ``log_eta`` is ln(eta).  The CSV commands call this for each N >= 1 with
-    ``links = N + 1``, so :func:`equidistant_lossy_capacity` and the CSV
-    cells share one formula.  ``links`` may be an int beyond float range.
+    ``log_etas`` holds ln(eta) of each line.  :func:`equidistant_lossy_capacity`
+    passes one value, and the CSV commands a chunk's column for each N >= 1
+    with ``links = N + 1``, so the library and the CSV cells share one
+    formula.  ``links`` may be an int beyond float range.  The column is one
+    comprehension, with no list of roots built on the way.
     """
-    try:
-        log_root = log_eta / links
-    except OverflowError:  # links is beyond float range: ln(root) rounds to -0
-        log_root = -0.0
-    if log_root < -_LN2:
+    # log_eta / float(links) is log_eta / links, bit for bit.  From 2**1023
+    # links on (also past float range), |ln(root)| <= 745 / 2**1023 takes
+    # the last branch, which reads ``links`` itself.
+    scale = float(min(links, 2**1023))
+    return [
         # A root below 1/2: log1p keeps the digits 1 - root rounds away.
-        return _pure_loss(math.exp(log_root))
-    if log_root > -(2.0**-50):
+        _pure_loss(math.exp(log_root)) if log_root < -_LN2
+        # 1 - eta**(1/(N+1)) via expm1 keeps precision when the root nears 1.
+        else -math.log2(-math.expm1(log_root)) if log_root <= -(2.0**-50)
         # x = -ln(root) = |ln eta| / links < 2**-50, where 1 - root = x to
         # first order but x may be subnormal or not a float at all: -log2(x),
         # to an ulp, from the logs of its two factors.
-        return math.log2(links) - math.log2(-log_eta)
-    # 1 - eta**(1/(N+1)) via expm1 keeps precision when the root nears 1.
-    return -math.log2(-math.expm1(log_root))
+        else math.log2(links) - math.log2(-log_eta)
+        for log_eta in log_etas
+        for log_root in (log_eta / scale,)
+    ]
 
 
 def max_link_loss_for_rate(target_bits: float) -> float:

@@ -222,14 +222,23 @@ def _check_dephasing(spec: ChannelSpec):
 _SAFE_BANDS = 10**306
 
 
-def _multiband(spec: ChannelSpec) -> float:
-    return spec.bands * _pure_loss(spec.eta)
+def _multiband_capacities(bands: int, etas, points) -> list[float]:
+    """-bands log2(1 - eta) for each eta, given each eta's ``point = _pure_loss(eta)``.
+
+    The one multiband formula: ``capacity(multiband_lossy(eta, bands))``
+    passes one eta, and the CSV commands a chunk's column.  Below
+    eta = 2**-53, -log2(1 - eta) is eta / ln 2 to the last bit, so the
+    capacity is formed as ``bands * eta / ln 2``: a subnormal point's few
+    digits are not scaled up.  A band count beyond float range raises
+    OverflowError.
+    """
+    return [bands * eta / _LN2 if eta < 2.0**-53 else bands * point for eta, point in zip(etas, points)]
 
 
 def _check_multiband(spec: ChannelSpec):
     if spec.bands > _SAFE_BANDS:
         try:
-            finite = math.isfinite(_multiband(spec))
+            finite = math.isfinite(capacity(spec))
         except OverflowError:  # the band count itself is beyond float range
             finite = False
         if not finite:
@@ -283,7 +292,7 @@ KINDS = {
         ChannelKind(
             MULTIBAND_LOSSY,
             (_ETA, Param("bands", int, partial(_require_int, minimum=1))),
-            _multiband,
+            lambda s: _multiband_capacities(s.bands, (s.eta,), (_pure_loss(s.eta),))[0],
             check=_check_multiband,
         ),
     )

@@ -1,12 +1,13 @@
 """Command-line surface: qnetcap {channel|chain|network|sweep|compare-multiband}.
 
 The CLI performs no capacity arithmetic of its own.  Every printed capacity
-is a library value; the CSV commands check each grid row once, then build
-each capacity column in one pass of the library's formula over the rows'
-transmissivities and zip the columns into rows.  A capacity is printed with
-one format spec (9 decimal places), shared by :func:`format_bits` and the
-CSV row template; the CSV grid columns (loss, distance) carry 12
-significant digits.  Output uses '.' separators and LF line endings, so
+is a library value; the CSV commands check a chunk's grid rows at once
+(row by row only where a row may fail), then build each capacity column
+in one pass of a library column kernel over the rows' transmissivities
+and zip the columns into rows.  A capacity is printed with one format
+spec (9 decimal places), shared by :func:`format_bits` and the CSV row
+template; the CSV grid columns (loss, distance) carry 12 significant
+digits.  Output uses '.' separators and LF line endings, so
 cells and lines are re-derivable bit-for-bit.
 
 The CSV commands make their text in chunks of the loss grid, all of it
@@ -35,10 +36,10 @@ import os
 import signal
 import sys
 import threading
-from itertools import product, repeat
+from itertools import product
 
 from . import channels
-from .chains import _link_capacity, chain_capacity
+from .chains import _link_capacities, chain_capacity
 from .channels import FIBER_DB_PER_KM
 from .errors import InvalidParameter, NoRoute, QnetcapError, ValidationError
 from .multi_path import max_flow
@@ -183,34 +184,35 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
 def _capacities(losses, bands, repeater_counts):
     """The cell columns of the rows at ``losses``: multiband, then equidistant-repeater.
 
-    The caller checks the counts once.  Each row's loss is converted and
-    checked before the next row's, as the library call of its first cell
-    checks it: eta in (0, 1), then each band count above ``_SAFE_BANDS``.
-    A row at eta >= 1 reads inf and is not checked, and without cells no
-    row is.  Each column is then one pass of a library kernel over the
-    checked eta values, equal cell by cell to the library call:
-    ``m * point`` as in ``capacity(multiband_lossy(eta, m))``, with
-    ``point = _pure_loss(eta)``, and ``point`` at N = 0 or
-    ``_link_capacity(log(eta), N + 1)`` as in
+    The caller checks the counts once.  Without cells no loss is converted;
+    otherwise the chunk's losses are converted in one pass.  A row at
+    eta >= 1 reads inf and is not checked.  Any other eta is a float below
+    1, so it passes its row's first library check, eta in (0, 1), unless it
+    underflowed to 0.0 (beyond ~3,237 dB): ``0.0 in etas`` checks all of
+    them at once.  A chunk holding a 0.0, or any chunk when a band count is
+    above ``_SAFE_BANDS``, is checked row by row in order, as the library
+    calls check it (eta in (0, 1), then each such band count), so the first
+    failing row raises the library's error.  Each column is then one pass
+    of a library kernel over the eta values, equal cell by cell to the
+    library call: ``_multiband_capacities`` as in
+    ``capacity(multiband_lossy(eta, m))``; ``point = _pure_loss(eta)`` at
+    N = 0 and ``_link_capacities`` of ln(eta) with N + 1 links as in
     ``equidistant_lossy_capacity(eta, N)``.
     """
+    etas = list(map(channels.db_to_transmissivity, losses)) if bands or repeater_counts else []
+    unit = [i for i, eta in enumerate(etas) if eta >= 1.0]  # zero loss: the bound diverges
+    etas = [eta for eta in etas if eta < 1.0] if unit else etas
     huge_bands = [m for m in bands if m > channels._SAFE_BANDS]
-    etas, unit = [], []
-    # Row by row: a row's grid value, then its first cell's checks, fail
-    # before the next row's.  eta underflows to 0.0 beyond ~3,237 dB:
-    # multiband_lossy names eta, the repeater chain eta_total.
-    for i, eta in enumerate(map(channels.db_to_transmissivity, losses)):
-        if eta >= 1.0:  # zero loss: the bound diverges
-            unit.append(i)
-        elif bands or repeater_counts:  # without cells no row is checked
+    if huge_bands or 0.0 in etas:
+        # multiband_lossy names eta, the repeater chain eta_total.
+        for eta in etas:
             channels._open_unit("eta" if bands else "eta_total", eta)
             for m in huge_bands:  # the spec rejects a capacity beyond float range
                 channels.multiband_lossy(eta, m)
-            etas.append(eta)
     points, log_etas = list(map(channels._pure_loss, etas)), list(map(math.log, etas))
-    columns = [[m * point for point in points] for m in bands]
+    columns = [channels._multiband_capacities(m, etas, points) for m in bands]
     # Every column is a list of its own, a copy of points at N = 0: inf is inserted in place.
-    columns += [list(map(_link_capacity, log_etas, repeat(n + 1))) if n else points[:] for n in repeater_counts]
+    columns += [_link_capacities(log_etas, n + 1) if n else points[:] for n in repeater_counts]
     for column, i in product(columns, unit):  # i ascending: each inf lands at its own row
         column.insert(i, math.inf)
     return columns

@@ -55,8 +55,8 @@ class FlowReport:
     min_cut: Cut
 
 
-def _blocking_flow(arcs, to, cap, flow, level, ptr, source: int, sink: int) -> float:
-    """Push flow along one source-sink path of the level graph; 0.0 if none.
+def _blocking_flow(arcs, to, cap, flow, level, ptr, source: int, sink: int) -> int:
+    """Push flow along one source-sink path of the level graph; return its last arc, -1 if none.
 
     Depth-first with an explicit stack, so path length is not bounded by the
     recursion limit.  ``ptr[p]`` is the next arc to try at ``p``; it moves
@@ -78,7 +78,7 @@ def _blocking_flow(arcs, to, cap, flow, level, ptr, source: int, sink: int) -> f
         else:
             ptr[point] = len(out)
             if not path:
-                return 0.0
+                return -1
             point = to[path.pop() ^ 1]  # back to the arc's tail
             ptr[point] += 1
     pushed = min(cap[idx] for idx in path)
@@ -86,7 +86,7 @@ def _blocking_flow(arcs, to, cap, flow, level, ptr, source: int, sink: int) -> f
         cap[idx] -= pushed
         cap[idx ^ 1] += pushed
         flow[idx >> 1] += -pushed if idx & 1 else pushed
-    return pushed
+    return path[-1]
 
 
 def max_flow(net: QNetwork) -> FlowReport:
@@ -98,6 +98,7 @@ def max_flow(net: QNetwork) -> FlowReport:
     The min cut comes from the last level search, the one that no longer
     reaches bob: the points it reached are those still reachable in the
     residual graph, which form the alice side of a minimum cut (Dinic 1970).
+    Once every arc into bob is saturated, no further path is searched for.
 
     Raises :class:`ValidationError` when the value is beyond float range.
     """
@@ -108,11 +109,15 @@ def max_flow(net: QNetwork) -> FlowReport:
     cap = list(chain.from_iterable(zip(caps, caps)))
     flow = [0.0] * len(caps)
 
+    # Bob's in-arcs with residual capacity.  No path leaves bob, so a
+    # saturated one stays saturated; once none is left, no phase's search
+    # for a path that cannot exist runs.
+    open_in = sum(cap[idx ^ 1] > 0.0 for idx in arcs[index.bob])
     level = _bfs_levels(arcs, to, cap, alice)
     while level[index.bob] >= 0:
         ptr = [0] * len(arcs)
-        while _blocking_flow(arcs, to, cap, flow, level, ptr, alice, index.bob) > 0.0:
-            pass
+        while open_in and (last := _blocking_flow(arcs, to, cap, flow, level, ptr, alice, index.bob)) >= 0:
+            open_in -= cap[last] == 0.0
         level = _bfs_levels(arcs, to, cap, alice)
 
     min_cut = make_cut(net, (name for name, lv in zip(names, level) if lv >= 0))

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from decimal import Decimal
 
@@ -162,6 +163,21 @@ class TestEquidistant:
         # float from ~1.8e308; the answer grows like log2(N) throughout.
         expected = float(hp_equidistant_eta(eta, n))
         assert math.isclose(equidistant_lossy_capacity(eta, n), expected, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("links", [2, 3, 101, 1001, 10**400], ids=["2", "3", "101", "1001", "1e400"])
+    def test_column_kernel_is_the_library_call_cell_by_cell(self, links):
+        rng = random.Random(links)
+        etas = [5e-324, 0.5, 1.0 - 2.0**-53]
+        # log-uniform over (0, 1), from the subnormals up, and in 1 - eta
+        etas += [10.0 ** rng.uniform(-323.9, -1e-3) for _ in range(300)]
+        etas += [1.0 - 10.0 ** rng.uniform(-15.9, -1.0) for _ in range(100)]
+        rng.shuffle(etas)
+        column = chains._link_capacities([math.log(eta) for eta in etas], links)
+        assert column == [equidistant_lossy_capacity(eta, links - 1) for eta in etas]
+        if links < 2**1023:  # the column mixes the kernel's three branches
+            log_roots = [math.log(eta) / links for eta in etas]
+            branches = {(r < -math.log(2.0), r > -(2.0**-50)) for r in log_roots}
+            assert branches == {(True, False), (False, False), (False, True)}
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):

@@ -163,12 +163,13 @@ class TestCapacityValues:
     # the uniform distribution (2.6e-3 relative error at p = 0.5 +- 1e-7, and
     # 0.0 for a true 2.9e-20 at 0.5 +- 1e-10), so it would fail one.
 
-    @pytest.mark.xfail(strict=True, reason="m * point keeps only the few digits of a subnormal point")
     def test_multiband_exact_where_one_band_is_subnormal(self):
         # One band of eta = 1e-320 carries ~1.4e-320 bits, a subnormal of 12
-        # significant bits; 10**300 bands keep its rounding (5e-6 here).
+        # significant bits; 10**300 bands would keep its rounding (5e-6
+        # here), so the capacity is formed as bands * eta / ln 2.
         eta, bands = 1e-320, 10**300
         assert agrees(capacity(multiband_lossy(eta, bands)), bands * hp_equidistant_eta(eta, 0))
+        assert capacity(multiband_lossy(eta, bands)) == 1.442678979628629e-20
 
 
 class TestEntropies:

@@ -33,7 +33,7 @@ from qnetcap import (
     parse_network,
     serialize_network,
 )
-from qnetcap import cli
+from qnetcap import channels, cli
 from qnetcap.cli import (
     compare_rows,
     db_grid,
@@ -680,6 +680,36 @@ class TestCsvErrorPaths:
         assert capsys.readouterr() == ("", "error: eta=0.0: must lie strictly inside (0, 1)\n")
 
     @pytest.mark.parametrize(
+        "argv, checked, err",
+        [
+            # 3,000-3,200 dB pass, 3,300 dB underflows: the fourth row fails.
+            (["sweep", *UNDERFLOW_GRID, "--repeaters", "0,1"], 4,
+             "error: eta_total=0.0: must lie strictly inside (0, 1)\n"),
+            # 10**307 bands fit from 10 dB: all 11 rows pass.
+            (["compare-multiband", "--start", "10", "--stop", "20", "--step", "1",
+              "--bands", "1" + "0" * 307, "--repeaters", "1"], 11, ""),
+            # ... but not at 1e-5 dB, the first row.
+            (["compare-multiband", "--start", "1e-5", "--stop", "4000", "--step", "1",
+              "--bands", "1" + "0" * 307, "--repeaters", "1"], 1,
+             f"error: bands={10**307}: too many bands for a float capacity\n"),
+        ],
+        ids=["underflow", "huge-bands-pass", "huge-bands-fail"],
+    )
+    def test_rows_are_checked_one_by_one_where_one_may_fail(self, capsys, monkeypatch, argv, checked, err):
+        # A chunk holding an eta of 0.0, or a band count above _SAFE_BANDS,
+        # is checked row by row, so its first failing row raises its error.
+        open_unit, calls = channels._open_unit, []
+
+        def counted(*args):
+            calls.append(args)
+            return open_unit(*args)
+
+        monkeypatch.setattr(channels, "_open_unit", counted)
+        force_cpus(monkeypatch, 1)
+        assert main([*argv, "--out", "-"]) == (2 if err else 0)
+        assert (len(calls), capsys.readouterr().err) == (checked, err)
+
+    @pytest.mark.parametrize(
         "command, cells",
         [("sweep", ["--repeaters", "0"]), ("compare-multiband", ["--bands", "1", "--repeaters="])],
         ids=["sweep", "compare-multiband"],
@@ -729,6 +759,19 @@ class TestBenchmarkGrid:
         argv, digest = BENCHMARK_CSVS[name]
         out = tmp_path / f"{name}.csv"
         assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", BENCHMARK_CSVS)
+    def test_rows_are_checked_at_once(self, tmp_path, monkeypatch, name):
+        # db_grid has checked every loss, and each eta < 1 is a float: every
+        # row passes the eta check unless its eta is 0.0, so none is checked alone.
+        calls = []
+        monkeypatch.setattr(channels, "_open_unit", lambda *args: calls.append(args))
+        force_cpus(monkeypatch, 1)
+        argv, digest = BENCHMARK_CSVS[name]
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert calls == []
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_every_cell_is_the_library_value(self):

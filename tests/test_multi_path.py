@@ -199,20 +199,21 @@ class TestFloatRange:
         # Dinic's counts are combinatorial: each augmentation leaves an arc
         # of the level graph at exactly 0.0, so a phase takes at most |E| of
         # them, and at most |P| - 1 phases reach bob.
-        pushes = []
+        arcs = []
         blocking_flow = multi_path._blocking_flow
 
         def counted(*args):
-            pushes.append(blocking_flow(*args))
-            return pushes[-1]
+            arcs.append(blocking_flow(*args))
+            return arcs[-1]
 
         monkeypatch.setattr(multi_path, "_blocking_flow", counted)
         rng = random.Random(20261019)
         for _ in range(300):
             net = random_connected_network(rng, 3, 9, channel=wide_span_channel)
-            pushes.clear()
+            arcs.clear()
             report = max_flow(net)
-            assert sum(p > 0.0 for p in pushes) <= (len(net.points) - 1) * len(net.edges)
+            # A call that pushes returns the arc it used into bob, else -1.
+            assert sum(arc >= 0 for arc in arcs) <= (len(net.points) - 1) * len(net.edges)
             assert cut_multi_edge_value(net, report.min_cut) == report.value
             assert report.value == brute_multi_path_capacity(net)
 

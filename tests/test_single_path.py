@@ -25,6 +25,7 @@ from qnetcap import (
     tree_route_capacity,
     widest_path,
 )
+from qnetcap import multi_path
 
 
 def lossy_for_bits(bits):
@@ -205,6 +206,24 @@ class TestLinearWork:
         assert flow.min_cut.cut_set == ("access",)
         assert flow.value == widest_path(net).capacity
         assert visits.total() <= 10 * (len(net.points) + len(net.edges))
+
+    @pytest.mark.parametrize("side", [30, 95])
+    def test_max_flow_stops_once_bob_is_cut_off(self, monkeypatch, side):
+        # The first path saturates the access span, bob's only in-arc: no
+        # search for a path that cannot exist runs, in that phase or after.
+        arcs = []
+        blocking_flow = multi_path._blocking_flow
+
+        def counted(*args):
+            arcs.append(blocking_flow(*args))
+            return arcs[-1]
+
+        monkeypatch.setattr(multi_path, "_blocking_flow", counted)
+        net = grid_behind_access_span(side, random.Random(side))
+        flow = max_flow(net)
+        assert len(arcs) == 1 and arcs[0] >= 0
+        assert flow.min_cut.cut_set == ("access",)
+        assert flow.value == edge_capacity(net, "access")
 
     @pytest.mark.parametrize("side", [30, 95])
     def test_solvers_and_cuts_share_one_index(self, side):
