@@ -57,10 +57,8 @@ from .network import (
 )
 from .oracle import (
     BruteForceSinglePath,
-    CutRecord,
     brute_multi_path_capacity,
     brute_single_path_capacity,
-    enumerate_cuts,
 )
 from .single_path import (
     RouteReport,

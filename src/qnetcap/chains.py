@@ -174,7 +174,7 @@ def asymptotic_loss_dominant(eta_total: float, n_repeaters: int) -> float:
     eta_total = _open_unit("eta_total", eta_total)
     n_repeaters = _require_int("n_repeaters", n_repeaters, 0)
     # int / int rounds once, also when N + 1 is beyond float range.
-    return eta_total ** (1 / (n_repeaters + 1)) / math.log(2.0)
+    return eta_total ** (1 / (n_repeaters + 1)) / _LN2
 
 
 def multiband_chain_capacity(links: Sequence[tuple[float, int]]) -> float:

@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
 from operator import add
 
 from .errors import NoRoute, TooLarge, ValidationError
-from .network import _EVERY_CUT, _ONE_CUT, Cut, QNetwork, Route, _cut_sum, make_cut
+from .network import _EVERY_CUT, Cut, QNetwork, Route, make_cut
 
 #: Hard cap on |P|: 2^10 bipartitions of a few dozen edges, and a route
 #: search whose worst case grows like the count of simple routes.  The cap
@@ -44,20 +43,6 @@ def _check_size(net: QNetwork):
         raise TooLarge(
             f"{len(net.points)} points exceeds the brute-force cap of {MAX_POINTS}"
         )
-
-
-@dataclass(frozen=True)
-class CutRecord:
-    """One enumerated cut with both of its values.
-
-    ``single_edge_value`` is the largest crossing capacity (None when the
-    cut-set is empty, i.e. the bipartition already separates the graph), and
-    ``multi_edge_value`` the total crossing capacity, correctly rounded.
-    """
-
-    cut: Cut
-    single_edge_value: float | None
-    multi_edge_value: float
 
 
 @dataclass(frozen=True)
@@ -99,45 +84,6 @@ def _crossing_masks(net: QNetwork, edges) -> list[int]:
     return masks
 
 
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _selected(items, mask: int):
-    """The items at the set bits of ``mask`` (bit i selects ``items[i]``), in order."""
-    return compress(items, format(mask, "b")[::-1].encode().translate(_BIT_FLAGS))
-
-
-def enumerate_cuts(net: QNetwork) -> tuple[CutRecord, ...]:
-    """Every alice/bob bipartition with its single- and multi-edge values.
-
-    One :class:`CutRecord` per bipartition, in bipartition order: record m
-    puts the k-th interior point on alice's side iff bit k of m is set.
-    Raises :class:`ValidationError` if any cut's multi-edge value is beyond
-    float range, as :func:`~qnetcap.network.cut_multi_edge_value` does.
-    """
-    _check_size(net)
-    caps = list(net.capacities.values())
-    edge_ids = [e.edge_id for e in net.edges]
-    interior = _interior(net)
-    ordered = sorted(net.points)
-    records = []
-    for index, mask in enumerate(_crossing_masks(net, net.edges)):
-        side_a = {net.alice, *_selected(interior, index)}
-        crossing = list(_selected(caps, mask))
-        records.append(
-            CutRecord(
-                cut=Cut(
-                    side_a=tuple(p for p in ordered if p in side_a),
-                    side_b=tuple(p for p in ordered if p not in side_a),
-                    cut_set=tuple(_selected(edge_ids, mask)),
-                ),
-                single_edge_value=max(crossing, default=None),
-                multi_edge_value=_cut_sum(crossing, _ONE_CUT),
-            )
-        )
-    return tuple(records)
-
-
 def _sorted_adjacency(net: QNetwork) -> dict[str, list[tuple[str, str, float]]]:
     """Each point's ``(neighbour, edge id, capacity)`` triples, sorted: the
     route order (edge ids are unique, so capacities never decide it).
@@ -161,8 +107,8 @@ def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:
     ``best_route`` is, of the simple alice-bob routes with the largest
     bottleneck, the first in lexicographic depth-first order over sorted
     ``(neighbour, edge id)`` pairs (parallel edges are distinct routes), and
-    ``min_cut`` the first bipartition of :func:`enumerate_cuts` with the
-    smallest largest crossing capacity.
+    ``min_cut`` the first bipartition in :func:`_crossing_masks`' order with
+    the smallest largest crossing capacity.
     """
     _check_size(net)
     alice, bob = net.alice, net.bob
@@ -205,7 +151,7 @@ def brute_single_path_capacity(net: QNetwork) -> BruteForceSinglePath:
         route_value=route_value,
         cut_value=cut_value,
         best_route=Route(*best),
-        min_cut=make_cut(net, [alice, *_selected(_interior(net), winner)]),
+        min_cut=make_cut(net, [alice, *(p for k, p in enumerate(_interior(net)) if winner >> k & 1)]),
     )
 
 

@@ -3,28 +3,34 @@
 The random suite is the referee corpus for the duality and cross-algorithm
 checks: connected networks with 3..8 points, mixed channel kinds, occasional
 parallel edges, all drawn from one fixed seed so every run sees the same
-networks.
+networks.  :func:`enumerate_cuts` is the plain cut enumeration the oracle
+and the solvers are checked against.
 """
 
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
 
 import qnetcap
 from qnetcap import (
+    Cut,
     Edge,
     QNetwork,
+    TooLarge,
     amplifier,
     dephasing,
     erasure,
     is_connected,
     lossy,
     multiband_lossy,
+    oracle,
 )
 
 SUITE_SEED = 20250808
@@ -84,6 +90,45 @@ def path_network(specs):
         (f"e{i}", names[i], names[i + 1], spec) for i, spec in enumerate(specs)
     ]
     return build_network(names, edges)
+
+
+@dataclass(frozen=True)
+class CutRecord:
+    """One bipartition's cut with both of its values.
+
+    ``single_edge_value`` is the largest crossing capacity (None when the
+    crossing set is empty) and ``multi_edge_value`` the correctly rounded
+    crossing sum.
+    """
+
+    cut: Cut
+    single_edge_value: float | None
+    multi_edge_value: float
+
+
+def enumerate_cuts(net):
+    """Every alice/bob bipartition of ``net``, the plain way, with no mask,
+    no oracle helper and no ``make_cut``.
+
+    Record m puts the k-th interior point on alice's side iff bit k of m is
+    set.  An edge crosses iff exactly one of its ends is on alice's side.
+    """
+    if len(net.points) > oracle.MAX_POINTS:
+        raise TooLarge(f"{len(net.points)} points exceeds the enumeration cap of {oracle.MAX_POINTS}")
+    interior = [p for p in net.points if p not in (net.alice, net.bob)]
+    ordered = sorted(net.points)
+    records = []
+    for m in range(2 ** len(interior)):
+        side_a = {net.alice, *(p for k, p in enumerate(interior) if m >> k & 1)}
+        crossing = [e for e in net.edges if (e.u in side_a) != (e.v in side_a)]
+        caps = [net.capacities[e.edge_id] for e in crossing]
+        cut = Cut(
+            side_a=tuple(p for p in ordered if p in side_a),
+            side_b=tuple(p for p in ordered if p not in side_a),
+            cut_set=tuple(e.edge_id for e in crossing),
+        )
+        records.append(CutRecord(cut, max(caps, default=None), math.fsum(caps)))
+    return tuple(records)
 
 
 def random_channel(rng):

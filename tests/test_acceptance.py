@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import build_network, diamond, random_channel
+from conftest import build_network, diamond, enumerate_cuts, random_channel
 from highprec import hp_equidistant
 from qnetcap import (
     amplifier,
@@ -25,7 +25,6 @@ from qnetcap import (
     db_to_transmissivity,
     dephasing,
     edge_capacity,
-    enumerate_cuts,
     equidistant_lossy_capacity,
     erasure,
     is_connected,

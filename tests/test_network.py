@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DUPLICATE_KEY_DOCS, build_network, diamond, stdout_under_hash_seed
+from conftest import DUPLICATE_KEY_DOCS, build_network, diamond, enumerate_cuts, stdout_under_hash_seed
 from qnetcap import (
     Edge,
     NoRoute,
@@ -28,7 +28,6 @@ from qnetcap import (
     cut_single_edge_value,
     dephasing,
     edge_capacity,
-    enumerate_cuts,
     erasure,
     is_connected,
     lossy,

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: Most code lines ``src/`` may hold (see :func:`code_lines`).  A change that
 #: adds a capability may raise it, and says why in CHANGES.md.
-SRC_CODE_LINES_CEILING = 1189
+SRC_CODE_LINES_CEILING = 1155
 
 PUBLIC = [
     "BruteForceSinglePath",
@@ -23,7 +23,6 @@ PUBLIC = [
     "ChainCapacity",
     "ChannelSpec",
     "Cut",
-    "CutRecord",
     "Edge",
     "FlowReport",
     "InvalidParameter",
@@ -49,7 +48,6 @@ PUBLIC = [
     "db_to_transmissivity",
     "dephasing",
     "edge_capacity",
-    "enumerate_cuts",
     "equidistant_lossy_capacity",
     "erasure",
     "fiber_transmissivity",
