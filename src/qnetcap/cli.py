@@ -13,8 +13,10 @@ cells and lines are re-derivable bit-for-bit.
 The CSV commands make their text in chunks of the loss grid, all of it
 before the output file opens.  A grid of at least two chunks is shared
 between the CPUs the process may use, one forked child per CPU after the
-first; the output, every error and "no file on failure" are those of one
-process.
+first.  Each child hands its run's text back whole: it writes it into a
+memory file of its own and exits, and the parent reads the file once the
+child is reaped.  The output, every error and "no file on failure" are
+those of one process.
 
 :func:`main` runs each command with the cyclic garbage collector paused,
 from argument parsing to the last write, and hands the caller's setting
@@ -261,25 +263,6 @@ def _chunk_texts(run, chunk_text) -> list[str]:
     return [chunk_text(run[i:i + _CHUNK_ROWS]) for i in range(0, len(run), _CHUNK_ROWS)]
 
 
-def _send(run, chunk_text, read_ends, out):
-    """In a forked child: send the text of ``run`` down ``out`` and exit 0, or exit 1.
-
-    The child closes every read end it inherited, so once the parent is gone
-    a write fails instead of blocking.  All of the text is made before the
-    first write: a full pipe blocks the child until the parent reads it.
-    ``os._exit`` runs none of the parent's clean-up and flushes none of its
-    buffers.
-    """
-    try:
-        for pipe in read_ends:
-            pipe.close()
-        out.writelines([text.encode() for text in _chunk_texts(run, chunk_text)])
-        out.flush()
-        os._exit(0)
-    finally:
-        os._exit(1)
-
-
 def _grid_text(losses, chunk_text) -> list[str]:
     """The text of every row of ``losses``, in order, one string per part.
 
@@ -287,36 +270,44 @@ def _grid_text(losses, chunk_text) -> list[str]:
     as the CPUs the process may use, at most one per chunk.  A fork copies
     only the calling thread, and an ignored SIGCHLD reaps a child before its
     exit status can be read, so a process running other threads or ignoring
-    SIGCHLD (or one without CPU affinity masks) stays one process.  Each run
-    after the first is made by a forked child that sends its text through a
-    pipe; the parent makes the first, then reads the others in order.  A run
-    whose child did not exit 0 is made again here, so a failing row raises
-    the error it raises in-process.  Every child is reaped before this
-    returns or raises.
+    SIGCHLD (or one without CPU affinity masks or memory files) stays one
+    process.  Each run after the first is made by a forked child that writes
+    its text into its own memory file (``os.memfd_create``, made before the
+    fork) and exits; the parent makes the first run, then reaps each child
+    in order and reads its file from the start.  A file is no pipe: it never
+    fills, so a child writes without waiting on the parent, and the parent
+    reads only a finished run.  A run whose child did not exit 0 is made
+    again here, so a failing row raises the error it raises in-process.
+    Every child is reaped and every file closed before this returns or
+    raises.
     """
     n, procs = len(losses), 1
-    forkable = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
-    if forkable and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN:
+    forkable = hasattr(os, "sched_getaffinity") and hasattr(os, "memfd_create")
+    if forkable and threading.active_count() == 1 and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN:
         procs = max(1, min(len(os.sched_getaffinity(0)), n // _CHUNK_ROWS))
     runs = [losses[k * n // procs:(k + 1) * n // procs] for k in range(procs)]
-    pids, pipes = [], []
+    pids, files = [], []
     try:
         for run in runs[1:]:
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            with open(write_fd, "wb") as out:  # the parent's copy closes right after the fork
-                pid = os.fork()
-                if pid == 0:
-                    _send(run, chunk_text, pipes, out)
-                pids.append(pid)
+            files.append(open(os.memfd_create("qnetcap-grid"), "w+b"))
+            pid = os.fork()
+            if pid == 0:
+                try:  # os._exit runs none of the parent's clean-up and flushes none of its buffers
+                    files[-1].writelines(text.encode() for text in _chunk_texts(run, chunk_text))
+                    files[-1].flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
         texts = _chunk_texts(runs[0], chunk_text)
-        for run, pipe in zip(runs[1:], pipes):
-            data, status = pipe.read(), os.waitpid(pids.pop(0), 0)[1]
-            texts += _chunk_texts(run, chunk_text) if status else [data.decode()]
+        for run, file in zip(runs[1:], files):
+            status = os.waitpid(pids.pop(0), 0)[1]
+            file.seek(0)  # the child's writes moved the offset it shares with this copy
+            texts += _chunk_texts(run, chunk_text) if status else [file.read().decode()]
         return texts
     finally:
-        for pipe in pipes:
-            pipe.close()
+        for file in files:
+            file.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -969,6 +969,30 @@ class TestForkedGrid:
         assert len(pids) == n_cpus - 1
         assert_no_child_left()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list open descriptors")
+    @pytest.mark.parametrize(
+        "argv, code, sigchld, forks",
+        [
+            ([*FORK_COMMANDS["sweep"], "--out", "-"], 0, None, 2),
+            (["sweep", "--start", "0", "--stop", "4000", "--step", "0.1", "--repeaters", "0,1", "--out", "-"],
+             2, None, 2),
+            ([*FORK_COMMANDS["sweep"], "--out", "-"], 0, signal.SIG_IGN, 0),
+        ],
+        ids=["forked", "underflow-in-child", "sigchld-ignored"],
+    )
+    def test_no_descriptor_left_open(self, capsys, monkeypatch, argv, code, sigchld, forks):
+        pids = force_cpus(monkeypatch, 3)
+        before = sorted(os.listdir("/proc/self/fd"))
+        previous = signal.getsignal(signal.SIGCHLD)
+        signal.signal(signal.SIGCHLD, previous if sigchld is None else sigchld)
+        try:
+            assert main(argv) == code
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert len(pids) == forks
+        assert_no_child_left()
+
 
 def _unexpected(*args, **kwargs):
     raise RuntimeError("unexpected")

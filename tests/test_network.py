@@ -7,6 +7,7 @@ import pathlib
 import pickle
 import re
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -296,6 +297,11 @@ COUNTED_DOCS = {
     "colon-in-kind": _network_text(kind="lossy:x"),
     "escaped-colon": _network_text(point="a:1").replace("a:1", "a\\u003a1"),
     "colon-in-string-and-duplicate": _network_text(point="a:1", extra=', "eta": 0.9'),
+    # Key ends the second count also finds inside a string: it misses too.
+    "colon-opening-a-name": _network_text(point=":x"),
+    "quote-colon-in-a-name": _network_text(point='a":1'),
+    "quote-colon-in-a-name-and-duplicate": _network_text(point='a":1', extra=', "eta": 0.9'),
+    "spaces-before-colons-and-colon-in-name": _network_text(point="a:1").replace('": ', '" \r\n\t: '),
     "chain": '[{"kind": "lossy", "eta": 0.5}, {"kind": "erasure", "p": 0.25}]',
     "chain-duplicate": '[{"kind": "lossy", "eta": 0.5, "eta": 0.9}]',
     "chain-colon-in-kind": '[{"kind": "lossy:x", "eta": 0.5}]',
@@ -427,9 +433,29 @@ class TestRepeatedKeysByColonCount:
         assert len(network._load_json(COUNTED_DOCS["chain"])) == 2
         assert hooked_calls == []
 
-    def test_a_colon_in_a_point_name_takes_the_hooked_decode(self, hooked_calls):
-        specs = [("e1", "a:1", "x", lossy(0.5)), ("e2", "x", "b", lossy(0.9))]
-        net = build_network(["a:1", "x", "b"], specs, alice="a:1")
+    @staticmethod
+    def _named(name):
+        specs = [("e1", name, "x", lossy(0.5)), ("e2", "x", "b", lossy(0.9))]
+        return build_network([name, "x", "b"], specs, alice=name)
+
+    def test_a_colon_in_a_point_name_takes_no_hooked_decode(self, hooked_calls):
+        # The key ends are counted instead of the colons, JSON whitespace
+        # before a colon included.
+        net = self._named("a:1")
+        text = serialize_network(net)
+        assert parse_network(text) == net
+        assert parse_network(text.replace('": ', '" \r\n\t: ')) == net
+        assert hooked_calls == []
+
+    def test_a_repeated_key_among_colon_names_is_still_found(self, hooked_calls):
+        text = serialize_network(self._named("a:1")).replace('"eta": 0.5', '"eta": 0.5, "eta": 0.5')
+        with pytest.raises(ValidationError, match="^duplicate key 'eta'$"):
+            parse_network(text)
+        assert len(hooked_calls) >= 1
+
+    @pytest.mark.parametrize("name", [":x", 'a":1', 'a\\":1'], ids=["colon-first", "quote-colon", "backslash"])
+    def test_a_key_end_inside_a_name_takes_the_hooked_decode(self, hooked_calls, name):
+        net = self._named(name)
         assert parse_network(serialize_network(net)) == net
         assert len(hooked_calls) >= 1
 
@@ -1000,6 +1026,23 @@ class TestOnePass:
         rebuilt = QNetwork(list(built.points), list(built.edges), built.alice, built.bob)
         assert rebuilt.points == built.points
         assert all(a is b for a, b in zip(rebuilt.edges, built.edges, strict=True))
+
+
+def _peak_bytes(call, *args):
+    """The most memory traced while ``call(*args)`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_parse_peaks_at_about_its_decode():
+    # Each decoded edge is dropped as its record is made, with no tuple per
+    # record: keeping the decoded edges to the end peaked at 1.6x.
+    text = serialize_network(_grid_network(100))
+    assert _peak_bytes(parse_network, text) <= 1.05 * _peak_bytes(json.loads, text)
 
 
 class TestNoEdgeObjects:
