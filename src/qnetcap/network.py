@@ -13,16 +13,20 @@ document is decoded with no Python call per member unless a string in it
 opens with ``:`` or holds an escaped quote before a ``:``.
 
 A network is checked and indexed in one pass over its edges' records,
-whether parsed or built by hand (:class:`_Index`).  Parsing makes those
-records first (:func:`_edge_records`): each edge's fields are checked and
-its channel built, in edge order, and the decoded edge is dropped as its
-record is made.  So every field or channel error comes before any fault of
-the points, the end-points or an edge's id or ends, by construction, and
-the parse's memory peaks at about the decode's.  The index pass then
-writes each edge straight into the solvers' integer index: a parsed network
-holds no :class:`Edge` until its ``edges`` are read.  The usual edge and
-channel object, a dict of exactly its fields, is told by its size; any
-other takes the checks that name its fault.
+whether parsed or built by hand (:class:`_Index`).  Parsing takes the
+records as columns first.  The edges' ids, ends and channels are taken one
+block at a time (:func:`_edge_columns`), each block of decoded edges
+dropped as its columns are made, so the parse's memory peaks at about the
+decode's.  Then the channels are checked (:func:`_channel_columns`).  The
+usual lossy channel, the bulk of an optical network, is checked as one
+column by the kind's own check of its smallest and largest eta, and is held
+as its eta, with its capacity the kind's formula mapped over the column.
+Every other channel is built one by one, in edge order, and where the
+column cannot be checked so, every channel is.  So every field or channel
+error comes in edge order, before any fault of the points, the end-points
+or an edge's id or ends.  The index pass then writes each edge straight
+into the solvers' integer index: a parsed network holds no :class:`Edge`,
+and no spec of a lossy channel, until its ``edges`` are read.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import wraps
 from itertools import compress, count, repeat
-from operator import attrgetter, itemgetter, ne, not_
+from operator import attrgetter, eq, itemgetter, ne, not_
 
 from . import channels
-from .channels import ChannelSpec, _new, _set, capacity
+from .channels import LOSSY, ChannelSpec, _new, _pure_loss, _set, capacity
 from .errors import InvalidParameter, NoRoute, ParseError, UnknownEdge, ValidationError
 
 
@@ -65,15 +69,20 @@ class _Index:
     ``arc ^ 1`` its reverse.  ``arcs[p]`` lists the arcs out of point p in
     edge order, and ``caps``, ``edge_ids`` and ``channels`` are in edge
     order too.  ``capacities`` maps each edge id to its capacity, in edge
-    order: it is the index's edge-id map.
+    order: it is the index's edge-id map.  An entry of ``channels`` is the
+    edge's :class:`ChannelSpec`, or the eta of a parsed lossy channel.
 
     Checked and built in one pass over ``records``, an iterable of each
     edge's ``(id, u, v, channel)`` in edge order: the first fault of the
     points, then of the end-points, then of each edge in order raises
-    :class:`ValidationError`.
+    :class:`ValidationError`.  Each channel's capacity is taken in that
+    pass.  Only :func:`parse_network` gives a channel as its eta, a float:
+    its capacity is then the next of ``eta_capacities``, the parse's column
+    of lossy capacities.  A float with none left, as in a network built by
+    hand, is no :class:`ChannelSpec`.
     """
 
-    def __init__(self, points, alice, bob, records):
+    def __init__(self, points, alice, bob, records, eta_capacities=()):
         seen = set()
         for name in points:
             if not isinstance(name, str) or not name:
@@ -91,12 +100,12 @@ class _Index:
         self.alice, self.bob = ids[alice], ids[bob]
         self.to, self.arcs, self.channels = to, arcs, specs = [], [[] for _ in names], []
         self.capacities = caps = {}
+        eta_capacities = iter(eta_capacities)
         for arc, (eid, u, v, spec) in zip(count(0, 2), records):
             # One test passes a well-formed edge; the exact types come first,
             # so no unhashable name reaches a lookup.
-            if not (type(eid) is type(u) is type(v) is str and type(spec) is ChannelSpec and eid
-                    and u != v and eid not in caps and (a := ids.get(u)) is not None
-                    and (b := ids.get(v)) is not None):
+            if not (type(eid) is type(u) is type(v) is str and eid and u != v and eid not in caps
+                    and (a := ids.get(u)) is not None and (b := ids.get(v)) is not None):
                 if not isinstance(eid, str) or not eid:
                     raise ValidationError(f"edge id {eid!r} must be a non-empty string")
                 if eid in caps:
@@ -106,10 +115,14 @@ class _Index:
                         raise ValidationError(f"edge {eid!r}: endpoint {end!r} is not a declared point")
                 if u == v:
                     raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
-                if not isinstance(spec, ChannelSpec):
-                    raise ValidationError(f"edge {eid!r}: channel must be a ChannelSpec")
                 a, b = ids[u], ids[v]
-            caps[eid] = capacity(spec)
+            if type(spec) is float:  # a parsed lossy channel's eta; None left in a network built by hand
+                cap = next(eta_capacities, None)
+            else:
+                cap = capacity(spec) if isinstance(spec, ChannelSpec) else None
+            if cap is None:
+                raise ValidationError(f"edge {eid!r}: channel must be a ChannelSpec")
+            caps[eid] = cap
             specs.append(spec)
             to += (b, a)
             arcs[a].append(arc)
@@ -129,12 +142,13 @@ class QNetwork:
     (:class:`_Index`): :attr:`capacities` (edge id -> channel capacity, in
     edge order) and the solvers' integer graph are built there, shared and
     read only, and no solver or cut rescans the network.  A network from
-    :func:`parse_network` holds no :class:`Edge` objects: its :attr:`edges`
-    are built from the index when first read, and its equality, hash and
-    repr are those of the same network built by hand.  A network built by
-    hand must give its points as a collection, not a string, and each entry
-    of its edges as an :class:`Edge`, named by position (``edge #1``)
-    before the one pass.
+    :func:`parse_network` holds no :class:`Edge` objects and no spec of a
+    lossy channel, only its eta: its :attr:`edges` are built from the index
+    when first read, each lossy one through :func:`~qnetcap.channels.lossy`,
+    and its equality, hash and repr are those of the same network built by
+    hand.  A network built by hand must give its points as a collection,
+    not a string, and each entry of its edges as an :class:`Edge`, named by
+    position (``edge #1``) before the one pass.
     """
 
     points: tuple[str, ...]
@@ -142,8 +156,8 @@ class QNetwork:
     alice: str
     bob: str
 
-    def __post_init__(self, records=None):
-        # parse_network passes its edges' records and sets no edges.
+    def __post_init__(self, records=None, eta_capacities=()):
+        # parse_network passes its edges' records and its etas' capacities, and sets no edges.
         if records is None:
             if isinstance(self.points, str):
                 raise ValidationError(f"points {self.points!r} is a string, not a collection of point names")
@@ -153,7 +167,7 @@ class QNetwork:
                     raise ValidationError(f"edge #{i}: must be an Edge")
             records = map(attrgetter("edge_id", "u", "v", "channel"), self.edges)
         _set(self, "points", tuple(self.points))
-        _set(self, "_index", _Index(self.points, self.alice, self.bob, records))
+        _set(self, "_index", _Index(self.points, self.alice, self.bob, records, eta_capacities))
         _set(self, "capacities", self._index.capacities)
 
     def __getattr__(self, name):
@@ -161,7 +175,8 @@ class QNetwork:
         # any network's id -> edge map, are each built once, on first read.
         if name == "edges":
             index = self._index
-            _set(self, name, tuple(map(Edge, index.edge_ids, *index.ends(), index.channels)))
+            specs = [channels.lossy(c) if type(c) is float else c for c in index.channels]
+            _set(self, name, tuple(map(Edge, index.edge_ids, *index.ends(), specs)))
         elif name == "_edges_by_id":
             _set(self, name, dict(zip(self._index.edge_ids, self.edges)))
         return object.__getattribute__(self, name)  # any other raises as usual
@@ -415,33 +430,79 @@ def channel_to_json(spec: ChannelSpec) -> dict:
 _TOP_FIELDS = ("points", "alice", "bob", "edges")
 _EDGE_FIELDS = ("id", "u", "v", "channel")
 _edge_values = itemgetter(*_EDGE_FIELDS)
+#: Edges whose columns are taken at once: the decoded edges of one block
+#: are dropped before the next block is read.
+_BLOCK = 1024
 
 
-def _edge_records(edges) -> list:
-    """Every edge object's id, u, v and channel for :class:`_Index`, in edge
-    order, its fields checked and its channel built; the usual object, a
-    dict of the four fields, passes the field checks by its size.
+def _edge_columns(edges) -> list:
+    """Every edge object's id, u, v and channel: four columns, in edge order.
 
-    The records are one flat list, four entries per edge, with no tuple per
-    edge.  ``edges`` is the decoded list, the parse's own: entry i is set to
-    None once edge i's record is made, so each edge and channel object is
-    freed as it is replaced.  With both, a parse peaks within a few percent
-    of its decode (1.01x on a 100 x 100 grid, against 1.08x with a tuple per
-    edge and 1.6x with the decoded edges kept to the end).
+    ``edges`` is the decoded list, the parse's own.  It is taken one block
+    at a time, and a block's entries are set to None once its columns are
+    taken, so the edge objects are freed as the columns grow.  With both, a
+    parse peaks within a few percent of its decode (1.015x on a 100 x 100
+    grid, against 1.054x with the four columns taken whole and 1.6x with
+    the decoded edges kept to the end).  The usual edge, an object of the
+    four fields, is told by its block's sizes and a read of each field by
+    name: in decoded JSON only such an object passes both.  In a block
+    holding any other, each edge is checked by name; at the first fault,
+    the channels of the edges before it are checked first, so a fault
+    among them raises before it, as in edge order.
     """
-    records = []
-    for i, obj in enumerate(edges):
-        try:  # the usual object: a dict of the four fields, told by its size
-            eid, u, v, channel = _edge_values(obj) if len(obj) == 4 else ()
-        except (KeyError, TypeError, ValueError):  # no object, or a field unknown or missing
-            _check_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")  # raises, naming which
+    ids, us, vs, channels = columns = [], [], [], []
+    for start in range(0, len(edges), _BLOCK):
+        block = edges[start:start + _BLOCK]
         try:
-            spec = channel_from_json(channel)
+            rows = [*map(_edge_values, block)] if {*map(len, block)} <= {4} else None
+        except (KeyError, TypeError):  # a field missing, or an edge that is no object
+            rows = None
+        if rows is None:
+            for i, obj in enumerate(block, start):
+                if not (isinstance(obj, dict) and obj.keys() == set(_EDGE_FIELDS)):
+                    _channel_columns(ids, channels)  # a fault of an earlier channel comes first
+                    _check_fields(obj, _EDGE_FIELDS, _EDGE_FIELDS, f"edge #{i}: ")  # raises, naming which
+                for column, value in zip(columns, _edge_values(obj)):
+                    column.append(value)
+        else:
+            for column, values in zip(columns, zip(*rows)):
+                column += values
+        edges[start:start + _BLOCK] = repeat(None, len(block))
+    return columns
+
+
+def _channel_columns(ids, channels):
+    """Each edge's channel as :class:`_Index` takes it, in edge order, and
+    the capacities of those given as an eta.  ``channels`` are the decoded
+    channel objects and ``ids`` their edges' ids.
+
+    The usual lossy channel, ``{"kind": "lossy", "eta": x}``, is checked
+    in one column with the others of its kind: each x an exact float and
+    none NaN, then the smallest and the largest passed to
+    :func:`channel_from_json`.  Its range check is monotone, so those two
+    decide it for every eta.  A usual lossy channel is then given as its
+    eta, and the capacities are the kind's own formula mapped over the
+    column.  Every other channel is built one by one, in edge order, as its
+    spec.  When the column does not pass, or a channel is no object, every
+    channel is built one by one, so the first fault raises as it does in
+    edge order.
+    """
+    column, lossy, etas = [None] * len(channels), [False] * len(channels), []
+    with suppress(TypeError, ValidationError):  # a channel that is no object, or an eta out of range
+        column_etas = [*map(dict.get, channels, repeat("eta"))]
+        flags = [*map(eq, map(dict.get, channels, repeat("kind")), repeat(LOSSY))]
+        usual = [*compress(column_etas, flags)]
+        nan = any(map(ne, usual, usual))  # x != x only for NaN, which min and max pass over
+        if not nan and {*map(len, compress(channels, flags))} <= {2} and {*map(type, usual)} <= {float}:
+            for eta in {min(usual), max(usual)} if usual else ():
+                channel_from_json({"kind": LOSSY, "eta": eta})
+            column, lossy, etas = column_etas, flags, usual
+    for i in compress(count(), map(not_, lossy)):
+        try:
+            column[i] = channel_from_json(channels[i])
         except ValidationError:  # fails again, now naming the edge
-            spec = channel_from_json(channel, where=f"edge {eid!r}")
-        records += eid, u, v, spec
-        edges[i] = None
-    return records
+            column[i] = channel_from_json(channels[i], where=f"edge {ids[i]!r}")
+    return column, map(_pure_loss, etas)
 
 
 def _gc_paused(function):
@@ -472,12 +533,14 @@ def parse_network(document: str | bytes) -> QNetwork:
     Raises :class:`ParseError` for a document that does not decode (with
     the position of malformed JSON) and :class:`ValidationError` for any
     invariant violation, naming the offending element.  It runs in two
-    steps.  First every edge's fields are checked and its channel built
-    (:func:`_edge_records`), so any such error, of whichever edge, comes
-    before a fault of the points or of an edge's id or ends.  Then the
-    network is indexed in one pass over the records, as a network built by
-    hand is, and no :class:`Edge` is made.  The parse peaks at about the
-    memory of the decode itself.
+    steps.  First every edge's fields and channel are checked, as columns:
+    the usual lossy channel as one column of etas, checked by its extremes,
+    each other channel built one by one (:func:`_channel_columns`).  Any
+    such error, of whichever edge, comes in edge order and before a fault
+    of the points or of an edge's id or ends.  Then the network is indexed
+    in one pass over the records, as a network built by hand is, and no
+    :class:`Edge`, nor a lossy channel's spec, is made.  The parse peaks at
+    about the memory of the decode itself.
 
     The cyclic garbage collector is paused while the document is decoded
     and the network built (:func:`_gc_paused`): a parse makes many objects
@@ -491,9 +554,11 @@ def parse_network(document: str | bytes) -> QNetwork:
         raise ValidationError("'points' must be an array of names")
     if not isinstance(data["edges"], list):
         raise ValidationError("'edges' must be an array")
-    records, net = iter(_edge_records(data["edges"])), _new(QNetwork)
+    ids, us, vs, channels = _edge_columns(data["edges"])
+    channels, eta_capacities = _channel_columns(ids, channels)  # the decoded channels are freed here
+    net = _new(QNetwork)
     vars(net).update(points=data["points"], alice=data["alice"], bob=data["bob"])
-    net.__post_init__(zip(records, records, records, records))  # four entries at a time
+    net.__post_init__(zip(ids, us, vs, channels), eta_capacities)
     return net
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import pathlib
 import pickle
 import re
@@ -41,6 +42,7 @@ from qnetcap import (
     widest_path,
 )
 from qnetcap import cli, network
+from qnetcap.channels import ChannelKind
 from qnetcap.cli import main as cli_main
 from test_properties import networks
 from test_readme import fenced
@@ -528,7 +530,7 @@ class TestParseGcPause:
 
 class TestConstruction:
     @pytest.mark.parametrize(
-        "channel", [None, "lossy", {"kind": "lossy", "eta": 0.5}], ids=["none", "str", "dict"]
+        "channel", [None, "lossy", {"kind": "lossy", "eta": 0.5}, 0.5], ids=["none", "str", "dict", "eta"]
     )
     def test_channel_not_a_spec(self, channel):
         edges = (Edge("e0", "a", "b", lossy(0.5)), Edge("e1", "a", "b", channel))
@@ -835,6 +837,29 @@ _WARN = {"kind": "dephasing", "probs": [0.2, 0.8]}
 _BAD = {"kind": "lossy", "eta": 1.5}
 _BAD_E1 = "edge 'e1': eta=1.5: must lie strictly inside (0, 1)"
 
+_AMP_BAD = {"kind": "amplifier", "gain": 0.5}
+
+
+def _etas_text(eta):
+    """Three lossy edges, the middle one's eta ``eta``: a NaN there is
+    neither the smallest nor the largest of the column."""
+    return _doc_text([_edge_text(f"e{i}", channel={"kind": "lossy", "eta": x}) for i, x in enumerate((0.5, eta, 0.7))])
+
+
+def _chain_edge(i, channel=None):
+    return _edge_text(f"e{i}", f"p{i}", f"p{i + 1}", channel)
+
+
+def _chain_text(faults):
+    """A 3,000-hop lossy chain, each entry of ``faults`` (edge number ->
+    edge) in place of that edge: faults 1,024 edges apart fall in separate
+    blocks of the parse's columns."""
+    edges = [_chain_edge(i) for i in range(3000)]
+    for i, edge in faults.items():
+        edges[i] = edge
+    return _doc_text(edges, points=[f"p{i}" for i in range(3001)], alice="p0", bob="p3000")
+
+
 #: Documents the usual-object checks by size turn away, each with the
 #: outcome of the field checks by name: ``None`` for a network accepted,
 #: else the ValidationError message, and the warnings shown before it
@@ -916,6 +941,37 @@ FALLBACK_DOCS = {
         ),
         "duplicate key 'probs'", [],
     ),
+    # Where the column of lossy etas declines: today's message, of the edge named.
+    "eta-nan": (_etas_text(math.nan), "edge 'e1': eta=nan: must be finite", []),
+    "eta-infinity": (_etas_text(math.inf), "edge 'e1': eta=inf: must be finite", []),
+    "eta-minus-infinity": (_etas_text(-math.inf), "edge 'e1': eta=-inf: must be finite", []),
+    "eta-int-1": (_etas_text(1), "edge 'e1': eta=1.0: must lie strictly inside (0, 1)", []),
+    "eta-true": (_etas_text(True), "edge 'e1': eta=True: must be a real number", []),
+    "eta-a-string": (_etas_text("0.5"), "edge 'e1': eta='0.5': must be a real number", []),
+    "eta-zero": (_etas_text(0.0), "edge 'e1': eta=0.0: must lie strictly inside (0, 1)", []),
+    "eta-one": (_etas_text(1.0), "edge 'e1': eta=1.0: must lie strictly inside (0, 1)", []),
+    "eta-smallest-float": (_etas_text(5e-324), None, []),
+    "eta-largest-below-one": (_etas_text(0.9999999999999999), None, []),
+    "bad-eta-then-edge-not-object-in-one-block": (
+        _doc_text([_edge_text(), _edge_text("e1", "a", "p", _BAD), 7]), _BAD_E1, []
+    ),
+    # Faults in separate blocks of a 3,000-edge chain: the first in edge order raises.
+    "chain-bad-eta-then-bad-amplifier": (
+        _chain_text({2500: _chain_edge(2500, _BAD), 2900: _chain_edge(2900, _AMP_BAD)}),
+        "edge 'e2500': eta=1.5: must lie strictly inside (0, 1)", [],
+    ),
+    "chain-bad-amplifier-then-bad-eta": (
+        _chain_text({100: _chain_edge(100, _AMP_BAD), 2500: _chain_edge(2500, _BAD)}),
+        "edge 'e100': gain=0.5: must be strictly greater than 1", [],
+    ),
+    "chain-bad-eta-then-edge-not-object": (
+        _chain_text({10: _chain_edge(10, _BAD), 2999: 7}),
+        "edge 'e10': eta=1.5: must lie strictly inside (0, 1)", [],
+    ),
+    "chain-missing-field-then-bad-eta": (
+        _chain_text({1500: {"id": "e1500", "v": "p1501", "channel": _BAD}, 2000: _chain_edge(2000, _BAD)}),
+        "edge #1500: missing field 'u'", [],
+    ),
 }
 
 
@@ -972,6 +1028,15 @@ class TestFallbackChecks:
             assert (code, err) == (0, "".join(lines))
         else:
             assert (code, err) == (2, "".join(lines) + f"error: {message}\n")
+
+
+@pytest.mark.parametrize("eta", [5e-324, 0.9999999999999999], ids=["smallest-float", "largest-below-one"])
+def test_an_eta_at_the_range_ends_takes_its_kinds_capacity(eta):
+    # The column check passes them by their extremes; the capacity is the
+    # one the lossy constructor's spec gives, bit for bit.
+    net = parse_network(_etas_text(eta))
+    assert net.capacities["e1"] == capacity(lossy(eta))
+    assert net.edges[1].channel == lossy(eta)
 
 
 def _grid_network(side):
@@ -1038,11 +1103,38 @@ def _peak_bytes(call, *args):
         tracemalloc.stop()
 
 
-def test_a_parse_peaks_at_about_its_decode():
-    # Each decoded edge is dropped as its record is made, with no tuple per
-    # record: keeping the decoded edges to the end peaked at 1.6x.
-    text = serialize_network(_grid_network(100))
+def _amplified(net, every):
+    """``net`` with every ``every``-th edge's channel an amplifier."""
+    edges = [e if k % every else Edge(e.edge_id, e.u, e.v, amplifier(1.5)) for k, e in enumerate(net.edges)]
+    return QNetwork(net.points, edges, net.alice, net.bob)
+
+
+@pytest.mark.parametrize("every", [None, 50], ids=["lossy", "amplifier-every-50th"])
+def test_a_parse_peaks_at_about_its_decode(every):
+    # Each block of decoded edges is dropped once its columns are taken:
+    # keeping the decoded edges to the end peaked at 1.6x, taking the four
+    # columns whole at 1.054x.  The amplifiers take the per-edge branch.
+    grid = _grid_network(100)
+    text = serialize_network(grid if every is None else _amplified(grid, every))
     assert _peak_bytes(parse_network, text) <= 1.05 * _peak_bytes(json.loads, text)
+
+
+def test_a_lossy_parse_makes_no_spec_per_edge(monkeypatch):
+    # The column of etas is checked by its extremes; each spec is built when
+    # the edges are first read, as each Edge is.
+    grid = _grid_network(100)
+    text, build, made = serialize_network(grid), ChannelKind.build, []
+
+    def spy(kind, values):
+        made.append(kind.name)
+        return build(kind, values)
+
+    monkeypatch.setattr(ChannelKind, "build", spy)
+    parsed = parse_network(text)
+    at_parse = len(made)
+    assert at_parse <= 2  # the smallest and the largest eta, not one per edge
+    assert len(parsed.edges) == len(made) - at_parse == 19_800
+    assert_parsed_equals_built(grid)
 
 
 class TestNoEdgeObjects:
