@@ -168,8 +168,7 @@ class ChannelKind:
 
     ``check``, when given, enforces the kind's own rules once each
     parameter is valid.  ``names`` lists the kind's parameter names in
-    order.  ``_plan`` holds each parameter's ``(name, check, required,
-    default)``, the part of it :meth:`build` reads.
+    order.
     """
 
     name: str
@@ -177,11 +176,9 @@ class ChannelKind:
     capacity: Callable[[ChannelSpec], float]
     check: Callable[[ChannelSpec], None] | None = None
     names: tuple[str, ...] = field(init=False)
-    _plan: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _set(self, "names", tuple(p.name for p in self.params))
-        _set(self, "_plan", tuple((p.name, p.check, p.required, p.default) for p in self.params))
 
     def build(self, values) -> ChannelSpec:
         """The spec of this kind holding ``values``, checked once each.
@@ -195,13 +192,13 @@ class ChannelKind:
         """
         spec = _new(ChannelSpec)
         _set(spec, "kind", self.name)
-        for (name, check, required, default), value in zip(self._plan, values):
+        for param, value in zip(self.params, values):
             if value is not None:
-                _set(spec, name, check(name, value))
-            elif required:
-                raise InvalidParameter(name, None, f"is required for a {self.name} channel")
-            elif default is not None:
-                _set(spec, name, default)
+                _set(spec, param.name, param.check(param.name, value))
+            elif param.required:
+                raise InvalidParameter(param.name, None, f"is required for a {self.name} channel")
+            elif param.default is not None:
+                _set(spec, param.name, param.default)
         if self.check is not None:
             self.check(spec)
         return spec

@@ -24,8 +24,9 @@ back however the command ends.  The pause defers collection only: objects
 are still freed by reference counting as the command drops them, and a
 cycle it leaves (an exception's traceback, say) waits for the first
 collection after it returns.  Without the pause, collections during a
-``network`` run rescan the objects the parse has just made (a channel per
-edge and an arc list per point).  Forked grid children inherit the pause.
+``network`` run rescan the objects the parse has just made (an arc list
+per point, and a spec per channel other than the usual lossy one).  Forked
+grid children inherit the pause.
 
 Exit codes: 0 success, 2 invalid input, 3 no route between the end-points.
 """

@@ -13,20 +13,22 @@ document is decoded with no Python call per member unless a string in it
 opens with ``:`` or holds an escaped quote before a ``:``.
 
 A network is checked and indexed in one pass over its edges' records,
-whether parsed or built by hand (:class:`_Index`).  Parsing takes the
-records as columns first.  The edges' ids, ends and channels are taken one
-block at a time (:func:`_edge_columns`), each block of decoded edges
-dropped as its columns are made, so the parse's memory peaks at about the
-decode's.  Then the channels are checked (:func:`_channel_columns`).  The
-usual lossy channel, the bulk of an optical network, is checked as one
-column by the kind's own check of its smallest and largest eta, and is held
-as its eta, with its capacity the kind's formula mapped over the column.
-Every other channel is built one by one, in edge order, and where the
-column cannot be checked so, every channel is.  So every field or channel
-error comes in edge order, before any fault of the points, the end-points
-or an edge's id or ends.  The index pass then writes each edge straight
-into the solvers' integer index: a parsed network holds no :class:`Edge`,
-and no spec of a lossy channel, until its ``edges`` are read.
+whether parsed or built by hand (:class:`_Index`).  A record is an edge's
+id, ends and capacity: the solvers read capacities only, so the index holds
+no channel.  Parsing takes the records as columns first.  The edges' ids,
+ends and channels are taken one block at a time (:func:`_edge_columns`),
+each block of decoded edges dropped as its columns are made, so the parse's
+memory peaks at about the decode's.  Then the channels are checked and
+their capacities taken (:func:`_channel_columns`).  The usual lossy
+channel, the bulk of an optical network, is checked as one column by the
+kind's own check of its smallest and largest eta, and is held as its eta,
+its capacity the kind's formula of it.  Every other channel is built one
+by one, in edge order, and where the column cannot be checked so, every
+channel is.  So every field or channel error comes in edge order, before
+any fault of the points, the end-points or an edge's id or ends.  The index
+pass then writes each edge straight into the solvers' integer index, and
+the channel column stays beside it: a parsed network holds no
+:class:`Edge`, and no spec of a lossy channel, until its ``edges`` are read.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import wraps
 from itertools import compress, count, repeat
-from operator import attrgetter, eq, itemgetter, ne, not_
+from operator import eq, itemgetter, ne, not_
 
 from . import channels
 from .channels import LOSSY, ChannelSpec, _new, _pure_loss, _set, capacity
@@ -67,22 +69,20 @@ class _Index:
     and ``alice`` and ``bob`` are the end-points' ids.  Edge k is arc 2k
     (u -> v) and arc 2k + 1 (v -> u): ``to[arc]`` is the arc's head and
     ``arc ^ 1`` its reverse.  ``arcs[p]`` lists the arcs out of point p in
-    edge order, and ``caps``, ``edge_ids`` and ``channels`` are in edge
-    order too.  ``capacities`` maps each edge id to its capacity, in edge
-    order: it is the index's edge-id map.  An entry of ``channels`` is the
-    edge's :class:`ChannelSpec`, or the eta of a parsed lossy channel.
+    edge order, and ``caps`` and ``edge_ids`` are in edge order too.
+    ``capacities`` maps each edge id to its capacity, in edge order: it is
+    the index's edge-id map.  The index holds no channel: the solvers read
+    capacities only.
 
     Checked and built in one pass over ``records``, an iterable of each
-    edge's ``(id, u, v, channel)`` in edge order: the first fault of the
+    edge's ``(id, u, v, capacity)`` in edge order: the first fault of the
     points, then of the end-points, then of each edge in order raises
-    :class:`ValidationError`.  Each channel's capacity is taken in that
-    pass.  Only :func:`parse_network` gives a channel as its eta, a float:
-    its capacity is then the next of ``eta_capacities``, the parse's column
-    of lossy capacities.  A float with none left, as in a network built by
-    hand, is no :class:`ChannelSpec`.
+    :class:`ValidationError`.  A capacity of ``None`` stands for a channel
+    that is no :class:`ChannelSpec`, and is that edge's fault after its id
+    and ends.
     """
 
-    def __init__(self, points, alice, bob, records, eta_capacities=()):
+    def __init__(self, points, alice, bob, records):
         seen = set()
         for name in points:
             if not isinstance(name, str) or not name:
@@ -98,10 +98,9 @@ class _Index:
         self.names = names = sorted(points)
         self.ids = ids = dict(zip(names, count()))
         self.alice, self.bob = ids[alice], ids[bob]
-        self.to, self.arcs, self.channels = to, arcs, specs = [], [[] for _ in names], []
+        self.to, self.arcs = to, arcs = [], [[] for _ in names]
         self.capacities = caps = {}
-        eta_capacities = iter(eta_capacities)
-        for arc, (eid, u, v, spec) in zip(count(0, 2), records):
+        for arc, (eid, u, v, cap) in zip(count(0, 2), records):
             # One test passes a well-formed edge; the exact types come first,
             # so no unhashable name reaches a lookup.
             if not (type(eid) is type(u) is type(v) is str and eid and u != v and eid not in caps
@@ -116,14 +115,9 @@ class _Index:
                 if u == v:
                     raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
                 a, b = ids[u], ids[v]
-            if type(spec) is float:  # a parsed lossy channel's eta; None left in a network built by hand
-                cap = next(eta_capacities, None)
-            else:
-                cap = capacity(spec) if isinstance(spec, ChannelSpec) else None
             if cap is None:
                 raise ValidationError(f"edge {eid!r}: channel must be a ChannelSpec")
             caps[eid] = cap
-            specs.append(spec)
             to += (b, a)
             arcs[a].append(arc)
             arcs[b].append(arc + 1)
@@ -138,16 +132,18 @@ class _Index:
 class QNetwork:
     """Immutable network of named points with two designated end-points.
 
-    Checked and indexed on construction, in one pass over the edges
-    (:class:`_Index`): :attr:`capacities` (edge id -> channel capacity, in
-    edge order) and the solvers' integer graph are built there, shared and
-    read only, and no solver or cut rescans the network.  A network from
-    :func:`parse_network` holds no :class:`Edge` objects and no spec of a
-    lossy channel, only its eta: its :attr:`edges` are built from the index
-    when first read, each lossy one through :func:`~qnetcap.channels.lossy`,
-    and its equality, hash and repr are those of the same network built by
-    hand.  A network built by hand must give its points as a collection,
-    not a string, and each entry of its edges as an :class:`Edge`, named by
+    Checked and indexed on construction, in one pass over the edges' ids,
+    ends and capacities (:class:`_Index`): :attr:`capacities` (edge id ->
+    channel capacity, in edge order) and the solvers' integer graph are
+    built there, shared and read only, and no solver or cut rescans the
+    network.
+    A network from :func:`parse_network` holds no :class:`Edge` objects,
+    only its channel column beside the index: a spec per channel, or a
+    lossy channel's eta.  Its :attr:`edges` are built from the two when
+    first read, each eta through :func:`~qnetcap.channels.lossy`, and its
+    equality, hash and repr are those of the same network built by hand.
+    A network built by hand must give its points as a collection, not a
+    string, and each entry of its edges as an :class:`Edge`, named by
     position (``edge #1``) before the one pass.
     """
 
@@ -156,8 +152,8 @@ class QNetwork:
     alice: str
     bob: str
 
-    def __post_init__(self, records=None, eta_capacities=()):
-        # parse_network passes its edges' records and its etas' capacities, and sets no edges.
+    def __post_init__(self, records=None):
+        # parse_network passes its edges' (id, u, v, capacity) records and sets no edges.
         if records is None:
             if isinstance(self.points, str):
                 raise ValidationError(f"points {self.points!r} is a string, not a collection of point names")
@@ -165,18 +161,20 @@ class QNetwork:
             for i, edge in enumerate(self.edges):
                 if not isinstance(edge, Edge):
                     raise ValidationError(f"edge #{i}: must be an Edge")
-            records = map(attrgetter("edge_id", "u", "v", "channel"), self.edges)
+            # A generator, so an edge's channel is checked after its id and ends.
+            records = (
+                (e.edge_id, e.u, e.v, capacity(e.channel) if isinstance(e.channel, ChannelSpec) else None)
+                for e in self.edges)
         _set(self, "points", tuple(self.points))
-        _set(self, "_index", _Index(self.points, self.alice, self.bob, records, eta_capacities))
+        _set(self, "_index", _Index(self.points, self.alice, self.bob, records))
         _set(self, "capacities", self._index.capacities)
 
     def __getattr__(self, name):
         # Called only for a missing attribute.  A parsed network's edges, and
         # any network's id -> edge map, are each built once, on first read.
         if name == "edges":
-            index = self._index
-            specs = [channels.lossy(c) if type(c) is float else c for c in index.channels]
-            _set(self, name, tuple(map(Edge, index.edge_ids, *index.ends(), specs)))
+            specs = [channels.lossy(c) if type(c) is float else c for c in self._channels]
+            _set(self, name, tuple(map(Edge, self._index.edge_ids, *self._index.ends(), specs)))
         elif name == "_edges_by_id":
             _set(self, name, dict(zip(self._index.edge_ids, self.edges)))
         return object.__getattribute__(self, name)  # any other raises as usual
@@ -472,22 +470,22 @@ def _edge_columns(edges) -> list:
 
 
 def _channel_columns(ids, channels):
-    """Each edge's channel as :class:`_Index` takes it, in edge order, and
-    the capacities of those given as an eta.  ``channels`` are the decoded
-    channel objects and ``ids`` their edges' ids.
+    """Each edge's channel and its capacity: two columns, in edge order.
+    ``channels`` are the decoded channel objects and ``ids`` their edges'
+    ids.
 
     The usual lossy channel, ``{"kind": "lossy", "eta": x}``, is checked
     in one column with the others of its kind: each x an exact float and
     none NaN, then the smallest and the largest passed to
     :func:`channel_from_json`.  Its range check is monotone, so those two
-    decide it for every eta.  A usual lossy channel is then given as its
-    eta, and the capacities are the kind's own formula mapped over the
-    column.  Every other channel is built one by one, in edge order, as its
-    spec.  When the column does not pass, or a channel is no object, every
-    channel is built one by one, so the first fault raises as it does in
-    edge order.
+    decide it for every eta.  A usual lossy channel is then held as its
+    eta, and its capacity is the kind's own formula of the eta.  Every
+    other channel is built one by one, in edge order, as its spec, and its
+    capacity is :func:`~qnetcap.channels.capacity` of the spec.  When the
+    column does not pass, or a channel is no object, every channel is built
+    one by one, so the first fault raises as it does in edge order.
     """
-    column, lossy, etas = [None] * len(channels), [False] * len(channels), []
+    column, lossy = [None] * len(channels), [False] * len(channels)
     with suppress(TypeError, ValidationError):  # a channel that is no object, or an eta out of range
         column_etas = [*map(dict.get, channels, repeat("eta"))]
         flags = [*map(eq, map(dict.get, channels, repeat("kind")), repeat(LOSSY))]
@@ -496,13 +494,13 @@ def _channel_columns(ids, channels):
         if not nan and {*map(len, compress(channels, flags))} <= {2} and {*map(type, usual)} <= {float}:
             for eta in {min(usual), max(usual)} if usual else ():
                 channel_from_json({"kind": LOSSY, "eta": eta})
-            column, lossy, etas = column_etas, flags, usual
+            column, lossy = column_etas, flags
     for i in compress(count(), map(not_, lossy)):
         try:
             column[i] = channel_from_json(channels[i])
         except ValidationError:  # fails again, now naming the edge
             column[i] = channel_from_json(channels[i], where=f"edge {ids[i]!r}")
-    return column, map(_pure_loss, etas)
+    return column, [_pure_loss(c) if type(c) is float else capacity(c) for c in column]
 
 
 def _gc_paused(function):
@@ -533,14 +531,16 @@ def parse_network(document: str | bytes) -> QNetwork:
     Raises :class:`ParseError` for a document that does not decode (with
     the position of malformed JSON) and :class:`ValidationError` for any
     invariant violation, naming the offending element.  It runs in two
-    steps.  First every edge's fields and channel are checked, as columns:
-    the usual lossy channel as one column of etas, checked by its extremes,
-    each other channel built one by one (:func:`_channel_columns`).  Any
-    such error, of whichever edge, comes in edge order and before a fault
-    of the points or of an edge's id or ends.  Then the network is indexed
-    in one pass over the records, as a network built by hand is, and no
-    :class:`Edge`, nor a lossy channel's spec, is made.  The parse peaks at
-    about the memory of the decode itself.
+    steps.  First every edge's fields and channel are checked, as columns,
+    and each channel's capacity taken: the usual lossy channel as one
+    column of etas, checked by its extremes, each other channel built one
+    by one (:func:`_channel_columns`).  Any such error, of whichever edge,
+    comes in edge order and before a fault of the points or of an edge's id
+    or ends.  Then the network is indexed in one pass over the records of
+    ids, ends and capacities, as a network built by hand is, and the channel
+    column is kept for :attr:`QNetwork.edges`: no :class:`Edge`, nor a lossy
+    channel's spec, is made.  The parse peaks at about the memory of the
+    decode itself.
 
     The cyclic garbage collector is paused while the document is decoded
     and the network built (:func:`_gc_paused`): a parse makes many objects
@@ -555,10 +555,10 @@ def parse_network(document: str | bytes) -> QNetwork:
     if not isinstance(data["edges"], list):
         raise ValidationError("'edges' must be an array")
     ids, us, vs, channels = _edge_columns(data["edges"])
-    channels, eta_capacities = _channel_columns(ids, channels)  # the decoded channels are freed here
+    channels, capacities = _channel_columns(ids, channels)  # the decoded channels are freed here
     net = _new(QNetwork)
-    vars(net).update(points=data["points"], alice=data["alice"], bob=data["bob"])
-    net.__post_init__(zip(ids, us, vs, channels), eta_capacities)
+    vars(net).update(points=data["points"], alice=data["alice"], bob=data["bob"], _channels=channels)
+    net.__post_init__(zip(ids, us, vs, capacities))
     return net
 
 

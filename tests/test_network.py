@@ -1077,6 +1077,11 @@ class TestOnePass:
     def test_a_grid(self):
         assert_parsed_equals_built(_grid_network(100))
 
+    def test_a_grid_with_an_amplifier_every_50th_edge(self):
+        # Lossy capacities come from the eta column, the amplifiers' from
+        # their specs: over twenty 1,024-edge blocks each lands on its edge.
+        assert_parsed_equals_built(_amplified(_grid_network(100), 50))
+
     def test_the_suite_networks(self, network_suite):
         for net in network_suite:
             assert_parsed_equals_built(net)
