@@ -22,13 +22,14 @@ memory peaks at about the decode's.  Then the channels are checked and
 their capacities taken (:func:`_channel_columns`).  The usual lossy
 channel, the bulk of an optical network, is checked as one column by the
 kind's own check of its smallest and largest eta, and is held as its eta,
-its capacity the kind's formula of it.  Every other channel is built one
-by one, in edge order, and where the column cannot be checked so, every
+its capacity the kind's formula of it.  Every other channel is checked and
+built once, in edge order, and where the column cannot be checked so, every
 channel is.  So every field or channel error comes in edge order, before
 any fault of the points, the end-points or an edge's id or ends.  The index
-pass then writes each edge straight into the solvers' integer index, and
-the channel column stays beside it: a parsed network holds no
-:class:`Edge`, and no spec of a lossy channel, until its ``edges`` are read.
+pass then checks each edge once and writes it straight into the solvers'
+integer index, and the channel column stays beside it: a parsed network
+holds no :class:`Edge`, and no spec of a lossy channel, until its
+``edges`` are read.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ class _Index:
     Checked and built in one pass over ``records``, an iterable of each
     edge's ``(id, u, v, capacity)`` in edge order: the first fault of the
     points, then of the end-points, then of each edge in order raises
-    :class:`ValidationError`.  A capacity of ``None`` stands for a channel
-    that is no :class:`ChannelSpec`, and is that edge's fault after its id
-    and ends.
+    :class:`ValidationError`.  Each edge is checked once, in one sequence:
+    its id, then each end, looked up once, then that the ends differ, then
+    its capacity.  A capacity of ``None`` stands for a channel that is no
+    :class:`ChannelSpec`, and is that edge's fault after its id and ends.
     """
 
     def __init__(self, points, alice, bob, records):
@@ -101,20 +103,17 @@ class _Index:
         self.to, self.arcs = to, arcs = [], [[] for _ in names]
         self.capacities = caps = {}
         for arc, (eid, u, v, cap) in zip(count(0, 2), records):
-            # One test passes a well-formed edge; the exact types come first,
-            # so no unhashable name reaches a lookup.
-            if not (type(eid) is type(u) is type(v) is str and eid and u != v and eid not in caps
-                    and (a := ids.get(u)) is not None and (b := ids.get(v)) is not None):
-                if not isinstance(eid, str) or not eid:
-                    raise ValidationError(f"edge id {eid!r} must be a non-empty string")
-                if eid in caps:
-                    raise ValidationError(f"duplicate edge id {eid!r}")
-                for end in (u, v):
-                    if not isinstance(end, str) or end not in ids:
-                        raise ValidationError(f"edge {eid!r}: endpoint {end!r} is not a declared point")
-                if u == v:
-                    raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
-                a, b = ids[u], ids[v]
+            if not isinstance(eid, str) or not eid:
+                raise ValidationError(f"edge id {eid!r} must be a non-empty string")
+            if eid in caps:
+                raise ValidationError(f"duplicate edge id {eid!r}")
+            # The str test first, so no unhashable name reaches a lookup.
+            a = ids.get(u) if isinstance(u, str) else None
+            b = ids.get(v) if isinstance(v, str) else None
+            if a is None or b is None:
+                raise ValidationError(f"edge {eid!r}: endpoint {u if a is None else v!r} is not a declared point")
+            if a == b:
+                raise ValidationError(f"edge {eid!r}: self-loops are not allowed")
             if cap is None:
                 raise ValidationError(f"edge {eid!r}: channel must be a ChannelSpec")
             caps[eid] = cap
@@ -480,8 +479,9 @@ def _channel_columns(ids, channels):
     :func:`channel_from_json`.  Its range check is monotone, so those two
     decide it for every eta.  A usual lossy channel is then held as its
     eta, and its capacity is the kind's own formula of the eta.  Every
-    other channel is built one by one, in edge order, as its spec, and its
-    capacity is :func:`~qnetcap.channels.capacity` of the spec.  When the
+    other channel is built one by one, in edge order, as its spec, by one
+    call of :func:`channel_from_json` that names its edge in any error, and
+    its capacity is :func:`~qnetcap.channels.capacity` of the spec.  When the
     column does not pass, or a channel is no object, every channel is built
     one by one, so the first fault raises as it does in edge order.
     """
@@ -496,10 +496,7 @@ def _channel_columns(ids, channels):
                 channel_from_json({"kind": LOSSY, "eta": eta})
             column, lossy = column_etas, flags
     for i in compress(count(), map(not_, lossy)):
-        try:
-            column[i] = channel_from_json(channels[i])
-        except ValidationError:  # fails again, now naming the edge
-            column[i] = channel_from_json(channels[i], where=f"edge {ids[i]!r}")
+        column[i] = channel_from_json(channels[i], where=f"edge {ids[i]!r}")
     return column, [_pure_loss(c) if type(c) is float else capacity(c) for c in column]
 
 

@@ -1142,6 +1142,26 @@ def test_a_lossy_parse_makes_no_spec_per_edge(monkeypatch):
     assert_parsed_equals_built(grid)
 
 
+def test_a_channel_is_checked_once(monkeypatch):
+    # A faulty channel raises from its one check, which names its edge.
+    amp = {"kind": "amplifier", "gain": 0.5}
+    doc = {"points": ["a", "b"], "alice": "a", "bob": "b", "edges": [
+        {"id": "e0", "u": "a", "v": "b", "channel": {"kind": "lossy", "eta": 0.5}},
+        {"id": "e1", "u": "a", "v": "b", "channel": amp},
+    ]}
+    check, seen = network.channel_from_json, []
+
+    def spy(obj, *args, **kwargs):
+        seen.append(obj)
+        return check(obj, *args, **kwargs)
+
+    monkeypatch.setattr(network, "channel_from_json", spy)
+    with pytest.raises(ValidationError) as err:
+        parse_network(json.dumps(doc))
+    assert str(err.value) == "edge 'e1': gain=0.5: must be strictly greater than 1"
+    assert seen.count(amp) == 1
+
+
 class TestNoEdgeObjects:
     """A parsed network makes no :class:`Edge` until its edges are read."""
 
