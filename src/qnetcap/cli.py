@@ -1,10 +1,12 @@
 """Command-line surface: qnetcap {channel|chain|network|sweep|compare-multiband}.
 
 The CLI performs no capacity arithmetic of its own.  Every printed capacity
-is a library value; the CSV commands check a chunk's grid rows at once
-(row by row only where a row may fail), then build each capacity column
+is a library value.  Both CSV commands make their rows by one grid
+function, :func:`_grid`, the sweep without a distance column and
+``compare-multiband`` with one.  It checks a chunk's grid rows at once
+(row by row only where a row may fail), then builds each capacity column
 in one pass of a library column kernel over the rows' transmissivities
-and zip the columns into rows.  A capacity is printed with one format
+and zips the columns into rows.  A capacity is printed with one format
 spec (9 decimal places), shared by :func:`format_bits` and the CSV row
 template; the CSV grid columns (loss, distance) carry 12 significant
 digits.  Output uses '.' separators and LF line endings, so
@@ -221,20 +223,21 @@ def _capacities(losses, bands, repeater_counts):
     return columns
 
 
-def _grid(n_grid_columns, start, stop, step, bands, repeater_counts, rate_db_per_km):
+def _grid(start, stop, step, bands, repeater_counts, rate_db_per_km):
     """Header, losses and row builder of a loss-grid CSV, every argument checked.
 
-    One grid column (loss) is the sweep, which has no bands; two add the
-    distance at ``rate_db_per_km``.  ``rows(part)`` zips the losses of any
-    run of the grid with its distance and cell columns into row tuples; a
-    run's rows are independent of the others.
+    A grid has a distance column exactly when a rate is given: the sweep
+    passes ``None`` (and no bands), ``compare-multiband`` the distance's
+    ``rate_db_per_km``.  ``rows(part)`` zips the losses of any run of the
+    grid with its distance and cell columns into row tuples; a run's rows
+    are independent of the others.
     """
     bands = [channels._require_int("bands", m, 1) for m in bands]
     repeater_counts = [channels._require_int("repeaters", n, 0) for n in repeater_counts]
-    distance = n_grid_columns == 2
+    distance = rate_db_per_km is not None
     if distance:
         rate_db_per_km = channels._require_positive("rate_db_per_km", rate_db_per_km)
-    header = ["loss_db", "distance_km"][:n_grid_columns] + [f"M{m}" for m in bands]
+    header = ["loss_db", "distance_km"][:1 + distance] + [f"M{m}" for m in bands]
     header += [f"N{n}" for n in repeater_counts]
     losses = db_grid(start, stop, step)
     if distance and losses[-1] / rate_db_per_km == math.inf:  # the last distance is the largest
@@ -245,18 +248,6 @@ def _grid(n_grid_columns, start, stop, step, bands, repeater_counts, rate_db_per
         return zip(part, *distances, *_capacities(part, bands, repeater_counts))
 
     return header, losses, rows
-
-
-def sweep_rows(start: float, stop: float, step: float, repeater_counts):
-    """Header and rows of the equidistant-repeater sweep CSV."""
-    header, losses, rows = _grid(1, start, stop, step, (), repeater_counts, None)
-    return header, list(map(list, rows(losses)))
-
-
-def compare_rows(start, stop, step, bands, repeater_counts, rate_db_per_km=FIBER_DB_PER_KM):
-    """Header and rows comparing multiband point-to-point use with repeaters."""
-    header, losses, rows = _grid(2, start, stop, step, bands, repeater_counts, rate_db_per_km)
-    return header, list(map(list, rows(losses)))
 
 
 def _chunk_texts(run, chunk_text) -> list[str]:
@@ -323,8 +314,8 @@ def cmd_csv(args) -> int:
     """
     bands = _parse_list(args.bands, "--bands", int)
     counts = _parse_list(args.repeaters, "--repeaters", int)
-    n = args.grid_columns
-    header, losses, rows = _grid(n, args.start, args.stop, args.step, bands, counts, args.rate_db_per_km)
+    n = 1 if args.rate_db_per_km is None else 2  # grid columns: loss, and distance at a rate
+    header, losses, rows = _grid(args.start, args.stop, args.step, bands, counts, args.rate_db_per_km)
     template = ",".join(["%" + _GRID_SPEC] * n + ["%" + _BITS_SPEC] * (len(header) - n)) + "\n"
     texts = _grid_text(losses, lambda part: "".join(map(template.__mod__, rows(part))))
     texts.insert(0, ",".join(header) + "\n")
@@ -370,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeaters", required=True, help="comma-separated repeater counts (N=0 is the point-to-point bound)"
     )
     p_sweep.add_argument("--out", required=True, help="output CSV path, or - for stdout")
-    p_sweep.set_defaults(func=cmd_csv, grid_columns=1, bands="", rate_db_per_km=None)
+    p_sweep.set_defaults(func=cmd_csv, bands="", rate_db_per_km=None)
 
     p_cmp = sub.add_parser(
         "compare-multiband", parents=[grid], help="multiband point-to-point vs repeater chains CSV"
@@ -379,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--repeaters", required=True, help="comma-separated repeater counts")
     p_cmp.add_argument("--rate-db-per-km", type=float, default=FIBER_DB_PER_KM)
     p_cmp.add_argument("--out", required=True)
-    p_cmp.set_defaults(func=cmd_csv, grid_columns=2)
+    p_cmp.set_defaults(func=cmd_csv)
     return parser
 
 
@@ -394,7 +385,7 @@ def main(argv=None) -> int:
     except NoRoute as exc:
         print(f"no route: {exc}", file=sys.stderr)
         return EXIT_NO_ROUTE
-    except (QnetcapError, OSError) as exc:
+    except (QnetcapError, OSError, UnicodeEncodeError) as exc:  # UnicodeEncodeError: a name stdout cannot carry
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

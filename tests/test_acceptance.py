@@ -38,7 +38,7 @@ from qnetcap import (
     tree_route_capacity,
     widest_path,
 )
-from qnetcap.cli import sweep_rows
+from qnetcap.cli import _grid
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -58,7 +58,8 @@ def test_criterion_1_three_db_rule():
 
 def test_criterion_2_sweep_reproduction(tmp_path):
     repeaters = [0, 1, 2, 10, 100]
-    header, rows = sweep_rows(0.0, 50.0, 1.0, repeaters)
+    _, losses, rows = _grid(0.0, 50.0, 1.0, [], repeaters, None)
+    rows = list(rows(losses))
 
     # Golden CSV: regenerate through the CLI and compare byte-for-byte.
     from qnetcap.cli import main

@@ -34,13 +34,7 @@ from qnetcap import (
     serialize_network,
 )
 from qnetcap import channels, cli
-from qnetcap.cli import (
-    compare_rows,
-    db_grid,
-    format_bits,
-    main,
-    sweep_rows,
-)
+from qnetcap.cli import db_grid, format_bits, main
 from qnetcap.channels import FIBER_DB_PER_KM
 from qnetcap.errors import InvalidParameter
 from qnetcap.network import channel_from_json, channel_to_json
@@ -423,13 +417,19 @@ class TestPinnedNetworkText:
         assert all(line.endswith(": 0.000000000") for line in rates)
 
 
+def grid_rows(start, stop, step, bands, counts, rate_db_per_km):
+    """Header and rows, as lists, of the loss grid the CSV commands print."""
+    header, losses, rows = cli._grid(start, stop, step, bands, counts, rate_db_per_km)
+    return header, list(map(list, rows(losses)))
+
+
 class TestSweep:
     def test_grid(self):
         assert db_grid(0.0, 50.0, 1.0) == pytest.approx(list(range(51)))
         assert db_grid(3.0, 3.0, 1.0) == [3.0]
 
     def test_rows_shape_and_plob_column(self):
-        header, rows = sweep_rows(0.0, 50.0, 1.0, [0, 1, 2, 10, 100])
+        header, rows = grid_rows(0.0, 50.0, 1.0, [], [0, 1, 2, 10, 100], None)
         assert header == ["loss_db", "N0", "N1", "N2", "N10", "N100"]
         assert len(rows) == 51
         assert rows[0][1:] == [math.inf] * 5  # zero loss: diverges
@@ -460,7 +460,7 @@ class TestSweep:
         ) == 0
         text = out.read_text()
         assert "\r" not in text
-        header, rows = sweep_rows(0.0, 50.0, 1.0, [0, 1, 2, 10, 100])
+        header, rows = grid_rows(0.0, 50.0, 1.0, [], [0, 1, 2, 10, 100], None)
         lines = text.splitlines()
         assert lines[0] == ",".join(header)
         for line, row in zip(lines[1:], rows):
@@ -559,13 +559,13 @@ class TestSweep:
 
 class TestCompareMultiband:
     def test_m1_and_n0_columns_identical(self):
-        header, rows = compare_rows(1.0, 30.0, 1.0, bands=[1], repeater_counts=[0])
+        header, rows = grid_rows(1.0, 30.0, 1.0, [1], [0], FIBER_DB_PER_KM)
         i_m, i_n = header.index("M1"), header.index("N0")
         for row in rows:
             assert row[i_m] == pytest.approx(row[i_n], abs=1e-12)
 
     def test_multiband_additive_at_fixed_loss(self):
-        header, rows = compare_rows(3.0, 3.0, 1.0, bands=[1, 10], repeater_counts=[])
+        header, rows = grid_rows(3.0, 3.0, 1.0, [1, 10], [], FIBER_DB_PER_KM)
         row = rows[0]
         assert row[header.index("M10")] == pytest.approx(
             10 * row[header.index("M1")], abs=1e-9
@@ -602,7 +602,7 @@ class TestCompareMultiband:
         assert "rate_db_per_km" in capsys.readouterr().err
 
     def test_distance_column_uses_fiber_rate(self):
-        header, rows = compare_rows(3.0, 3.0, 1.0, bands=[1], repeater_counts=[])
+        header, rows = grid_rows(3.0, 3.0, 1.0, [1], [], FIBER_DB_PER_KM)
         assert rows[0][header.index("distance_km")] == pytest.approx(15.0, abs=1e-12)
 
 
@@ -776,8 +776,8 @@ class TestBenchmarkGrid:
 
     def test_every_cell_is_the_library_value(self):
         bands, counts = [1, 10, 100], [0, 1, 2, 5, 10, 20, 50, 100, 1000]
-        _, sweep = sweep_rows(0.0, 200.0, 0.01, counts)
-        _, compare = compare_rows(0.0, 200.0, 0.01, bands, counts)
+        _, sweep = grid_rows(0.0, 200.0, 0.01, [], counts, None)
+        _, compare = grid_rows(0.0, 200.0, 0.01, bands, counts, FIBER_DB_PER_KM)
         assert len(sweep) == len(compare) == 20_001
         for sweep_row, compare_row in zip(sweep, compare):
             loss_db = sweep_row[0]
@@ -809,9 +809,9 @@ def library_rows(losses, bands, counts):
     return rows
 
 
-def rows_or_error(build, *args):
+def rows_or_error(*args):
     try:
-        return build(*args)[1]
+        return grid_rows(*args)[1]
     except InvalidParameter as exc:
         return str(exc)
 
@@ -846,18 +846,18 @@ def test_every_grid_cell_is_the_library_call(start, step, n_steps, bands, counts
         assert str(exc) == f"step={step!r}: puts two grid rows at one float value"
         n = int((stop - start) / step + 1e-9)
         assert len({start + i * step for i in range(n + 1)}) <= n
-        assert rows_or_error(sweep_rows, start, stop, step, counts) == str(exc)
-        assert rows_or_error(compare_rows, start, stop, step, bands, counts) == str(exc)
+        assert rows_or_error(start, stop, step, [], counts, None) == str(exc)
+        assert rows_or_error(start, stop, step, bands, counts, FIBER_DB_PER_KM) == str(exc)
         return
     assert len(set(losses)) == len(losses)
     expected = library_rows(losses, [], counts)
     if not isinstance(expected, str):
         expected = [[loss_db, *cells] for loss_db, cells in zip(losses, expected)]
-    assert rows_or_error(sweep_rows, start, stop, step, counts) == expected
+    assert rows_or_error(start, stop, step, [], counts, None) == expected
     expected = library_rows(losses, bands, counts)
     if not isinstance(expected, str):
         expected = [[loss_db, loss_db / FIBER_DB_PER_KM, *cells] for loss_db, cells in zip(losses, expected)]
-    assert rows_or_error(compare_rows, start, stop, step, bands, counts) == expected
+    assert rows_or_error(start, stop, step, bands, counts, FIBER_DB_PER_KM) == expected
 
 
 def test_rows_at_eta_1_read_inf_wherever_they_are():

@@ -214,15 +214,31 @@ def test_every_invocation_keeps_the_contract(tmp_path, family):
     assert codes == reached
 
 
-def test_a_warning_keeps_the_one_stderr_line_contract():
-    # In a fresh interpreter with every warning an error: a dephasing
-    # distribution with more than 1/2 on a phase rotation is an ordinary
-    # input, so the command prints its capacity and nothing on stderr.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+def run_module(*args):
+    """Exit code, stdout and stderr of ``python ARGS`` in a fresh interpreter
+    with the default warning filters and stream encodings: unlike
+    :func:`invoke`, it writes to real streams."""
+    env = {key: value for key, value in os.environ.items() if key not in ("PYTHONWARNINGS", "PYTHONIOENCODING")}
     env["PYTHONPATH"] = str(pathlib.Path(qnetcap.__file__).parent.parent)
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "qnetcap.cli",
-         "channel", "--kind", "dephasing", "--probs", "0.2,0.8"],
-        env=env, capture_output=True, text=True,
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "0.278071905 bits/use\n", "")
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_a_warning_keeps_the_one_stderr_line_contract():
+    # With every warning an error: a dephasing distribution with more than
+    # 1/2 on a phase rotation is an ordinary input, so the command prints
+    # its capacity and nothing on stderr.
+    argv = ["channel", "--kind", "dephasing", "--probs", "0.2,0.8"]
+    assert run_module("-W", "error", "-m", "qnetcap.cli", *argv) == (0, "0.278071905 bits/use\n", "")
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_a_name_stdout_cannot_encode_is_invalid_input(tmp_path, mode):
+    # JSON decodes the escape to a lone surrogate, which no codec of stdout
+    # writes: the network parses and solves, and its text is refused whole.
+    path = tmp_path / "surrogate.json"
+    text = (DATA / "diamond.json").read_text(encoding="utf-8")
+    path.write_text(text.replace('"a"', '"\\ud800"'), encoding="utf-8")
+    code, out, err = run_module("-m", "qnetcap.cli", "network", str(path), "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
