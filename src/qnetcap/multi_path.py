@@ -10,10 +10,12 @@ equals the minimum over alice/bob cuts of the total crossing capacity, which
 is the multi-path capacity of a distillable network.
 
 Dinic's blocking-flow algorithm is used because its phase and augmentation
-counts depend only on the graph size, so it terminates on real-valued
-capacities where naive augmenting-path schemes need not.  No tolerance is
-needed to call an arc saturated: with gradual underflow, a - b == 0 only when
-a == b, so each augmentation leaves its bottleneck arc at exactly 0.0.
+counts depend only on the graph size.  It pushes exact ints: every capacity
+is a dyadic rational, so one power of two (the largest denominator of the
+capacities' integer ratios) scales them all to ints without rounding.  No
+tolerance is needed anywhere: an arc is saturated when its residual is int
+0, an edge's net flow is its int capacity minus its forward residual, and a
+rate is that int over the scale, rounded once.
 """
 
 from __future__ import annotations
@@ -23,30 +25,23 @@ from itertools import chain
 
 from .network import Cut, QNetwork, _bfs_levels, _cut_sum, make_cut
 
-#: An edge whose net rate is at most this fraction of the flow value has no
-#: orientation: pushes that cancel on an edge can leave float drift there
-#: instead of 0.0.  Saturation and the value itself need no tolerance.
-RESIDUAL_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class FlowReport:
     """Optimal flow value with per-edge effective rates and a certifying cut.
 
-    ``effective_rates[edge_id]`` is the sum of the signed pushes along the
-    edge's two arcs, relative to its declared (u, v) order: positive means
-    net flow u -> v.  Summing pushes keeps a small flow exact next to a
-    large capacity, where capacity minus residual would cancel it.
-    ``orientation`` holds the flow direction for edges actually
-    carrying flow; edges whose net rate is at most ``RESIDUAL_EPS * value``
-    have no orientation.  Both dicts are in edge order.
+    ``effective_rates[edge_id]`` is the edge's exact net flow, correctly
+    rounded, relative to its declared (u, v) order: positive means net flow
+    u -> v.  So no rate exceeds its edge's capacity, and the rates balance
+    at every point to within the rounding of each.  ``orientation`` holds
+    the flow direction of exactly the edges whose rate is nonzero.  Both
+    dicts are in edge order.
     ``min_cut``'s alice side is the set of points still reachable in the
     final residual graph.  ``value`` is that cut's crossing capacity,
     correctly rounded as :func:`~qnetcap.network.cut_multi_edge_value` sums
     it, so it can be re-added from the certificate bit for bit and does not
-    depend on the order of the edges; the flow is its witness.  Alice's net
-    outflow under the flow differs from it only by rounding: by at most
-    ``len(net.edges) * 2**-52 * value`` on every network the tests draw.
+    depend on the order of the edges; the flow is its witness.  It is also
+    alice's exact net outflow, correctly rounded.
     """
 
     value: float
@@ -55,7 +50,7 @@ class FlowReport:
     min_cut: Cut
 
 
-def _blocking_flow(arcs, to, cap, flow, level, ptr, source: int, sink: int) -> int:
+def _blocking_flow(arcs, to, cap, level, ptr, source: int, sink: int) -> int:
     """Push flow along one source-sink path of the level graph; return its last arc, -1 if none.
 
     Depth-first with an explicit stack, so path length is not bounded by the
@@ -70,7 +65,7 @@ def _blocking_flow(arcs, to, cap, flow, level, ptr, source: int, sink: int) -> i
         next_level = level[point] + 1
         for i in range(ptr[point], len(out)):
             idx = out[i]
-            if cap[idx] > 0.0 and level[to[idx]] == next_level:
+            if cap[idx] > 0 and level[to[idx]] == next_level:
                 ptr[point] = i
                 path.append(idx)
                 point = to[idx]
@@ -85,7 +80,6 @@ def _blocking_flow(arcs, to, cap, flow, level, ptr, source: int, sink: int) -> i
     for idx in path:
         cap[idx] -= pushed
         cap[idx ^ 1] += pushed
-        flow[idx >> 1] += -pushed if idx & 1 else pushed
     return path[-1]
 
 
@@ -103,38 +97,41 @@ def max_flow(net: QNetwork) -> FlowReport:
     Raises :class:`ValidationError` when the value is beyond float range.
     """
     index = net._index
-    to, arcs, caps, names, alice = index.to, index.arcs, index.caps, index.names, index.alice
+    to, arcs, names, alice = index.to, index.arcs, index.names, index.alice
+    ratios = [c.as_integer_ratio() for c in index.caps]
+    # Every denominator is a power of two, so each divides the largest.
+    scale = max((den for _, den in ratios), default=1)
+    ints = [num * (scale // den) for num, den in ratios]
     # The index's arcs 2k and 2k + 1 of edge k both start at the edge's
-    # capacity in ``cap``; ``flow[k]`` is the edge's signed pushes u -> v.
-    cap = list(chain.from_iterable(zip(caps, caps)))
-    flow = [0.0] * len(caps)
+    # capacity in ``cap``, so edge k's net flow u -> v is ints[k] - cap[2k].
+    cap = list(chain.from_iterable(zip(ints, ints)))
 
     # Bob's in-arcs with residual capacity.  No path leaves bob, so a
     # saturated one stays saturated; once none is left, no phase's search
     # for a path that cannot exist runs.
-    open_in = sum(cap[idx ^ 1] > 0.0 for idx in arcs[index.bob])
+    open_in = sum(cap[idx ^ 1] > 0 for idx in arcs[index.bob])
     level = _bfs_levels(arcs, to, cap, alice)
     while level[index.bob] >= 0:
         ptr = [0] * len(arcs)
-        while open_in and (last := _blocking_flow(arcs, to, cap, flow, level, ptr, alice, index.bob)) >= 0:
-            open_in -= cap[last] == 0.0
+        while open_in and (last := _blocking_flow(arcs, to, cap, level, ptr, alice, index.bob)) >= 0:
+            open_in -= cap[last] == 0
         level = _bfs_levels(arcs, to, cap, alice)
 
     min_cut = make_cut(net, (name for name, lv in zip(names, level) if lv >= 0))
     value = _cut_sum(map(net.capacities.__getitem__, min_cut.cut_set))
 
-    # An augmenting path crosses an edge at most once, so the pushes through
-    # any edge total at most ``value`` and its drift stays within ulps of it.
-    eps = RESIDUAL_EPS * value
+    # Int true division rounds each exact net flow once, and a nonzero one
+    # stays nonzero: it is at least 1 / scale, itself a float.
+    rates = [(c - r) / scale for c, r in zip(ints, cap[::2])]
     orientation: dict[str, tuple[str, str]] = {}
-    for k, rate in enumerate(flow):
-        if abs(rate) > eps:
+    for k, rate in enumerate(rates):
+        if rate:
             arc = 2 * k + (rate < 0)  # the arc the net flow runs along
             orientation[index.edge_ids[k]] = (names[to[arc ^ 1]], names[to[arc]])
 
     return FlowReport(
         value=value,
-        effective_rates=dict(zip(index.edge_ids, flow)),
+        effective_rates=dict(zip(index.edge_ids, rates)),
         orientation=orientation,
         min_cut=min_cut,
     )

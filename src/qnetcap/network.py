@@ -276,7 +276,7 @@ def _bfs_levels(arcs, to, cap, source: int) -> list[int]:
         next_level = level[point] + 1
         for idx in arcs[point]:
             other = to[idx]
-            if level[other] < 0 and cap[idx] > 0.0:
+            if level[other] < 0 and cap[idx] > 0:
                 level[other] = next_level
                 queue.append(other)
     return level

@@ -83,6 +83,15 @@ def diamond(eta=0.5):
     )
 
 
+def weak_detour():
+    """A 0.5 link a-b beside a detour a-p-b whose first hop is a 160 dB link:
+    the detour carries ~1.4e-16 bits, a rate far below the 1-bit value."""
+    return build_network(
+        ("a", "b", "p"),
+        [("e0", "a", "b", lossy(0.5)), ("e1", "a", "p", lossy(1e-16)), ("e2", "p", "b", lossy(0.5))],
+    )
+
+
 def path_network(specs):
     """Chain rendered as a network: a - r1 - ... - b with the given channels."""
     names = ["a"] + [f"r{i}" for i in range(1, len(specs))] + ["b"]
@@ -90,6 +99,29 @@ def path_network(specs):
         (f"e{i}", names[i], names[i + 1], spec) for i, spec in enumerate(specs)
     ]
     return build_network(names, edges)
+
+
+def check_exact_flow(net, report):
+    """Assert a max-flow report's exact contracts, with no tolerance.
+
+    No rate exceeds its edge's capacity, and exactly the edges with a
+    nonzero rate are oriented.  Each rate is an exact net flow, correctly
+    rounded, and the value the exact flow value, correctly rounded.  So at
+    every point the terms that balance exactly (its signed rates, with the
+    value taken out at alice and put back at bob) sum to at most half an
+    ulp of each: a proven bound.
+    """
+    terms = {p: [] for p in net.points}
+    terms[net.alice].append(-report.value)
+    terms[net.bob].append(report.value)
+    for edge in net.edges:
+        rate = report.effective_rates[edge.edge_id]
+        assert abs(rate) <= net.capacities[edge.edge_id], edge.edge_id
+        assert (rate != 0.0) == (edge.edge_id in report.orientation), edge.edge_id
+        terms[edge.u].append(rate)
+        terms[edge.v].append(-rate)
+    for point, at in terms.items():
+        assert abs(math.fsum(at)) <= math.fsum(math.ulp(t) / 2 for t in at), point
 
 
 @dataclass(frozen=True)

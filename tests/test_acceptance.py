@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import build_network, diamond, enumerate_cuts, random_channel
+from conftest import build_network, check_exact_flow, diamond, enumerate_cuts, random_channel
 from highprec import hp_equidistant
 from qnetcap import (
     amplifier,
@@ -24,7 +24,6 @@ from qnetcap import (
     cut_single_edge_value,
     db_to_transmissivity,
     dephasing,
-    edge_capacity,
     equidistant_lossy_capacity,
     erasure,
     is_connected,
@@ -127,21 +126,7 @@ def test_criterion_5_max_flow_min_cut(network_suite):
         report = max_flow(net)
         assert report.value == brute_multi_path_capacity(net)
 
-        net_rate = {p: 0.0 for p in net.points}
-        for edge in net.edges:
-            rate = report.effective_rates[edge.edge_id]
-            assert abs(rate) <= edge_capacity(net, edge.edge_id) + 1e-9
-            net_rate[edge.u] += rate
-            net_rate[edge.v] -= rate
-        for point in net.points:
-            if point == net.alice:
-                bound = len(net.edges) * 2**-52 * report.value
-                assert abs(net_rate[point] - report.value) <= bound
-            elif point == net.bob:
-                assert abs(net_rate[point] + report.value) <= 1e-9
-            else:
-                assert abs(net_rate[point]) <= 1e-9
-
+        check_exact_flow(net, report)
         assert cut_multi_edge_value(net, report.min_cut) == report.value
         assert net.bob not in report.min_cut.side_a
     _passed(5, "max-flow min-cut on 500 networks")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DUPLICATE_KEY_DOCS, diamond
+from conftest import DUPLICATE_KEY_DOCS, diamond, weak_detour
 from qnetcap import (
     CHANNEL_KINDS,
     ParseError,
@@ -203,6 +203,17 @@ class TestNetworkCommand:
         assert "orientation e3" not in out
         assert "min_cut_side_a: a" in out
         assert "min_cut_edges: e1,e2" in out
+
+    def test_multi_mode_orients_a_weak_detour(self, tmp_path, capsys):
+        # The detour's rates print as 0.000000000, yet it carries flow.
+        path = tmp_path / "weak_detour.json"
+        path.write_text(serialize_network(weak_detour()), encoding="utf-8")
+        assert main(["network", str(path), "--mode", "multi"]) == 0
+        out = capsys.readouterr().out
+        assert "rate e1 a->p: 0.000000000" in out
+        oriented = [line for line in out.splitlines() if line.startswith("orientation ")]
+        assert oriented == ["orientation e0: a->b", "orientation e1: a->p", "orientation e2: p->b"]
+        assert "min_cut_edges: e0,e1" in out
 
     # ties36.json, drawn once from a seeded generator, is a 6x6 grid of 36
     # points with diagonals and 12 parallel duplicates, in all five kinds;

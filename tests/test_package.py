@@ -134,6 +134,18 @@ def test_every_function_is_used_by_the_package_or_public():
     assert unused == []
 
 
+def test_graph_code_has_no_tolerance():
+    # The solvers and the oracle compare capacities exactly; a small float
+    # literal there would be a threshold that hides drift.
+    small = [
+        (name, node.lineno, node.value)
+        for name in ("network.py", "single_path.py", "multi_path.py", "oracle.py")
+        for node in ast.walk(ast.parse((ROOT / "src" / "qnetcap" / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0 < abs(node.value) < 1
+    ]
+    assert small == []
+
+
 def test_cli_import_loads_no_process_pool():
     # The CSV commands fork with os alone; a pool module would add to every
     # command's start-up time.

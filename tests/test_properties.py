@@ -8,8 +8,9 @@ conservation, min cut), which is what makes these sizes checkable.
 Networks come in three mixes: mixed channel kinds; weak lossy links only
 (100-200 dB per edge, every capacity far below any absolute tolerance); and
 mixed kinds with a third of the links weak, so capacities on one network
-span up to twenty orders of magnitude.  Tolerances are therefore relative to
-the quantity being checked, never to the network's largest capacity.
+span up to twenty orders of magnitude.  No check has a tolerance: a flow is
+held to its exact contracts, whose only slack is the proven rounding bound
+of :func:`conftest.check_exact_flow`.
 
 The last property reorders a network's points and edges, with parallel
 twins of equal capacity added: route answers must not depend on that order,
@@ -21,7 +22,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_network, random_channel
+from conftest import build_network, check_exact_flow, random_channel
 from qnetcap import (
     QNetwork,
     cut_multi_edge_value,
@@ -32,8 +33,6 @@ from qnetcap import (
     tree_route_capacity,
     widest_path,
 )
-
-REL_TOL = 1e-9
 
 
 def random_network(seed, n):
@@ -88,25 +87,9 @@ def test_widest_path_equals_tree_route_and_both_dual_cuts(net):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(networks)
 def test_flow_is_conserved_and_equals_its_min_cut(net):
-    caps = net.capacities
     report = max_flow(net)
-    assert report.value >= widest_path(net).capacity * (1 - REL_TOL)
-
-    balance = {p: 0.0 for p in net.points}
-    incident = {p: 0.0 for p in net.points}
-    for edge in net.edges:
-        rate = report.effective_rates[edge.edge_id]
-        assert abs(rate) <= caps[edge.edge_id] * (1 + REL_TOL)
-        balance[edge.u] += rate
-        balance[edge.v] -= rate
-        incident[edge.u] += caps[edge.edge_id]
-        incident[edge.v] += caps[edge.edge_id]
-    balance[net.alice] -= report.value
-    balance[net.bob] += report.value
-    for point, excess in balance.items():
-        assert abs(excess) <= REL_TOL * incident[point]
-    # The value is the min cut's sum; alice's outflow differs by rounding.
-    assert abs(balance[net.alice]) <= len(net.edges) * 2**-52 * report.value
+    assert report.value >= widest_path(net).capacity
+    check_exact_flow(net, report)
 
     cut = report.min_cut
     assert net.alice in cut.side_a and net.bob in cut.side_b
